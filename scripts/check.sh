@@ -10,7 +10,9 @@
 # backedge yieldpoints, the code-cache graveyard must be fully
 # reclaimed by end of run, --osr runs must stay byte-identical across
 # compile worker counts, and the osr-stability oracle must come back
-# clean over 25 long-loop seeds), a profile-repository warm-start
+# clean over 25 long-loop seeds; non-OSR AOS runs must reclaim every
+# retired version too), an AddressSanitizer + UndefinedBehaviorSanitizer
+# pass over code-cache reclamation, a profile-repository warm-start
 # stage (a second run over the same repository must load the first
 # run's committed entry and reach its first optimized install strictly
 # earlier, and repository bytes plus metrics must not depend on the
@@ -181,6 +183,13 @@ for name in ("depth", "enqueued", "installs", "stale_drops",
 assert gauges["aos.queue.installs"] >= 1, gauges
 print(f"compile queue: {queue['installs']} installs, "
       f"{queue['stale_drops']} stale drops re-validated at install")
+# Graveyard reclamation does not need OSR: once the run finishes, every
+# retired version has been freed exactly once.
+retired = gauges["code.recompiles"] + gauges["code.invalidations"]
+assert retired >= 1, gauges
+assert gauges["code.graveyard_instructions"] == 0, gauges
+assert gauges["code.graveyard_reclaims"] == retired, gauges
+print(f"code cache: all {retired} retired versions reclaimed without OSR")
 EOF
 
 echo "== deoptimization =="
@@ -353,6 +362,21 @@ cmp "$REPOJOBS1"/jess.dcg "$REPOJOBS8"/jess.dcg
 cmp "$RJ1A" "$RJ8A"
 cmp "$RJ1B" "$RJ8B"
 echo "profile-repo compile-jobs=1 and compile-jobs=8 runs are byte-identical"
+
+echo "== address + undefined-behaviour sanitizers: code cache reclamation =="
+# Every AOS run frees retired code the moment its last frame leaves, so
+# a missed pin is a use-after-free. Run the suites and a fuzz campaign
+# that recompile, deoptimize and transfer frames under ASan + UBSan.
+ASAN_BUILD="${BUILD}-asan"
+cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
+cmake --build "$ASAN_BUILD" -j \
+  --target CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest cbsvm
+for T in CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest; do
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+    "$ASAN_BUILD/tests/$T" --gtest_brief=1
+done
+UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
+  "$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
 
 if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
   echo "== thread sanitizer: parallel engine + sharded DCG + compile queue + OSR + repository =="

@@ -13,11 +13,11 @@
 #include "opt/InlineOracle.h"
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfileCodec.h"
-#include "profiling/ProfileIO.h"
 #include "profiling/ProfilerRegistry.h"
 #include "vm/VirtualMachine.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 
 using namespace cbs;
@@ -55,9 +55,19 @@ struct RunResult {
   uint64_t Calls = 0;
 };
 
-RunResult runProgram(const bc::Program &P, vm::VMConfig Config) {
+/// Runs \p P under \p Config. With \p AOS the adaptive optimization
+/// system (NewJikes inlining oracle) is attached, so hot methods
+/// recompile through the background compile queue while it runs.
+RunResult runProgram(const bc::Program &P, vm::VMConfig Config,
+                     const aos::AOSConfig *AOS = nullptr) {
   Config.MaxCycles = std::min(Config.MaxCycles, OracleMaxCycles);
+  opt::NewJikesOracle InlineOracle;
+  std::optional<aos::AdaptiveSystem> Adaptive;
+  if (AOS)
+    Adaptive.emplace(&InlineOracle, *AOS);
   vm::VirtualMachine VM(P, Config);
+  if (Adaptive)
+    VM.setClient(&*Adaptive);
   RunResult R;
   R.State = VM.run();
   R.Trap = VM.trapMessage();
@@ -83,8 +93,8 @@ std::string describeRun(const RunResult &R) {
 }
 
 /// Checks \p Candidate against \p Base; returns "" or the divergence.
-std::string compareRuns(const char *BaseName, const RunResult &Base,
-                        const char *CandName, const RunResult &Cand) {
+std::string compareRuns(std::string_view BaseName, const RunResult &Base,
+                        std::string_view CandName, const RunResult &Cand) {
   std::ostringstream OS;
   if (Cand.State != Base.State) {
     OS << CandName << " run ended " << vm::runStateName(Cand.State)
@@ -372,48 +382,48 @@ public:
 };
 
 //===----------------------------------------------------------------------===//
-// async-compile-stability
+// AOS stability: async-compile, deopt-storm, osr, warm-start
 //===----------------------------------------------------------------------===//
 
-/// runProgram with the adaptive optimization system attached: the
-/// generated program runs under CBS sampling while hot methods
-/// recompile through the background compile queue.
-RunResult runProgramWithAOS(const bc::Program &P, vm::VMConfig Config,
-                            aos::AOSConfig AC) {
-  Config.MaxCycles = std::min(Config.MaxCycles, OracleMaxCycles);
-  opt::NewJikesOracle InlineOracle;
-  aos::AdaptiveSystem AOS(&InlineOracle, AC);
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-  RunResult R;
-  R.State = VM.run();
-  R.Trap = VM.trapMessage();
-  R.Output = VM.output();
-  R.HeapObjects = VM.heap().numObjects();
-  R.HeapBytes = VM.heap().bytesAllocated();
-  R.Profile = VM.profile();
-  R.Samples = VM.stats().SamplesTaken;
-  R.Calls = VM.stats().CallsExecuted;
-  return R;
-}
+/// One adaptive configuration an AosStabilityOracle checks.
+struct AosRow {
+  const char *Label;
+  double LatencyScale;
+  bool OSR = false;
+  /// Forced invalidation storm: every version the AOS installs is
+  /// invalidated at the very next taken yieldpoint, forever.
+  bool Storm = false;
+  /// Warm start from the profile of one cold AOSConfig() run.
+  bool Warm = false;
+  /// Also run at compile-jobs 2 and require a byte-identical run.
+  bool CheckJobs = false;
+};
 
-class AsyncCompileStabilityOracle : public Oracle {
+/// Profile-directed recompilation must be invisible to the program:
+/// every row, run with the adaptive system attached, prints and
+/// allocates exactly what the no-AOS baseline does. Rows with CheckJobs
+/// must also be byte-identical at compile-jobs 0 and 2, down to the
+/// sample count and the serialized profile: worker threads only
+/// pre-compute pure compile results, and every install, invalidation,
+/// OSR transfer and warm pre-enqueue happens on the VM thread in
+/// virtual time.
+class AosStabilityOracle : public Oracle {
 public:
-  const char *id() const override { return "async-compile-stability"; }
-  const char *describe() const override {
-    return "the background compile pipeline preserves program "
-           "semantics at any modelled latency and is byte-identical "
-           "at any --compile-jobs count";
-  }
+  AosStabilityOracle(const char *Id, const char *Describe,
+                     std::vector<AosRow> Rows)
+      : Id(Id), Describe(Describe), Rows(std::move(Rows)) {}
+
+  const char *id() const override { return Id; }
+  const char *describe() const override { return Describe; }
 
   std::string check(const OracleInput &In) const override {
     RunResult Base = runProgram(In.P, plainConfig(In.Seed));
     // A baseline that traps or runs out of budget is output-stability's
-    // finding, not a pipeline divergence.
+    // finding, not an AOS divergence.
     if (Base.State != vm::RunState::Finished)
       return "";
 
-    auto CbsConfig = [&](double LatencyScale) {
+    for (const AosRow &Row : Rows) {
       vm::VMConfig Config = plainConfig(In.Seed);
       Config.Profiler.Kind = vm::ProfilerKind::CBS;
       Config.Profiler.CBS.Stride = 2;
@@ -421,273 +431,53 @@ public:
       // Generated programs are small: tick fast enough that promotions
       // (and thus installs) actually happen.
       Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = LatencyScale;
-      return Config;
-    };
-    auto WithJobs = [](uint32_t Jobs) {
+      Config.Costs.CompileLatencyScale = Row.LatencyScale;
+      Config.EnableOSR = Row.OSR;
+
       aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      return AC;
-    };
+      if (Row.Storm) {
+        AC.Deopt.Enabled = true;
+        AC.Deopt.ForceStormForTesting = true;
+        // A low cap so the storm also exercises conservative pinning.
+        AC.Deopt.MaxDeoptsPerMethod = 2;
+      }
+      if (Row.Warm) {
+        // The cold run collects the profile a repository would persist.
+        aos::AOSConfig Cold;
+        AC.WarmStart.Profile = std::make_shared<const prof::DCGSnapshot>(
+            runProgram(In.P, Config, &Cold).Profile);
+      }
 
-    // Semantics: recompiling through the queue — immediately or after a
-    // long modelled latency — must not perturb output or the heap.
-    if (std::string D =
-            compareRuns("no-aos", Base, "aos-latency-0",
-                        runProgramWithAOS(In.P, CbsConfig(0), WithJobs(0)));
-        !D.empty())
-      return D;
-    if (std::string D =
-            compareRuns("no-aos", Base, "aos-latency-8",
-                        runProgramWithAOS(In.P, CbsConfig(8), WithJobs(0)));
-        !D.empty())
-      return D;
+      AC.CompileJobs = 0;
+      RunResult Jobs0 = runProgram(In.P, Config, &AC);
+      if (std::string D = compareRuns("no-aos", Base, Row.Label, Jobs0);
+          !D.empty())
+        return D;
+      if (!Row.CheckJobs)
+        continue;
 
-    // Determinism: worker threads only pre-compute pure compile
-    // results, so jobs=2 must be byte-identical to jobs=0 down to the
-    // serialized profile.
-    RunResult Jobs0 = runProgramWithAOS(In.P, CbsConfig(1), WithJobs(0));
-    RunResult Jobs2 = runProgramWithAOS(In.P, CbsConfig(1), WithJobs(2));
-    if (std::string D = compareRuns("compile-jobs=0", Jobs0, "compile-jobs=2",
-                                    Jobs2);
-        !D.empty())
-      return D;
-    if (Jobs0.Samples != Jobs2.Samples)
-      return "compile-jobs=0 and compile-jobs=2 took different sample "
-             "counts";
-    if (prof::ProfileCodec::encode(Jobs0.Profile) != prof::ProfileCodec::encode(Jobs2.Profile))
-      return "compile-jobs=0 and compile-jobs=2 profiles serialize "
-             "differently";
+      AC.CompileJobs = 2;
+      RunResult Jobs2 = runProgram(In.P, Config, &AC);
+      std::string Label = Row.Label;
+      if (std::string D = compareRuns(Label + " compile-jobs=0", Jobs0,
+                                      Label + " compile-jobs=2", Jobs2);
+          !D.empty())
+        return D;
+      if (Jobs0.Samples != Jobs2.Samples)
+        return Label + " with compile-jobs=0 and compile-jobs=2 took "
+                       "different sample counts";
+      if (prof::ProfileCodec::encode(Jobs0.Profile) !=
+          prof::ProfileCodec::encode(Jobs2.Profile))
+        return Label + " with compile-jobs=0 and compile-jobs=2 profiles "
+                       "serialize differently";
+    }
     return "";
   }
-};
 
-//===----------------------------------------------------------------------===//
-// deopt-storm-stability
-//===----------------------------------------------------------------------===//
-
-class DeoptStormStabilityOracle : public Oracle {
-public:
-  const char *id() const override { return "deopt-storm-stability"; }
-  const char *describe() const override {
-    return "a forced invalidation storm (every AOS install deoptimized "
-           "at every taken yieldpoint) leaves output and heap "
-           "byte-identical to the no-AOS baseline at any "
-           "--compile-jobs";
-  }
-
-  std::string check(const OracleInput &In) const override {
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
-    // A baseline that traps or runs out of budget is output-stability's
-    // finding, not a deopt divergence.
-    if (Base.State != vm::RunState::Finished)
-      return "";
-
-    // The worst case the controller can inflict: every version the AOS
-    // ever installs is invalidated at the very next taken yieldpoint,
-    // forever. Guarded inlining is semantically transparent, so even
-    // this must be invisible to the program — only slower.
-    auto CbsConfig = [&]() {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = 1;
-      return Config;
-    };
-    auto StormAOS = [](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      AC.Deopt.Enabled = true;
-      AC.Deopt.ForceStormForTesting = true;
-      // A low cap so the storm also exercises conservative pinning.
-      AC.Deopt.MaxDeoptsPerMethod = 2;
-      return AC;
-    };
-
-    RunResult Storm0 = runProgramWithAOS(In.P, CbsConfig(), StormAOS(0));
-    if (std::string D = compareRuns("no-aos", Base, "deopt-storm", Storm0);
-        !D.empty())
-      return D;
-
-    // Invalidation decisions are made on the VM thread in virtual time,
-    // so the storm must stay byte-identical at any worker count.
-    RunResult Storm2 = runProgramWithAOS(In.P, CbsConfig(), StormAOS(2));
-    if (std::string D = compareRuns("storm-jobs=0", Storm0, "storm-jobs=2",
-                                    Storm2);
-        !D.empty())
-      return D;
-    if (Storm0.Samples != Storm2.Samples)
-      return "storm with compile-jobs=0 and compile-jobs=2 took "
-             "different sample counts";
-    if (prof::ProfileCodec::encode(Storm0.Profile) !=
-        prof::ProfileCodec::encode(Storm2.Profile))
-      return "storm with compile-jobs=0 and compile-jobs=2 profiles "
-             "serialize differently";
-    return "";
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// osr-stability
-//===----------------------------------------------------------------------===//
-
-class OsrStabilityOracle : public Oracle {
-public:
-  const char *id() const override { return "osr-stability"; }
-  const char *describe() const override {
-    return "on-stack replacement (promotion and deopt-exit transfers at "
-           "loop-header yieldpoints) preserves output and heap and is "
-           "byte-identical at any --compile-jobs";
-  }
-
-  std::string check(const OracleInput &In) const override {
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
-    // A baseline that traps or runs out of budget is output-stability's
-    // finding, not an OSR divergence.
-    if (Base.State != vm::RunState::Finished)
-      return "";
-
-    auto OsrConfig = [&](double LatencyScale) {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = LatencyScale;
-      Config.EnableOSR = true;
-      return Config;
-    };
-    auto WithJobs = [](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      return AC;
-    };
-
-    // Semantics: a frame transferring mid-loop between versions must not
-    // perturb output or the heap, whether the install lands immediately
-    // (latency 0: promotion OSR fires at the very next backedge) or
-    // after a long modelled latency.
-    if (std::string D =
-            compareRuns("no-aos", Base, "osr-latency-0",
-                        runProgramWithAOS(In.P, OsrConfig(0), WithJobs(0)));
-        !D.empty())
-      return D;
-    if (std::string D =
-            compareRuns("no-aos", Base, "osr-latency-8",
-                        runProgramWithAOS(In.P, OsrConfig(8), WithJobs(0)));
-        !D.empty())
-      return D;
-
-    // Determinism: OSR transfers happen on the VM thread at taken
-    // backedge yieldpoints in virtual time, so any worker count must be
-    // byte-identical down to the serialized profile.
-    RunResult Jobs0 = runProgramWithAOS(In.P, OsrConfig(1), WithJobs(0));
-    RunResult Jobs2 = runProgramWithAOS(In.P, OsrConfig(1), WithJobs(2));
-    if (std::string D =
-            compareRuns("osr-jobs=0", Jobs0, "osr-jobs=2", Jobs2);
-        !D.empty())
-      return D;
-    if (Jobs0.Samples != Jobs2.Samples)
-      return "osr with compile-jobs=0 and compile-jobs=2 took different "
-             "sample counts";
-    if (prof::ProfileCodec::encode(Jobs0.Profile) != prof::ProfileCodec::encode(Jobs2.Profile))
-      return "osr with compile-jobs=0 and compile-jobs=2 profiles "
-             "serialize differently";
-
-    // Deopt-exit path: under the forced invalidation storm every frame
-    // on retired code reconciles to Deopted, and with OSR on it must
-    // transfer off that code at its next loop header — still invisibly.
-    auto StormAOS = [](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      AC.Deopt.Enabled = true;
-      AC.Deopt.ForceStormForTesting = true;
-      AC.Deopt.MaxDeoptsPerMethod = 2;
-      return AC;
-    };
-    RunResult Storm = runProgramWithAOS(In.P, OsrConfig(1), StormAOS(0));
-    if (std::string D = compareRuns("no-aos", Base, "osr-deopt-storm", Storm);
-        !D.empty())
-      return D;
-    RunResult Storm2 = runProgramWithAOS(In.P, OsrConfig(1), StormAOS(2));
-    if (std::string D = compareRuns("osr-storm-jobs=0", Storm,
-                                    "osr-storm-jobs=2", Storm2);
-        !D.empty())
-      return D;
-    if (prof::ProfileCodec::encode(Storm.Profile) !=
-        prof::ProfileCodec::encode(Storm2.Profile))
-      return "osr storm with compile-jobs=0 and compile-jobs=2 profiles "
-             "serialize differently";
-    return "";
-  }
-};
-
-//===----------------------------------------------------------------------===//
-// warm-start-stability
-//===----------------------------------------------------------------------===//
-
-class WarmStartStabilityOracle : public Oracle {
-public:
-  const char *id() const override { return "warm-start-stability"; }
-  const char *describe() const override {
-    return "warm-starting the AOS from a prior run's profile preserves "
-           "output and heap and is byte-identical at any "
-           "--compile-jobs";
-  }
-
-  std::string check(const OracleInput &In) const override {
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
-    // A baseline that traps or runs out of budget is output-stability's
-    // finding, not a warm-start divergence.
-    if (Base.State != vm::RunState::Finished)
-      return "";
-
-    auto CbsConfig = [&]() {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = 1;
-      return Config;
-    };
-
-    // The cold run collects the profile a repository would persist.
-    RunResult Cold = runProgramWithAOS(In.P, CbsConfig(), aos::AOSConfig());
-    auto Persisted = std::make_shared<const prof::DCGSnapshot>(Cold.Profile);
-
-    // The warm run pre-enqueues hot methods from it at cycle 0. Advice
-    // only changes *when* code installs, never what the program does.
-    auto WarmAOS = [&](uint32_t Jobs) {
-      aos::AOSConfig AC;
-      AC.CompileJobs = Jobs;
-      AC.WarmStart.Profile = Persisted;
-      return AC;
-    };
-    RunResult Warm0 = runProgramWithAOS(In.P, CbsConfig(), WarmAOS(0));
-    if (std::string D = compareRuns("no-aos", Base, "warm-start", Warm0);
-        !D.empty())
-      return D;
-
-    // Warm pre-enqueues happen at cycle 0 on the VM thread, so any
-    // worker count must be byte-identical down to the serialized
-    // profile.
-    RunResult Warm2 = runProgramWithAOS(In.P, CbsConfig(), WarmAOS(2));
-    if (std::string D =
-            compareRuns("warm-jobs=0", Warm0, "warm-jobs=2", Warm2);
-        !D.empty())
-      return D;
-    if (Warm0.Samples != Warm2.Samples)
-      return "warm start with compile-jobs=0 and compile-jobs=2 took "
-             "different sample counts";
-    if (prof::ProfileCodec::encode(Warm0.Profile) !=
-        prof::ProfileCodec::encode(Warm2.Profile))
-      return "warm start with compile-jobs=0 and compile-jobs=2 "
-             "profiles serialize differently";
-    return "";
-  }
+private:
+  const char *Id;
+  const char *Describe;
+  std::vector<AosRow> Rows;
 };
 
 //===----------------------------------------------------------------------===//
@@ -719,10 +509,54 @@ OracleRegistry OracleRegistry::builtin() {
   R.add(std::make_unique<CbsSubsetOracle>());
   R.add(std::make_unique<ProfileRoundTripOracle>());
   R.add(std::make_unique<ShardDeterminismOracle>());
-  R.add(std::make_unique<AsyncCompileStabilityOracle>());
-  R.add(std::make_unique<DeoptStormStabilityOracle>());
-  R.add(std::make_unique<OsrStabilityOracle>());
-  R.add(std::make_unique<WarmStartStabilityOracle>());
+  // Each table fixes its oracle's VM runs and their order (baseline,
+  // then every row at compile-jobs 0, and 2 where checked): a new row
+  // adds runs to every fuzzed program.
+  R.add(std::make_unique<AosStabilityOracle>(
+      "async-compile-stability",
+      "the background compile pipeline preserves program "
+      "semantics at any modelled latency and is byte-identical "
+      "at any --compile-jobs count",
+      std::vector<AosRow>{
+          {.Label = "aos-latency-0", .LatencyScale = 0},
+          {.Label = "aos-latency-8", .LatencyScale = 8},
+          {.Label = "aos-latency-1", .LatencyScale = 1, .CheckJobs = true}}));
+  R.add(std::make_unique<AosStabilityOracle>(
+      "deopt-storm-stability",
+      "a forced invalidation storm (every AOS install deoptimized "
+      "at every taken yieldpoint) leaves output and heap "
+      "byte-identical to the no-AOS baseline at any "
+      "--compile-jobs",
+      std::vector<AosRow>{{.Label = "deopt-storm",
+                           .LatencyScale = 1,
+                           .Storm = true,
+                           .CheckJobs = true}}));
+  R.add(std::make_unique<AosStabilityOracle>(
+      "osr-stability",
+      "on-stack replacement (promotion and deopt-exit transfers at "
+      "loop-header yieldpoints) preserves output and heap and is "
+      "byte-identical at any --compile-jobs",
+      std::vector<AosRow>{
+          {.Label = "osr-latency-0", .LatencyScale = 0, .OSR = true},
+          {.Label = "osr-latency-8", .LatencyScale = 8, .OSR = true},
+          {.Label = "osr-latency-1",
+           .LatencyScale = 1,
+           .OSR = true,
+           .CheckJobs = true},
+          {.Label = "osr-deopt-storm",
+           .LatencyScale = 1,
+           .OSR = true,
+           .Storm = true,
+           .CheckJobs = true}}));
+  R.add(std::make_unique<AosStabilityOracle>(
+      "warm-start-stability",
+      "warm-starting the AOS from a prior run's profile preserves "
+      "output and heap and is byte-identical at any "
+      "--compile-jobs",
+      std::vector<AosRow>{{.Label = "warm-start",
+                           .LatencyScale = 1,
+                           .Warm = true,
+                           .CheckJobs = true}}));
   return R;
 }
 

@@ -31,15 +31,19 @@
 ///    profile is byte-identical and validates against the program.
 ///  - shard-determinism: DCG snapshots are bitwise equal across
 ///    --dcg-shards 1/8 and across ParallelRunner --jobs 1/4.
-///  - async-compile-stability: the background compile pipeline preserves
-///    semantics at any modelled latency and is byte-identical at any
-///    --compile-jobs count.
-///  - deopt-storm-stability: a forced invalidation storm leaves output
-///    and heap byte-identical to the no-AOS baseline.
-///  - osr-stability: on-stack replacement (promotion and deopt-exit
-///    transfers at loop-header yieldpoints) preserves output and heap
-///    and is byte-identical at any --compile-jobs count, including
-///    under the forced invalidation storm.
+///  - async-compile-stability, deopt-storm-stability, osr-stability,
+///    warm-start-stability: one table-driven AOS stability oracle each.
+///    Every row of an oracle's table is one adaptive configuration
+///    (compile latency scale, OSR on/off, forced invalidation storm,
+///    warm start from a cold run's profile), run at --compile-jobs 0
+///    and compared against the no-AOS baseline's output and heap; rows
+///    marked for it also run at --compile-jobs 2 and must be
+///    byte-identical down to the sample count and serialized profile.
+///      async-compile-stability: latency 0, 8, and 1 (+ jobs check);
+///      deopt-storm-stability:   the storm at latency 1 (+ jobs);
+///      osr-stability:           OSR at latency 0, 8, 1 (+ jobs), and
+///                               OSR under the storm (+ jobs);
+///      warm-start-stability:    warm start at latency 1 (+ jobs).
 ///
 //===----------------------------------------------------------------------===//
 

@@ -58,25 +58,8 @@ const CompiledMethod *CodeCache::invalidate(bc::MethodId Id) {
   return Graveyard.back().get();
 }
 
-void CodeCache::pinFrame(const CompiledMethod *CM) {
-  if (!PinTracking || !CM)
-    return;
-  // The cache owns every version it hands out; frames hold const
-  // pointers, so the pin count is adjusted through the owner.
-  ++const_cast<CompiledMethod *>(CM)->PinnedFrames;
-}
-
-void CodeCache::unpinFrame(const CompiledMethod *CM) {
-  if (!PinTracking || !CM)
-    return;
-  CompiledMethod *M = const_cast<CompiledMethod *>(CM);
-  assert(M->PinnedFrames > 0 && "unpin without a matching pin");
-  if (--M->PinnedFrames == 0)
-    reclaimIfUnpinned(CM); // frees it only if it is already retired
-}
-
 bool CodeCache::reclaimIfUnpinned(const CompiledMethod *CM) {
-  if (!PinTracking || !CM || CM->PinnedFrames != 0)
+  if (!CM || CM->PinnedFrames != 0)
     return false;
   for (size_t I = 0, E = Graveyard.size(); I != E; ++I) {
     if (Graveyard[I].get() != CM)

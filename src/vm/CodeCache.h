@@ -16,13 +16,14 @@
 ///    epoch advances, and the next invocation falls back to a fresh
 ///    baseline compile via the VM's lazy ensureCompiled path.
 ///
-/// Without OSR the graveyard only grows: any retired version may still
-/// be pinned by a live frame, and the cache has no way to know. With
-/// pin tracking on (VMConfig::EnableOSR; see setPinTracking) the VM
-/// reports frame entry/exit per version, and a retired version whose
-/// last pinned frame leaves — by returning or by OSR-transferring out —
-/// is reclaimed: freed, with its instructions moved from the graveyard
-/// account to the reclaimed account.
+/// The VM reports frame entry and exit per version (pinFrame/unpinFrame:
+/// invocation and return, and OSR transfers in and out), so the cache
+/// knows when no frame still executes a retired version. A retired
+/// version is reclaimed the moment its last pinned frame leaves (or on
+/// the spot, when it is retired with none): freed, with its
+/// instructions moved from the graveyard account to the reclaimed
+/// account. Once a run finishes and every frame has returned, the
+/// graveyard is empty, with or without OSR.
 ///
 /// Installing a version identical in (method, level, plan generation)
 /// to the active one is a checked error: such a double-install would
@@ -38,6 +39,7 @@
 #include "vm/CompiledMethod.h"
 #include "vm/CostModel.h"
 
+#include <cassert>
 #include <memory>
 #include <vector>
 
@@ -93,31 +95,41 @@ public:
   /// Sum of code sizes (instruction counts) of active versions,
   /// maintained incrementally.
   uint64_t activeCodeInstructions() const { return ActiveInstructions; }
-  /// Same accounting for retired versions still alive in the graveyard.
-  /// Without pin tracking this only grows (frames may pin any retired
-  /// version and the cache cannot tell); with it, reclamation moves
-  /// instructions out of this account as the last pinned frame leaves.
+  /// Same accounting for retired versions still alive in the graveyard:
+  /// reclamation moves instructions out of this account as the last
+  /// pinned frame leaves.
   uint64_t graveyardCodeInstructions() const { return GraveyardInstructions; }
   size_t graveyardSize() const { return Graveyard.size(); }
 
-  /// Turns on per-version frame pin counting and graveyard reclamation.
-  /// The VM enables this exactly when VMConfig::EnableOSR is set; with
-  /// it off, pin/unpin are no-ops and the graveyard behaves as before.
-  void setPinTracking(bool On) { PinTracking = On; }
-
   /// A frame began executing \p CM (invocation or OSR transfer in).
-  void pinFrame(const CompiledMethod *CM);
+  void pinFrame(const CompiledMethod *CM) {
+    if (!CM)
+      return;
+    // The cache owns every version it hands out; frames hold const
+    // pointers, so the pin count is adjusted through the owner.
+    ++const_cast<CompiledMethod *>(CM)->PinnedFrames;
+  }
 
   /// A frame stopped executing \p CM (return or OSR transfer out). If
   /// \p CM is retired and this was its last pinned frame, it is
   /// reclaimed on the spot.
-  void unpinFrame(const CompiledMethod *CM);
+  void unpinFrame(const CompiledMethod *CM) {
+    if (!CM)
+      return;
+    CompiledMethod *M = const_cast<CompiledMethod *>(CM);
+    assert(M->PinnedFrames > 0 && "unpin without a matching pin");
+    // Every call returns through here (inline, on the interpreter's
+    // hot path): only a retired version's last unpin pays for the
+    // graveyard scan.
+    if (--M->PinnedFrames == 0 && Active[CM->Id].get() != CM)
+      reclaimIfUnpinned(CM);
+  }
 
-  /// Reclaims \p CM now if pin tracking is on, \p CM sits in the
-  /// graveyard, and no frame pins it. Called by the VM after
-  /// invalidate() (a version retired with zero live frames would
-  /// otherwise wait for an unpin that never comes). Returns true if
-  /// the version was freed; \p CM must not be used afterwards.
+  /// Reclaims \p CM now if it sits in the graveyard and no frame pins
+  /// it. Called by the VM after invalidate() (a version retired with
+  /// zero live frames would otherwise wait for an unpin that never
+  /// comes). Returns true if the version was freed; \p CM must not be
+  /// used afterwards.
   bool reclaimIfUnpinned(const CompiledMethod *CM);
 
   /// Instructions freed from the graveyard by reclamation (cumulative),
@@ -137,7 +149,6 @@ private:
   uint64_t GraveyardInstructions = 0;
   uint64_t ReclaimedInstructions = 0;
   uint64_t Reclaims = 0;
-  bool PinTracking = false;
 };
 
 } // namespace cbs::vm

@@ -132,10 +132,6 @@ VirtualMachine::VirtualMachine(const bc::Program &P, VMConfig Config)
        this->Config.Profiler.ChargeExhaustiveCounters);
   NextTimerAt = this->Config.TimerPeriodCycles;
   NextGCAt = this->Config.GCThresholdBytes;
-  // Frame pin counting exists only for OSR's graveyard reclamation;
-  // with OSR off the cache (and the whole run) behaves exactly as
-  // before.
-  Cache.setPinTracking(this->Config.EnableOSR);
   spawnThread(P.entryMethod());
 }
 
@@ -190,7 +186,7 @@ bool VirtualMachine::deoptimize(bc::MethodId Id) {
   emitAnomaly(tel::TraceEvent::deopt(Stats.Cycles, Thr, Id, Retired->Level,
                                      Cache.invalidationEpoch(Id)));
   // A version invalidated while no frame runs it would never see
-  // another unpin; with pin tracking on, free it now.
+  // another unpin; free it now.
   Cache.reclaimIfUnpinned(Retired);
   return true;
 }

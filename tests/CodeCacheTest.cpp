@@ -8,10 +8,9 @@
 // capacity accounting must stay exact through every transition, the
 // invalidation epoch must advance exactly when a version is retired
 // without replacement, and a double-install of an identical version is
-// a checked error rather than a silent graveyard leak. With pin
-// tracking on (the OSR configuration) the accounting extends to
-// reclamation: a retired version is freed exactly when its last pinned
-// frame leaves, and never before.
+// a checked error rather than a silent graveyard leak. The accounting
+// extends to reclamation: a retired version is freed exactly when its
+// last pinned frame leaves, and never before.
 //
 //===----------------------------------------------------------------------===//
 
@@ -75,6 +74,7 @@ TEST(CodeCache, RecompileRetiresOldVersionToGraveyard) {
   const CompiledMethod *L0 =
       Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
   size_t L0Size = L0->Code.size();
+  Cache.pinFrame(L0); // a live frame keeps the retiree in the graveyard
   const CompiledMethod *L1 =
       Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
 
@@ -191,15 +191,12 @@ TEST(CodeCache, HigherLevelOrNewerPlanIsNotADoubleInstall) {
 }
 
 TEST(CodeCache, PinnedRetiredVersionReclaimedAtLastUnpin) {
-  // The regression pin tracking exists for: a version invalidated while
-  // a live frame still executes it must survive exactly until that
-  // frame transfers out (OSR) or returns, then be reclaimed with exact
-  // capacity accounting. Pre-OSR the cache documented this case as
-  // unreclaimable and the graveyard only grew.
+  // A version invalidated while a live frame still executes it must
+  // survive exactly until that frame transfers out (OSR) or returns,
+  // then be reclaimed with exact capacity accounting.
   Program P = twoMethodProgram();
   CodeCache Cache(P);
   CostModel Costs;
-  Cache.setPinTracking(true);
 
   const CompiledMethod *V1 =
       Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
@@ -233,7 +230,6 @@ TEST(CodeCache, UnpinnedRetireeReclaimedImmediatelyOnRecompile) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
   CostModel Costs;
-  Cache.setPinTracking(true);
 
   const CompiledMethod *V1 =
       Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
@@ -243,24 +239,4 @@ TEST(CodeCache, UnpinnedRetireeReclaimedImmediatelyOnRecompile) {
   EXPECT_EQ(Cache.graveyardSize(), 0u);
   EXPECT_EQ(Cache.reclaimedCodeInstructions(), V1Size);
   EXPECT_EQ(Cache.numReclaims(), 1u);
-}
-
-TEST(CodeCache, PinTrackingOffKeepsGraveyardBehaviour) {
-  // Without setPinTracking the pre-OSR contract holds bit for bit: the
-  // graveyard only grows, and pin/unpin/reclaim are no-ops.
-  Program P = twoMethodProgram();
-  CodeCache Cache(P);
-  CostModel Costs;
-
-  const CompiledMethod *V1 =
-      Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
-  size_t V1Size = V1->Code.size();
-  Cache.pinFrame(V1);
-  Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
-  Cache.unpinFrame(V1);
-  EXPECT_FALSE(Cache.reclaimIfUnpinned(V1));
-  EXPECT_EQ(Cache.graveyardCodeInstructions(), V1Size);
-  EXPECT_EQ(Cache.graveyardSize(), 1u);
-  EXPECT_EQ(Cache.reclaimedCodeInstructions(), 0u);
-  EXPECT_EQ(Cache.numReclaims(), 0u);
 }

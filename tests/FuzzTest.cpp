@@ -259,9 +259,42 @@ TEST(Artifact, ReplayRejectsUnknownOracle) {
   EXPECT_NE(Error, "");
 }
 
+TEST(Artifact, ReplaysThroughEachAosOracle) {
+  // Artifacts name their oracle by id, so every AOS stability oracle
+  // must resolve and re-check a serialized program cleanly.
+  OracleRegistry Registry = OracleRegistry::builtin();
+  for (const char *Id : {"async-compile-stability", "deopt-storm-stability",
+                         "osr-stability", "warm-start-stability"}) {
+    Artifact A;
+    A.Seed = 3;
+    A.Shape = ShapeConfig::longLoops();
+    A.OracleId = Id;
+    A.Spec = ProgramGenerator(A.Shape).makeSpec(3);
+    std::string Error;
+    Artifact Loaded = parseArtifact(writeArtifact(A), Error);
+    ASSERT_EQ(Error, "") << Id;
+    EXPECT_EQ(replayArtifact(Loaded, Registry, Error), "") << Id;
+    EXPECT_EQ(Error, "") << Id;
+  }
+}
+
 //===----------------------------------------------------------------------===//
 // Campaign driver
 //===----------------------------------------------------------------------===//
+
+TEST(Fuzzer, BuiltinOracleIdsArePinned) {
+  // --oracle filters and saved artifacts resolve by these ids, and the
+  // campaign checks oracles in this order.
+  OracleRegistry Registry = OracleRegistry::builtin();
+  std::vector<std::string> Ids;
+  for (const std::unique_ptr<Oracle> &O : Registry.all())
+    Ids.push_back(O->id());
+  EXPECT_EQ(Ids, (std::vector<std::string>{
+                     "output-stability", "cbs-subset", "profile-roundtrip",
+                     "shard-determinism", "async-compile-stability",
+                     "deopt-storm-stability", "osr-stability",
+                     "warm-start-stability"}));
+}
 
 TEST(Fuzzer, CleanCampaignOnBuiltinOracles) {
   FuzzOptions Options;

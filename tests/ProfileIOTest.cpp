@@ -8,7 +8,6 @@
 
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfileCodec.h"
-#include "profiling/ProfileIO.h"
 #include "support/Random.h"
 #include "vm/VirtualMachine.h"
 

@@ -143,7 +143,6 @@
 #include "fuzz/Fuzzer.h"
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfileCodec.h"
-#include "profiling/ProfileIO.h"
 #include "profiling/ProfileRepository.h"
 #include "profiling/ProfilerRegistry.h"
 #include "support/ArgParser.h"
