@@ -161,7 +161,11 @@ static void BM_InterpreterThroughput(benchmark::State &State) {
     VM.run(1'000'000);
     benchmark::DoNotOptimize(VM.stats().Instructions - Before);
   }
-  State.SetItemsProcessed(State.iterations() * 1'000'000);
+  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
+  // second.
+  State.counters["vcycles"] =
+      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
+                         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_InterpreterThroughput);
 
@@ -178,7 +182,11 @@ static void BM_InterpreterWithCBS(benchmark::State &State) {
     VM.run(1'000'000);
     benchmark::DoNotOptimize(VM.stats().Instructions - Before);
   }
-  State.SetItemsProcessed(State.iterations() * 1'000'000);
+  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
+  // second.
+  State.counters["vcycles"] =
+      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
+                         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_InterpreterWithCBS);
 
@@ -201,7 +209,11 @@ static void BM_InterpreterWithRingSink(benchmark::State &State) {
     VM.run(1'000'000);
     benchmark::DoNotOptimize(VM.stats().Instructions - Before);
   }
-  State.SetItemsProcessed(State.iterations() * 1'000'000);
+  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
+  // second.
+  State.counters["vcycles"] =
+      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
+                         benchmark::Counter::kIsRate);
 }
 BENCHMARK(BM_InterpreterWithRingSink);
 

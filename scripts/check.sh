@@ -16,7 +16,9 @@
 # stage (a second run over the same repository must load the first
 # run's committed entry and reach its first optimized install strictly
 # earlier, and repository bytes plus metrics must not depend on the
-# compile worker count), a
+# compile worker count), a text/JSON agreement stage (every
+# section and scalar of a report and a metrics dump must appear in the
+# text view rendered from it, and writes to a full device must fail), a
 # ThreadSanitizer pass over the
 # parallel experiment engine, the sharded profile repository, and the
 # background compile pipeline, and determinism checks: --jobs 8
@@ -83,7 +85,8 @@ trap 'rm -f "$TRACE" "$METRICS" "$STATS" "$JOBS1" "$JOBS8" \
   "${OSRJOBS8:-}" "${OSRJOBS1M:-}" "${OSRJOBS8M:-}" "${OSRFUZZ1:-}" \
   "${OSRFUZZ8:-}" "${WARM1:-}" "${WARM2:-}" "${RJ1A:-}" "${RJ1B:-}" \
   "${RJ8A:-}" "${RJ8B:-}"; \
-  rm -rf "${FUZZDIR:-}" "${REPODIR:-}" "${REPOJOBS1:-}" "${REPOJOBS8:-}"' EXIT
+  rm -rf "${FUZZDIR:-}" "${REPODIR:-}" "${REPOJOBS1:-}" "${REPOJOBS8:-}" \
+  "${AGREEDIR:-}"' EXIT
 
 CBSVM="$BUILD/tools/cbsvm"
 "$CBSVM" run compress --trace "$TRACE" --metrics-json "$METRICS"
@@ -362,6 +365,84 @@ cmp "$REPOJOBS1"/jess.dcg "$REPOJOBS8"/jess.dcg
 cmp "$RJ1A" "$RJ8A"
 cmp "$RJ1B" "$RJ8B"
 echo "profile-repo compile-jobs=1 and compile-jobs=8 runs are byte-identical"
+
+echo "== text/JSON agreement =="
+# Every text view is rendered from the JSON document the same command
+# writes with --json, so each section path of the document must title a
+# text section, each object scalar must show as a "key  lexeme" row, and
+# each table cell's lexeme (a nested container's element count) must
+# appear. Numbers are compared as their exact JSON lexemes.
+check_text_json() {
+  python3 - "$1" "$2" "$3" <<'EOF'
+import json, re, sys
+doc = json.loads(open(sys.argv[1]).read(), parse_float=str, parse_int=str)
+text = open(sys.argv[2]).read()
+lines = text.splitlines()
+missing = []
+
+def lexeme(v):
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if v is None:
+        return "null"
+    if isinstance(v, (dict, list)):
+        return str(len(v))
+    return json.dumps(v)[1:-1]  # number lexeme or escaped string
+
+def walk(path, v):
+    if not v:
+        return
+    if path and f"{path}:" not in lines:
+        missing.append(f"section {path}")
+    if isinstance(v, dict):
+        for key, m in v.items():
+            name = f"{path}.{key}" if path else key
+            if isinstance(m, (dict, list)):
+                walk(name, m)
+                continue
+            row = re.compile(rf"^{re.escape(key)}\s+{re.escape(lexeme(m))}\s*$")
+            if not any(row.match(line) for line in lines):
+                missing.append(f"row {name} = {lexeme(m)}")
+        return
+    for element in v:
+        cells = element.values() if isinstance(element, dict) else [element]
+        for cell in cells:
+            if lexeme(cell) not in text:
+                missing.append(f"cell of {path}: {lexeme(cell)}")
+
+walk("", doc)
+assert not missing, missing[:10]
+print(f"{sys.argv[3]}: text view shows every section and scalar of the JSON")
+EOF
+}
+AGREEDIR=$(mktemp -d /tmp/cbsvm-agree.XXXXXX)
+AGREE_ARGS=(phased --aos --osr --deopt-threshold 60 \
+  --profile-repo "$AGREEDIR/repo")
+# A cold run seeds the repository so the compared runs are warm starts
+# (the report then has every section); both start from the same entry.
+"$CBSVM" report "${AGREE_ARGS[@]}" --json "$AGREEDIR/cold.json" >/dev/null
+cp -r "$AGREEDIR/repo" "$AGREEDIR/seeded"
+"$CBSVM" report "${AGREE_ARGS[@]}" >"$AGREEDIR/report.txt"
+rm -rf "$AGREEDIR/repo"
+cp -r "$AGREEDIR/seeded" "$AGREEDIR/repo"
+"$CBSVM" report "${AGREE_ARGS[@]}" --json "$AGREEDIR/report.json" >/dev/null
+check_text_json "$AGREEDIR/report.json" "$AGREEDIR/report.txt" report
+"$CBSVM" stats jess --aos >"$AGREEDIR/stats.txt"
+"$CBSVM" stats jess --aos --json - >"$AGREEDIR/stats.json"
+check_text_json "$AGREEDIR/stats.json" "$AGREEDIR/stats.txt" stats
+
+# A write that fails (here: a full device) is an error, not a success.
+if [[ -e /dev/full ]]; then
+  if "$CBSVM" report phased --aos --osr --json /dev/full >/dev/null 2>&1; then
+    echo "report --json /dev/full exited 0" >&2
+    exit 1
+  fi
+  if "$CBSVM" run compress --metrics-json /dev/full >/dev/null 2>&1; then
+    echo "run --metrics-json /dev/full exited 0" >&2
+    exit 1
+  fi
+  echo "writes to a full device fail with a nonzero exit"
+fi
 
 echo "== address + undefined-behaviour sanitizers: code cache reclamation =="
 # Every AOS run frees retired code the moment its last frame leaves, so

@@ -10,8 +10,9 @@
 /// the quality-monitor timeline, the overhead attribution, the AOS and
 /// deoptimization statistics when an adaptive system was attached, the
 /// OSR section when VMConfig::EnableOSR was set, and the flight-recorder
-/// dumps. Extracted from the cbsvm driver so tests can pin the schema —
-/// the top-level sections and their keys are part of the tool's contract
+/// dumps. It is the one report model: the driver's text views are
+/// json::writeText of this document. Tests pin the schema — the
+/// top-level sections and their keys are part of the tool's contract
 /// and are covered by ReportSchemaTest.
 ///
 //===----------------------------------------------------------------------===//
@@ -36,8 +37,8 @@ class AdaptiveSystem;
 
 /// The overhead.* components, in registration order. The first six
 /// partition vm.profiling_cycles; the last two are attributed but never
-/// charged to execution time (see VirtualMachine::LiveStats). Shared by
-/// the JSON builder below and the driver's text report.
+/// charged to execution time (see VirtualMachine::LiveStats). The
+/// order of the report's overhead.components array.
 inline constexpr const char *OverheadComponentNames[] = {
     "overhead.entry_check", "overhead.counter_update",
     "overhead.listener",    "overhead.stack_walk",

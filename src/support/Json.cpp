@@ -6,6 +6,8 @@
 
 #include "support/Json.h"
 
+#include "support/TablePrinter.h"
+
 #include <cassert>
 #include <cctype>
 #include <cinttypes>
@@ -443,4 +445,96 @@ std::string json::writeJson(const JsonValue &V) {
   JsonWriter W;
   writeValue(V, W);
   return W.take();
+}
+
+//===----------------------------------------------------------------------===//
+// Text view
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+bool isContainer(const JsonValue &V) { return V.isArray() || V.isObject(); }
+
+/// A scalar's lexeme; a container (only ever a table cell) prints its
+/// element count.
+std::string cellText(const JsonValue &V) {
+  switch (V.K) {
+  case JsonValue::Kind::Null:
+    return "null";
+  case JsonValue::Kind::Bool:
+    return V.BoolVal ? "true" : "false";
+  case JsonValue::Kind::Number:
+    return V.Str;
+  case JsonValue::Kind::String:
+    return escape(V.Str);
+  case JsonValue::Kind::Array:
+    return std::to_string(V.Elements.size());
+  case JsonValue::Kind::Object:
+    return std::to_string(V.Members.size());
+  }
+  return {};
+}
+
+void appendSection(std::string &Out, const std::string &Path,
+                   const std::string &Body) {
+  if (Path.empty() && Body.empty())
+    return;
+  if (!Out.empty())
+    Out += '\n';
+  if (!Path.empty())
+    Out += Path + ":\n";
+  Out += Body;
+}
+
+void writeSection(const std::string &Path, const JsonValue &V,
+                  std::string &Out) {
+  if (V.isObject()) {
+    if (V.Members.empty())
+      return;
+    TablePrinter Scalars;
+    bool AnyScalar = false;
+    for (const auto &[Name, Member] : V.Members)
+      if (!isContainer(Member)) {
+        Scalars.addRow({Name, cellText(Member)});
+        AnyScalar = true;
+      }
+    appendSection(Out, Path, AnyScalar ? Scalars.render() : std::string());
+    for (const auto &[Name, Member] : V.Members)
+      if (isContainer(Member))
+        writeSection(Path.empty() ? Name : Path + "." + Name, Member, Out);
+    return;
+  }
+  if (V.isArray()) {
+    if (V.Elements.empty())
+      return;
+    std::vector<std::string> Columns;
+    if (V.Elements.front().isObject())
+      for (const auto &[Name, Member] : V.Elements.front().Members)
+        Columns.push_back(Name);
+    TablePrinter Table;
+    Table.setHeader(Columns);
+    for (const JsonValue &E : V.Elements) {
+      std::vector<std::string> Row;
+      if (!E.isObject()) {
+        Row.push_back(cellText(E));
+      } else {
+        for (const std::string &Column : Columns) {
+          const JsonValue *Cell = E.find(Column);
+          Row.push_back(Cell ? cellText(*Cell) : std::string());
+        }
+      }
+      Table.addRow(std::move(Row));
+    }
+    appendSection(Out, Path, Table.render());
+    return;
+  }
+  appendSection(Out, Path, cellText(V) + "\n");
+}
+
+} // namespace
+
+std::string json::writeText(const JsonValue &V) {
+  std::string Out;
+  writeSection("", V, Out);
+  return Out;
 }

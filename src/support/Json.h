@@ -16,6 +16,9 @@
 ///    and round-trip tests. Numbers keep their original lexeme so a
 ///    parse→write round trip is byte-exact; object member order is
 ///    preserved.
+///  - writeText: the human-readable view of a parsed document, so a
+///    tool renders its text output from the same document it writes as
+///    JSON and the two cannot disagree.
 ///
 /// This is not a general-purpose JSON library (no \\uXXXX decoding to
 /// UTF-8, no streaming parse); it covers exactly what the repo's own
@@ -125,6 +128,19 @@ JsonParseResult parseJson(std::string_view Text);
 /// Serializes \p V compactly. A parseJson→writeJson round trip of text
 /// produced by JsonWriter is byte-identical.
 std::string writeJson(const JsonValue &V);
+
+/// Renders \p V as aligned text tables, one titled section per
+/// container (the title is the dotted member path; the root has none):
+///  - an object's scalar members form one two-column key/value table;
+///    each non-scalar member becomes its own section after it;
+///  - an array forms one table, one row per element, whose columns are
+///    the first element's keys when it is an object;
+///  - a scalar prints its JSON lexeme (numbers exactly as parsed,
+///    strings escaped but unquoted); a container inside a table cell
+///    prints its element count;
+///  - empty objects and arrays print nothing.
+/// Sections are separated by one blank line.
+std::string writeText(const JsonValue &V);
 
 } // namespace cbs::json
 

@@ -6,7 +6,9 @@
 
 #include "support/TablePrinter.h"
 
+#include <algorithm>
 #include <cassert>
+#include <cctype>
 #include <cstdio>
 
 using namespace cbs;
@@ -92,8 +94,4 @@ std::string TablePrinter::formatDouble(double Value, int Digits) {
   char Buffer[64];
   std::snprintf(Buffer, sizeof(Buffer), "%.*f", Digits, Value);
   return Buffer;
-}
-
-std::string TablePrinter::formatPercent(double Value, int Digits) {
-  return formatDouble(Value, Digits);
 }

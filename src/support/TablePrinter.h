@@ -6,7 +6,8 @@
 ///
 /// \file
 /// A small fixed-width table renderer used by the bench binaries to print
-/// paper-style tables (Table 1, Table 2A/2B, Table 3) and figure series.
+/// paper-style tables (Table 1, Table 2A/2B, Table 3) and figure series,
+/// and by json::writeText for the text view of a JSON document.
 /// Columns auto-size to their widest cell; numeric cells are right
 /// aligned, text cells left aligned.
 ///
@@ -38,10 +39,6 @@ public:
 
   /// Formats \p Value with \p Digits digits after the decimal point.
   static std::string formatDouble(double Value, int Digits);
-
-  /// Formats a percentage such as "0.3" or "38" the way the paper prints
-  /// overhead/accuracy cells (fixed decimals, no % sign).
-  static std::string formatPercent(double Value, int Digits = 1);
 
 private:
   struct Row {

@@ -7,7 +7,6 @@
 #include "telemetry/MetricRegistry.h"
 
 #include "support/Json.h"
-#include "support/TablePrinter.h"
 
 #include <cassert>
 
@@ -123,20 +122,4 @@ std::string MetricRegistry::toJson() const {
   json::JsonWriter W;
   writeJson(W);
   return W.take();
-}
-
-std::string MetricRegistry::toText() const {
-  TablePrinter TP;
-  TP.setHeader({"metric", "type", "value"});
-  for (const auto &[Name, C] : Counters)
-    TP.addRow({Name, "counter", std::to_string(C.Value)});
-  for (const auto &[Name, G] : Gauges)
-    TP.addRow({Name, "gauge", std::to_string(G.Value)});
-  for (const auto &[Name, H] : Histograms)
-    TP.addRow({Name, "histogram",
-               "count=" + std::to_string(H.count()) +
-                   " sum=" + std::to_string(H.sum()) +
-                   " min=" + std::to_string(H.min()) +
-                   " max=" + std::to_string(H.max())});
-  return TP.render();
 }

@@ -190,9 +190,6 @@ public:
   void writeJson(json::JsonWriter &W) const;
   std::string toJson() const;
 
-  /// Human-oriented aligned table of every metric.
-  std::string toText() const;
-
 private:
   std::map<std::string, Counter> Counters;
   std::map<std::string, Gauge> Gauges;

@@ -102,6 +102,34 @@ BuiltReport buildReport(bool WithAOS, bool WithOSR, bool WithWarm = false,
   return Out;
 }
 
+/// Expects \p Text (json::writeText of the whole report) to show \p V
+/// at \p Path: a non-empty container titles its own section, and every
+/// scalar it holds directly or in a table row appears as its lexeme (a
+/// container in a table cell as its element count).
+void expectRendered(const std::string &Text, const std::string &Path,
+                    const json::JsonValue &V) {
+  auto Shown = [&Text](const json::JsonValue &Leaf) {
+    std::string Lexeme = Leaf.Str;
+    if (Leaf.isArray() || Leaf.isObject())
+      Lexeme = std::to_string(Leaf.Elements.size() + Leaf.Members.size());
+    else if (Leaf.K == json::JsonValue::Kind::Bool)
+      Lexeme = Leaf.BoolVal ? "true" : "false";
+    EXPECT_NE(Text.find(Lexeme), std::string::npos) << Lexeme;
+  };
+  if (!Path.empty() && (!V.Members.empty() || !V.Elements.empty())) {
+    EXPECT_NE(Text.find("\n" + Path + ":\n"), std::string::npos) << Path;
+  }
+  for (const auto &[Name, Member] : V.Members) {
+    if (Member.isObject() || Member.isArray())
+      expectRendered(Text, Path.empty() ? Name : Path + "." + Name, Member);
+    else
+      Shown(Member);
+  }
+  for (const json::JsonValue &Row : V.Elements)
+    for (const auto &[Name, Cell] : Row.Members)
+      Shown(Cell);
+}
+
 } // namespace
 
 TEST(ReportSchema, TopLevelSectionsWithAosAndOsr) {
@@ -249,4 +277,13 @@ TEST(ReportSchema, FlightRecorderSectionKeys) {
             (std::vector<std::string>{"trigger", "cycles",
                                       "totalEventsAtDump", "windows",
                                       "events"}));
+}
+
+TEST(ReportSchema, TextViewShowsEverySectionAndScalar) {
+  BuiltReport R = buildReport(/*WithAOS=*/true, /*WithOSR=*/true,
+                              /*WithWarm=*/true, /*WithRepo=*/true);
+  for (const char *Section : {"aos", "osr", "repo"})
+    ASSERT_NE(R.Doc.find(Section), nullptr) << Section;
+  ASSERT_NE(R.Doc.find("aos")->find("warm"), nullptr);
+  expectRendered(json::writeText(R.Doc), "", R.Doc);
 }

@@ -5,6 +5,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "support/ArgParser.h"
+#include "support/Json.h"
 #include "support/Random.h"
 #include "support/Statistics.h"
 #include "support/TablePrinter.h"
@@ -218,14 +219,19 @@ TEST(TablePrinter, AlignsColumns) {
   EXPECT_NE(Out.find("long-name"), std::string::npos);
   EXPECT_NE(Out.find("name"), std::string::npos);
   // Every line has the same length (aligned columns).
-  size_t FirstNL = Out.find('\n');
-  ASSERT_NE(FirstNL, std::string::npos);
+  std::vector<size_t> Lengths;
+  for (size_t Start = 0, NL; (NL = Out.find('\n', Start)) != std::string::npos;
+       Start = NL + 1)
+    Lengths.push_back(NL - Start);
+  ASSERT_EQ(Lengths.size(), 4u); // header, rule, two rows
+  for (size_t Length : Lengths)
+    EXPECT_EQ(Length, Lengths.front());
+  EXPECT_EQ(Out.back(), '\n');
 }
 
 TEST(TablePrinter, FormatDouble) {
   EXPECT_EQ(TablePrinter::formatDouble(3.14159, 2), "3.14");
   EXPECT_EQ(TablePrinter::formatDouble(-0.5, 1), "-0.5");
-  EXPECT_EQ(TablePrinter::formatPercent(38.0, 0), "38");
 }
 
 TEST(TablePrinter, SeparatorAndPadding) {
@@ -237,6 +243,33 @@ TEST(TablePrinter, SeparatorAndPadding) {
   std::string Out = TP.render();
   EXPECT_NE(Out.find("extra"), std::string::npos);
   EXPECT_NE(Out.find("---"), std::string::npos);
+}
+
+//===----------------------------------------------------------------------===//
+// Json text view
+//===----------------------------------------------------------------------===//
+
+TEST(JsonText, RendersSectionsTablesAndLexemes) {
+  json::JsonParseResult R = json::parseJson(
+      R"({"name":"demo","ok":true,"ratio":2.50,)"
+      R"("nested":{"depth":2,"label":"x y"},)"
+      R"("rows":[{"id":1,"tags":[7,8,9]},{"id":22,"tags":[]}],)"
+      R"("empty":[]})");
+  ASSERT_TRUE(R.ok()) << R.Error;
+  EXPECT_EQ(json::writeText(*R.Value),
+            "name   demo  \n"
+            "ok     true  \n"
+            "ratio  2.50  \n"
+            "\n"
+            "nested:\n"
+            "depth    2  \n"
+            "label  x y  \n"
+            "\n"
+            "rows:\n"
+            "id  tags  \n"
+            "----------\n"
+            " 1     3  \n"
+            "22     0  \n");
 }
 
 //===----------------------------------------------------------------------===//

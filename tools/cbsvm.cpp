@@ -8,8 +8,10 @@
 //     List the built-in workloads.
 //
 //   cbsvm run <workload> [options]
-//     Execute a workload under a chosen profiler and report the run
-//     statistics and the hottest call edges. The workload name may also
+//     Execute a workload under a chosen profiler and print a one-line
+//     run summary, the report document's aos, osr and repo sections
+//     (each only when the run used that feature; see `report`), and
+//     the hottest call edges. The workload name may also
 //     be "phased" (the two-phase program used by the convergence
 //     studies), which is not part of the Table 1 suite.
 //       --size small|large       input size            (default small)
@@ -70,22 +72,27 @@
 //                                sampled profile with the overlap metric
 //
 //   cbsvm stats <workload> [run options] [--json FILE]
-//     Execute a workload and dump the full metric registry (every
-//     counter, gauge, and histogram) as an aligned table, or as JSON
-//     when --json is given (FILE of "-" writes to stdout).
+//     Execute a workload and dump the full metric registry as JSON
+//     when --json is given (FILE of "-" writes to stdout), else as the
+//     text view of that JSON: counters, gauges, and one section per
+//     histogram.
 //
 //   cbsvm report <workload> [run options] [report options]
 //     Execute a workload with the profiler self-observability stack
 //     armed — the online quality monitor, the per-component overhead
 //     attribution, and the anomaly-triggered flight recorder — then
-//     print the convergence timeline, the overhead breakdown, and any
-//     flight-recorder dumps. When --aos is active the report also
+//     build the report document (aos::buildReportJson): the convergence
+//     timeline, the overhead breakdown, and any flight-recorder dumps.
+//     --json writes it; otherwise it prints as text (json::writeText),
+//     one table per section titled by its dotted path, so text and JSON
+//     cannot disagree. When --aos is active the report also
 //     carries an "aos" section (recompilations and compile-queue
 //     traffic), and with deoptimization enabled a "deopt" subsection
 //     (guard checks/failures, deopt count, pins, recompiles). With
 //     --osr the report adds a top-level "osr" section (transfer counts
 //     and graveyard reclamation); with --profile-repo a top-level
 //     "repo" section (loaded/rejected/runs/committed + diagnostic).
+//     A trapped run prints the trap message and exits 1 in every mode.
 //     Accepts every `run` configuration option above, plus:
 //       --every-ticks N          quality window period (default 8)
 //       --hot-edges N            hot set size for churn (default 16)
@@ -132,7 +139,9 @@
 //                                campaign; exits 0 iff it reproduces
 //
 // Unknown or unconsumed arguments are an error: every subcommand calls
-// ArgParser::finish() once it has pulled everything it understands.
+// ArgParser::finish() once it has pulled everything it understands. A
+// file that cannot be written (FILE of --json, --save, --trace,
+// --metrics-json) is an error too: exit 2 with "cannot write 'FILE'".
 //
 //===----------------------------------------------------------------------===//
 
@@ -147,7 +156,6 @@
 #include "profiling/ProfilerRegistry.h"
 #include "support/ArgParser.h"
 #include "support/Json.h"
-#include "support/TablePrinter.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/MetricRegistry.h"
 #include "telemetry/TraceSink.h"
@@ -347,9 +355,47 @@ struct DriverRepo {
 
 void writeFileOrDie(const std::string &Path, const std::string &Contents) {
   std::ofstream Out(Path);
+  if (Out) {
+    Out << Contents;
+    Out.flush();
+  }
   if (!Out)
     usageError("cannot write '" + Path + "'");
-  Out << Contents;
+}
+
+/// --json FILE|-: \p Json to stdout ("-") or to FILE, announced as
+/// \p What.
+void emitJson(const std::string &Path, const std::string &Json,
+              const char *What) {
+  if (Path == "-") {
+    std::fputs(Json.c_str(), stdout);
+    std::fputc('\n', stdout);
+    return;
+  }
+  writeFileOrDie(Path, Json);
+  std::printf("%s written to %s\n", What, Path.c_str());
+}
+
+/// The report document's inputs as every command fills them; `report`
+/// adds its flight recorder.
+aos::ReportInputs reportInputs(const RunSetup &S, vm::RunState State,
+                               vm::VirtualMachine &VM, const DriverAOS &AOS,
+                               const DriverRepo &Repo) {
+  aos::ReportInputs In;
+  In.Workload = S.Name;
+  In.Size = wl::inputSizeName(S.Size);
+  In.Seed = S.Seed;
+  In.State = vm::runStateName(State);
+  In.VM = &VM;
+  In.AOS = AOS.System.get();
+  In.Repo = Repo.report(S);
+  return In;
+}
+
+/// Prints a trapped run's trap message; returns the exit status.
+int reportTrap(const vm::VirtualMachine &VM) {
+  std::fprintf(stderr, "trap: %s\n", VM.trapMessage().c_str());
+  return 1;
 }
 
 int listProfilers() {
@@ -412,63 +458,20 @@ int cmdRun(ArgParser &Args) {
               static_cast<unsigned long long>(VM.stats().CallsExecuted),
               static_cast<unsigned long long>(VM.stats().TimerTicks),
               static_cast<unsigned long long>(VM.stats().SamplesTaken));
-  if (State == vm::RunState::Trapped) {
-    std::fprintf(stderr, "trap: %s\n", VM.trapMessage().c_str());
-    return 1;
-  }
+  if (State == vm::RunState::Trapped)
+    return reportTrap(VM);
 
-  if (S.UseAOS) {
-    const aos::AOSStats &A = AOS.System->stats();
-    std::printf("aos: %llu installs (%llu to L1, %llu to L2, %llu reopts); "
-                "queue: %llu enqueued, %llu coalesced, %llu stale drops, "
-                "%llu dropped, depth %zu at exit\n",
-                static_cast<unsigned long long>(A.QueueInstalls),
-                static_cast<unsigned long long>(A.PromotionsToL1),
-                static_cast<unsigned long long>(A.PromotionsToL2),
-                static_cast<unsigned long long>(A.Reoptimizations),
-                static_cast<unsigned long long>(A.QueueEnqueued),
-                static_cast<unsigned long long>(A.QueueCoalesced),
-                static_cast<unsigned long long>(A.QueueStaleDrops),
-                static_cast<unsigned long long>(A.QueueDropped),
-                AOS.System->queueDepth());
-    if (AOS.System->warmStarted())
-      std::printf("warm start: %llu pre-enqueued, %llu installed; first "
-                  "install at cycle %llu\n",
-                  static_cast<unsigned long long>(A.WarmEnqueued),
-                  static_cast<unsigned long long>(A.WarmInstalls),
-                  static_cast<unsigned long long>(A.FirstInstallCycle));
-    if (const aos::DeoptController *DC = AOS.System->deoptController()) {
-      const aos::DeoptStats &D = DC->stats();
-      std::printf("deopt: %llu guard checks, %llu guard failures, %llu "
-                  "deopts (%llu phase-shift), %llu pins, %llu stale "
-                  "drops, %llu recompiles\n",
-                  static_cast<unsigned long long>(D.GuardChecks),
-                  static_cast<unsigned long long>(D.GuardFailures),
-                  static_cast<unsigned long long>(D.Deopts),
-                  static_cast<unsigned long long>(D.PhaseShiftDeopts),
-                  static_cast<unsigned long long>(D.ConservativePins),
-                  static_cast<unsigned long long>(D.StaleRequestsDropped),
-                  static_cast<unsigned long long>(D.Recompiles));
-    }
-  }
-
-  if (S.Config.EnableOSR) {
-    const tel::MetricRegistry &M = VM.metrics();
-    auto Counter = [&M](const char *Name) {
-      const tel::Counter *C = M.findCounter(Name);
-      return C ? static_cast<unsigned long long>(*C) : 0ull;
-    };
-    auto Gauge = [&M](const char *Name) {
-      const tel::Gauge *G = M.findGauge(Name);
-      return G ? static_cast<unsigned long long>(*G) : 0ull;
-    };
-    std::printf("osr: %llu promotions, %llu deopt exits; graveyard: %llu "
-                "instructions reclaimed across %llu frees, %llu retained\n",
-                Counter("vm.osr_entries"), Counter("vm.osr_exits"),
-                Gauge("code.graveyard_reclaimed_instructions"),
-                Gauge("code.graveyard_reclaims"),
-                Gauge("code.graveyard_instructions"));
-  }
+  // The report document's aos, osr and repo sections (each present only
+  // when the run used that feature).
+  json::JsonValue Sections = *json::parseJson(
+      aos::buildReportJson(reportInputs(S, State, VM, AOS, Repo))).Value;
+  std::erase_if(Sections.Members, [](const auto &Member) {
+    return Member.first != "aos" && Member.first != "osr" &&
+           Member.first != "repo";
+  });
+  std::string Text = json::writeText(Sections);
+  if (!Text.empty())
+    std::printf("\n%s", Text.c_str());
 
   prof::DCGSnapshot DCG = VM.profile();
   std::printf("\n%s", DCG.str(S.P, Edges).c_str());
@@ -483,17 +486,6 @@ int cmdRun(ArgParser &Args) {
     std::printf("\naccuracy (overlap vs exhaustive): %.1f%%   overhead: "
                 "%.2f%%\n",
                 prof::accuracy(DCG, Perfect.DCG), Overhead);
-  }
-
-  if (Repo.Enabled) {
-    aos::RepoReport RR = Repo.report(S);
-    std::printf("repo: loaded=%llu rejected=%llu runs=%llu committed=%llu "
-                "(%s)\n",
-                static_cast<unsigned long long>(RR.Loaded),
-                static_cast<unsigned long long>(RR.Rejected),
-                static_cast<unsigned long long>(RR.Runs),
-                static_cast<unsigned long long>(RR.Committed),
-                S.RepoDir.c_str());
   }
 
   if (!SavePath.empty()) {
@@ -523,21 +515,16 @@ int cmdStats(ArgParser &Args) {
   vm::VirtualMachine VM(S.P, S.Config);
   AOS.attach(S, VM);
   vm::RunState State = VM.run();
-  if (State == vm::RunState::Trapped) {
-    std::fprintf(stderr, "trap: %s\n", VM.trapMessage().c_str());
-    return 1;
-  }
+  if (State == vm::RunState::Trapped)
+    return reportTrap(VM);
 
-  if (JsonPath.empty()) {
+  std::string Json = VM.metrics().toJson();
+  if (JsonPath.empty())
     std::printf("%s-%s: %s\n\n%s", S.Name.c_str(), wl::inputSizeName(S.Size),
-                vm::runStateName(State), VM.metrics().toText().c_str());
-  } else if (JsonPath == "-") {
-    std::fputs(VM.metrics().toJson().c_str(), stdout);
-    std::fputc('\n', stdout);
-  } else {
-    writeFileOrDie(JsonPath, VM.metrics().toJson());
-    std::printf("metrics written to %s\n", JsonPath.c_str());
-  }
+                vm::runStateName(State),
+                json::writeText(*json::parseJson(Json).Value).c_str());
+  else
+    emitJson(JsonPath, Json, "metrics");
   return 0;
 }
 
@@ -570,166 +557,14 @@ int cmdReport(ArgParser &Args) {
   vm::RunState State = VM.run();
   Recorder.requestDump("end_of_run", VM.cycles());
 
-  const prof::ProfileQualityMonitor &Monitor = *VM.qualityMonitor();
-  const tel::MetricRegistry &Metrics = VM.metrics();
-  uint64_t VmCycles = VM.cycles();
-  uint64_t OvTotal = VM.overheadCycles();
-  auto FractionPct = [VmCycles](uint64_t Cycles) {
-    return VmCycles == 0
-               ? 0.0
-               : 100.0 * static_cast<double>(Cycles) /
-                     static_cast<double>(VmCycles);
-  };
-
-  if (!JsonPath.empty()) {
-    aos::ReportInputs In;
-    In.Workload = S.Name;
-    In.Size = wl::inputSizeName(S.Size);
-    In.Seed = S.Seed;
-    In.State = vm::runStateName(State);
-    In.VM = &VM;
-    In.AOS = S.UseAOS ? AOS.System.get() : nullptr;
-    In.Recorder = &Recorder;
-    In.Repo = Repo.report(S);
-    std::string Json = aos::buildReportJson(In);
-    if (JsonPath == "-") {
-      std::fputs(Json.c_str(), stdout);
-      std::fputc('\n', stdout);
-    } else {
-      writeFileOrDie(JsonPath, Json);
-      std::printf("report written to %s\n", JsonPath.c_str());
-    }
-    return State == vm::RunState::Trapped ? 1 : 0;
-  }
-
-  std::printf("%s-%s: %s after %.2fM cycles (%llu windows, %llu phase "
-              "shifts, %s)\n\n",
-              S.Name.c_str(), wl::inputSizeName(S.Size),
-              vm::runStateName(State), VmCycles / 1e6,
-              static_cast<unsigned long long>(Monitor.windowCount()),
-              static_cast<unsigned long long>(Monitor.phaseShiftCount()),
-              Monitor.converged() ? "converged" : "not converged");
-
-  std::printf("profile quality timeline (window every %u ticks, phase "
-              "threshold %.0f%%):\n",
-              Monitor.params().EveryTicks,
-              Monitor.params().PhaseShiftOverlapPct);
-  TablePrinter Quality;
-  Quality.setHeader({"window", "tick", "cycles", "edges", "weight",
-                     "overlap%", "hot+", "hot-", "conf%", "shift"});
-  for (const prof::QualityWindow &QW : Monitor.history())
-    Quality.addRow({std::to_string(QW.Index), std::to_string(QW.Tick),
-                    std::to_string(QW.Cycles), std::to_string(QW.Edges),
-                    std::to_string(QW.TotalWeight),
-                    TablePrinter::formatDouble(QW.OverlapPct, 1),
-                    std::to_string(QW.HotNew), std::to_string(QW.HotVanished),
-                    TablePrinter::formatDouble(QW.MeanConfidencePct, 1),
-                    QW.PhaseShift ? "SHIFT" : ""});
-  std::fputs(Quality.render().c_str(), stdout);
-
-  std::printf("\noverhead attribution:\n");
-  TablePrinter Overhead;
-  Overhead.setHeader({"component", "cycles", "% of run"});
-  for (const char *Name : aos::OverheadComponentNames) {
-    const tel::Counter *C = Metrics.findCounter(Name);
-    uint64_t Cycles = C ? static_cast<uint64_t>(*C) : 0;
-    Overhead.addRow({Name, std::to_string(Cycles),
-                     TablePrinter::formatDouble(FractionPct(Cycles), 3)});
-  }
-  Overhead.addSeparator();
-  Overhead.addRow({"total", std::to_string(OvTotal),
-                   TablePrinter::formatDouble(FractionPct(OvTotal), 3)});
-  std::fputs(Overhead.render().c_str(), stdout);
-
-  if (S.UseAOS) {
-    const aos::AOSStats &A = AOS.System->stats();
-    std::printf("\nadaptive system (compile queue):\n");
-    TablePrinter Queue;
-    Queue.setHeader({"installs", "to L1", "to L2", "reopts", "enqueued",
-                     "coalesced", "stale", "dropped", "depth"});
-    Queue.addRow({std::to_string(A.QueueInstalls),
-                  std::to_string(A.PromotionsToL1),
-                  std::to_string(A.PromotionsToL2),
-                  std::to_string(A.Reoptimizations),
-                  std::to_string(A.QueueEnqueued),
-                  std::to_string(A.QueueCoalesced),
-                  std::to_string(A.QueueStaleDrops),
-                  std::to_string(A.QueueDropped),
-                  std::to_string(AOS.System->queueDepth())});
-    std::fputs(Queue.render().c_str(), stdout);
-    if (AOS.System->warmStarted())
-      std::printf("warm start: %llu pre-enqueued, %llu installed; first "
-                  "install at cycle %llu\n",
-                  static_cast<unsigned long long>(A.WarmEnqueued),
-                  static_cast<unsigned long long>(A.WarmInstalls),
-                  static_cast<unsigned long long>(A.FirstInstallCycle));
-    if (const aos::DeoptController *DC = AOS.System->deoptController()) {
-      const aos::DeoptStats &D = DC->stats();
-      std::printf("\ndeoptimization (guard policing):\n");
-      TablePrinter Deopt;
-      Deopt.setHeader({"guard checks", "failures", "deopts", "phase-shift",
-                       "pins", "stale drops", "recompiles"});
-      Deopt.addRow({std::to_string(D.GuardChecks),
-                    std::to_string(D.GuardFailures),
-                    std::to_string(D.Deopts),
-                    std::to_string(D.PhaseShiftDeopts),
-                    std::to_string(D.ConservativePins),
-                    std::to_string(D.StaleRequestsDropped),
-                    std::to_string(D.Recompiles)});
-      std::fputs(Deopt.render().c_str(), stdout);
-    }
-  }
-
-  if (S.Config.EnableOSR) {
-    auto Counter = [&Metrics](const char *Name) {
-      const tel::Counter *C = Metrics.findCounter(Name);
-      return C ? static_cast<uint64_t>(*C) : 0;
-    };
-    auto Gauge = [&Metrics](const char *Name) {
-      const tel::Gauge *G = Metrics.findGauge(Name);
-      return G ? static_cast<uint64_t>(*G) : 0;
-    };
-    std::printf("\non-stack replacement:\n");
-    TablePrinter Osr;
-    Osr.setHeader({"promotions", "deopt exits", "reclaimed insns",
-                   "reclaims", "graveyard insns"});
-    Osr.addRow({std::to_string(Counter("vm.osr_entries")),
-                std::to_string(Counter("vm.osr_exits")),
-                std::to_string(Gauge("code.graveyard_reclaimed_instructions")),
-                std::to_string(Gauge("code.graveyard_reclaims")),
-                std::to_string(Gauge("code.graveyard_instructions"))});
-    std::fputs(Osr.render().c_str(), stdout);
-  }
-
-  if (Repo.Enabled) {
-    aos::RepoReport RR = Repo.report(S);
-    std::printf("\nprofile repository (%s):\n"
-                "  loaded=%llu rejected=%llu runs=%llu committed=%llu%s%s\n",
-                S.RepoDir.c_str(),
-                static_cast<unsigned long long>(RR.Loaded),
-                static_cast<unsigned long long>(RR.Rejected),
-                static_cast<unsigned long long>(RR.Runs),
-                static_cast<unsigned long long>(RR.Committed),
-                RR.Diagnostic.empty() ? "" : "\n  ",
-                RR.Diagnostic.c_str());
-  }
-
-  std::printf("\nflight recorder: %llu events seen, %llu anomaly "
-              "triggers, %zu dumps\n",
-              static_cast<unsigned long long>(Recorder.totalEvents()),
-              static_cast<unsigned long long>(Recorder.triggerCount()),
-              Recorder.dumps().size());
-  for (const tel::FlightRecorder::Dump &D : Recorder.dumps())
-    std::printf("  [%s] at cycle %llu: %zu events, %zu windows retained\n",
-                D.Trigger.c_str(),
-                static_cast<unsigned long long>(D.Cycles), D.Events.size(),
-                D.Windows.size());
-
-  if (State == vm::RunState::Trapped) {
-    std::fprintf(stderr, "trap: %s\n", VM.trapMessage().c_str());
-    return 1;
-  }
-  return 0;
+  aos::ReportInputs In = reportInputs(S, State, VM, AOS, Repo);
+  In.Recorder = &Recorder;
+  std::string Json = aos::buildReportJson(In);
+  if (JsonPath.empty())
+    std::fputs(json::writeText(*json::parseJson(Json).Value).c_str(), stdout);
+  else
+    emitJson(JsonPath, Json, "report");
+  return State == vm::RunState::Trapped ? reportTrap(VM) : 0;
 }
 
 int cmdDisasm(ArgParser &Args) {
