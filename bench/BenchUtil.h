@@ -96,10 +96,10 @@ inline const char *personalityName(vm::Personality Pers) {
 ///   {"artifact": ..., "tables": [{"name", "columns", "rows"}...],
 ///    "meta": {...}}
 ///
-/// to FILE ("-" for stdout). Cells that lex fully as numbers are
-/// emitted as JSON numbers, everything else as strings. Without
-/// `--json` every call is a no-op, so the mirroring costs nothing in
-/// the normal text mode.
+/// to FILE ("-" for stdout) and exits 2 if that write fails. Cells that
+/// lex fully as numbers are emitted as JSON numbers, everything else as
+/// strings. Without `--json` every call is a no-op, so the mirroring
+/// costs nothing in the normal text mode.
 class BenchReport {
 public:
   BenchReport(support::ArgParser &Args, std::string Artifact)
@@ -109,17 +109,22 @@ public:
     if (Path.empty())
       return;
     std::string Doc = render();
+    bool Written = false;
     if (Path == "-") {
       std::fputs(Doc.c_str(), stdout);
       std::fputc('\n', stdout);
-      return;
+      Written = std::fflush(stdout) == 0 && !std::ferror(stdout);
+    } else {
+      std::ofstream Out(Path);
+      Out << Doc;
+      Out.flush();
+      Written = static_cast<bool>(Out);
     }
-    std::ofstream Out(Path);
-    if (!Out) {
+    // A report that did not reach its file is a failed run.
+    if (!Written) {
       std::fprintf(stderr, "cannot write '%s'\n", Path.c_str());
-      return;
+      std::exit(2);
     }
-    Out << Doc;
   }
 
   bool enabled() const { return !Path.empty(); }

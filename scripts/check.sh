@@ -1,31 +1,16 @@
 #!/usr/bin/env bash
-# Tier-1 verification plus an observability smoke test, a differential
-# fuzzing smoke stage, a deoptimization stage (guard policing must
-# repair the phased workload's stale speculation and the quality
-# timeline must recover; the forced-invalidation storm oracle must
-# come back clean over 25 seeds), a self-observability report check
-# (the quality monitor must flag the phased workload's hot-set swap
-# and the overhead breakdown must sum to its total), an on-stack
-# replacement stage (frames must transfer onto replacement versions at
-# backedge yieldpoints, the code-cache graveyard must be fully
-# reclaimed by end of run, --osr runs must stay byte-identical across
-# compile worker counts, and the osr-stability oracle must come back
-# clean over 25 long-loop seeds; non-OSR AOS runs must reclaim every
-# retired version too), an AddressSanitizer + UndefinedBehaviorSanitizer
-# pass over code-cache reclamation, a profile-repository warm-start
-# stage (a second run over the same repository must load the first
-# run's committed entry and reach its first optimized install strictly
-# earlier, and repository bytes plus metrics must not depend on the
-# compile worker count), a text/JSON agreement stage (every
-# section and scalar of a report and a metrics dump must appear in the
-# text view rendered from it, and writes to a full device must fail), a
-# ThreadSanitizer pass over the
-# parallel experiment engine, the sharded profile repository, and the
-# background compile pipeline, and determinism checks: --jobs 8
-# produces byte-identical JSON to --jobs 1, --dcg-shards 8 produces
-# byte-identical profiles, metrics, and self-observability reports to
-# --dcg-shards 1, and --compile-jobs 4 produces byte-identical
-# profiles and metrics to --compile-jobs 0.
+# Tier-1 verification of CBSVM. Stages, in order:
+#  - configure, build, ctest fast tier, full suite (its
+#    DeterminismMatrixTest is the one home of byte-identity across
+#    --dcg-shards, --compile-jobs and ParallelRunner jobs)
+#  - observability smoke: trace and metrics agree
+#  - fuzz smoke: jobs 1 vs 8, broken-oracle artifact replay
+#  - parallel determinism: table2a sweep at --jobs 1 vs 8
+#  - CLI determinism: warm start at baseline vs shards 8 + compile-jobs 4
+#  - compile queue, deoptimization, on-stack replacement
+#  - self-observability report, profile repository warm start
+#  - text/JSON agreement; writes to a full device fail
+#  - ASan + UBSan, then TSan
 #
 # Usage: scripts/check.sh [build-dir]
 #
@@ -59,44 +44,19 @@ echo "== tests: full suite =="
 (cd "$BUILD" && ctest --output-on-failure -j "$(nproc)")
 
 echo "== observability smoke =="
-TRACE=$(mktemp /tmp/cbsvm-trace.XXXXXX.json)
-METRICS=$(mktemp /tmp/cbsvm-metrics.XXXXXX.json)
-STATS=$(mktemp /tmp/cbsvm-stats.XXXXXX.json)
-JOBS1=$(mktemp /tmp/cbsvm-jobs1.XXXXXX.json)
-JOBS8=$(mktemp /tmp/cbsvm-jobs8.XXXXXX.json)
-SHARD1=$(mktemp /tmp/cbsvm-shard1.XXXXXX.dcg)
-SHARD8=$(mktemp /tmp/cbsvm-shard8.XXXXXX.dcg)
-SHARD1M=$(mktemp /tmp/cbsvm-shard1m.XXXXXX.json)
-SHARD8M=$(mktemp /tmp/cbsvm-shard8m.XXXXXX.json)
-REPORTA=$(mktemp /tmp/cbsvm-reporta.XXXXXX.json)
-REPORTB=$(mktemp /tmp/cbsvm-reportb.XXXXXX.json)
-CJOBS0=$(mktemp /tmp/cbsvm-cjobs0.XXXXXX.dcg)
-CJOBS4=$(mktemp /tmp/cbsvm-cjobs4.XXXXXX.dcg)
-CJOBS0M=$(mktemp /tmp/cbsvm-cjobs0m.XXXXXX.json)
-CJOBS4M=$(mktemp /tmp/cbsvm-cjobs4m.XXXXXX.json)
-CJOBS0R=$(mktemp /tmp/cbsvm-cjobs0r.XXXXXX.json)
-CJOBS4R=$(mktemp /tmp/cbsvm-cjobs4r.XXXXXX.json)
-AOSREPORT=$(mktemp /tmp/cbsvm-aosreport.XXXXXX.json)
-trap 'rm -f "$TRACE" "$METRICS" "$STATS" "$JOBS1" "$JOBS8" \
-  "$SHARD1" "$SHARD8" "$SHARD1M" "$SHARD8M" "$REPORTA" "$REPORTB" \
-  "$CJOBS0" "$CJOBS4" "$CJOBS0M" "$CJOBS4M" "$CJOBS0R" "$CJOBS4R" \
-  "$AOSREPORT" "${DEOPTREPORT:-}" "${DEOPTFUZZ1:-}" "${DEOPTFUZZ8:-}" \
-  "${FUZZ1:-}" "${FUZZ8:-}" "${OSRREPORT:-}" "${OSRJOBS1:-}" \
-  "${OSRJOBS8:-}" "${OSRJOBS1M:-}" "${OSRJOBS8M:-}" "${OSRFUZZ1:-}" \
-  "${OSRFUZZ8:-}" "${WARM1:-}" "${WARM2:-}" "${RJ1A:-}" "${RJ1B:-}" \
-  "${RJ8A:-}" "${RJ8B:-}"; \
-  rm -rf "${FUZZDIR:-}" "${REPODIR:-}" "${REPOJOBS1:-}" "${REPOJOBS8:-}" \
-  "${AGREEDIR:-}"' EXIT
+# Every file a stage writes lives in one scratch directory.
+WORK=$(mktemp -d /tmp/cbsvm-check.XXXXXX)
+trap 'rm -rf "$WORK"' EXIT
 
 CBSVM="$BUILD/tools/cbsvm"
-"$CBSVM" run compress --trace "$TRACE" --metrics-json "$METRICS"
-"$CBSVM" jsoncheck "$TRACE"
-"$CBSVM" jsoncheck "$METRICS"
-"$CBSVM" stats compress --json "$STATS" >/dev/null
-"$CBSVM" jsoncheck "$STATS"
+"$CBSVM" run compress --trace "$WORK/trace.json" --metrics-json "$WORK/metrics.json"
+"$CBSVM" jsoncheck "$WORK/trace.json"
+"$CBSVM" jsoncheck "$WORK/metrics.json"
+"$CBSVM" stats compress --json "$WORK/stats.json" >/dev/null
+"$CBSVM" jsoncheck "$WORK/stats.json"
 
 # The trace and the metrics registry must agree on the sample count.
-python3 - "$TRACE" "$METRICS" <<'EOF'
+python3 - "$WORK/trace.json" "$WORK/metrics.json" <<'EOF'
 import json, sys
 trace = json.load(open(sys.argv[1]))
 metrics = json.load(open(sys.argv[2]))
@@ -113,23 +73,20 @@ echo "== fuzz smoke =="
 # A short differential-fuzzing campaign: 25 seeds through every builtin
 # oracle must come back clean, and the parallel campaign must report
 # exactly what the serial one does.
-FUZZ1=$(mktemp /tmp/cbsvm-fuzz1.XXXXXX.txt)
-FUZZ8=$(mktemp /tmp/cbsvm-fuzz8.XXXXXX.txt)
-FUZZDIR=$(mktemp -d /tmp/cbsvm-fuzz-artifacts.XXXXXX)
-"$CBSVM" fuzz --runs 25 --seed 1 --jobs 1 | tee "$FUZZ1"
-"$CBSVM" fuzz --runs 25 --seed 1 --jobs 8 >"$FUZZ8"
-cmp "$FUZZ1" "$FUZZ8"
+"$CBSVM" fuzz --runs 25 --seed 1 --jobs 1 | tee "$WORK/fuzz1.txt"
+"$CBSVM" fuzz --runs 25 --seed 1 --jobs 8 >"$WORK/fuzz8.txt"
+cmp "$WORK/fuzz1.txt" "$WORK/fuzz8.txt"
 echo "fuzz jobs=1 and jobs=8 reports are byte-identical"
 
 # The artifact pipeline end to end: a deliberately broken oracle must
 # produce a reduced, replayable artifact, and the replay must reproduce
 # the violation (exit 0 means reproduced).
 if "$CBSVM" fuzz --runs 1 --seed 1 --broken-oracle --oracle broken \
-    --artifact-dir "$FUZZDIR" >/dev/null; then
+    --artifact-dir "$WORK" >/dev/null; then
   echo "broken oracle failed to flag anything" >&2
   exit 1
 fi
-ARTIFACT=$(ls "$FUZZDIR"/broken-seed*.json | head -n 1)
+ARTIFACT=$(ls "$WORK"/broken-seed*.json | head -n 1)
 "$CBSVM" jsoncheck "$ARTIFACT"
 "$CBSVM" fuzz --broken-oracle --replay "$ARTIFACT"
 echo "broken-oracle artifact replays and reproduces"
@@ -137,41 +94,39 @@ echo "broken-oracle artifact replays and reproduces"
 echo "== parallel determinism =="
 # One sweep serial, one fanned out over 8 workers: the JSON reports must
 # be byte-identical (the engine commits results in grid-index order).
-CBSVM_RUNS=1 "$BUILD/bench/table2a_jikes_sweep" --json "$JOBS1" --jobs 1 >/dev/null
-CBSVM_RUNS=1 "$BUILD/bench/table2a_jikes_sweep" --json "$JOBS8" --jobs 8 >/dev/null
-cmp "$JOBS1" "$JOBS8"
+CBSVM_RUNS=1 "$BUILD/bench/table2a_jikes_sweep" --json "$WORK/jobs1.json" --jobs 1 >/dev/null
+CBSVM_RUNS=1 "$BUILD/bench/table2a_jikes_sweep" --json "$WORK/jobs8.json" --jobs 8 >/dev/null
+cmp "$WORK/jobs1.json" "$WORK/jobs8.json"
 echo "jobs=1 and jobs=8 sweeps are byte-identical"
 
-echo "== shard determinism =="
-# The same run through a 1-shard and an 8-shard repository must save the
-# same profile and report the same metrics (snapshots are canonically
-# ordered, weights are commutative sums).
-"$CBSVM" run jess --dcg-shards 1 --save "$SHARD1" --metrics-json "$SHARD1M" >/dev/null
-"$CBSVM" run jess --dcg-shards 8 --save "$SHARD8" --metrics-json "$SHARD8M" >/dev/null
-cmp "$SHARD1" "$SHARD8"
-cmp "$SHARD1M" "$SHARD8M"
-echo "dcg-shards=1 and dcg-shards=8 runs are byte-identical"
+echo "== CLI determinism =="
+# DeterminismMatrixTest checks every row and axis in-process; this pair
+# keeps the cbsvm front end covered end to end on its warm-start row. A
+# warm start from one seeded repository entry, at baseline and at
+# --dcg-shards 8 --compile-jobs 4, must write the same profile (.dcg),
+# metrics (.json) and repository entry (/jess.dcg).
+"$CBSVM" run jess --profile-repo "$WORK/cli-seed" >/dev/null
+cp -r "$WORK/cli-seed" "$WORK/cli-base"
+cp -r "$WORK/cli-seed" "$WORK/cli-allup"
+"$CBSVM" run jess --profile-repo "$WORK/cli-base" \
+  --save "$WORK/cli-base.dcg" --metrics-json "$WORK/cli-base.json" >/dev/null
+"$CBSVM" run jess --profile-repo "$WORK/cli-allup" \
+  --dcg-shards 8 --compile-jobs 4 \
+  --save "$WORK/cli-allup.dcg" --metrics-json "$WORK/cli-allup.json" >/dev/null
+for F in .dcg .json /jess.dcg; do
+  cmp "$WORK/cli-base$F" "$WORK/cli-allup$F"
+done
+echo "baseline and dcg-shards=8 + compile-jobs=4 runs are byte-identical"
 
-echo "== background compile determinism =="
-# The deterministic-install contract: compile worker threads only
-# pre-compute pure compile results, installs stay pinned to virtual
-# time, so a 4-worker run is byte-identical to a VM-thread-only run.
-"$CBSVM" run jess --aos --compile-jobs 0 --save "$CJOBS0" --metrics-json "$CJOBS0M" >/dev/null
-"$CBSVM" run jess --aos --compile-jobs 4 --save "$CJOBS4" --metrics-json "$CJOBS4M" >/dev/null
-cmp "$CJOBS0" "$CJOBS4"
-cmp "$CJOBS0M" "$CJOBS4M"
-"$CBSVM" report jess --aos --compile-jobs 0 --json "$CJOBS0R" >/dev/null
-"$CBSVM" report jess --aos --compile-jobs 4 --json "$CJOBS4R" >/dev/null
-cmp "$CJOBS0R" "$CJOBS4R"
-echo "compile-jobs=0 and compile-jobs=4 runs are byte-identical"
-
+echo "== compile queue =="
 # Install-point re-validation: a long modelled latency on the phased
 # workload must leave plans stale by install time, and the report must
 # surface the queue traffic.
+"$CBSVM" run jess --aos --metrics-json "$WORK/aos-metrics.json" >/dev/null
 "$CBSVM" report phased --aos --compile-latency-scale 25 \
-  --json "$AOSREPORT" >/dev/null
-"$CBSVM" jsoncheck "$AOSREPORT"
-python3 - "$AOSREPORT" "$CJOBS0M" <<'EOF'
+  --json "$WORK/aos-report.json" >/dev/null
+"$CBSVM" jsoncheck "$WORK/aos-report.json"
+python3 - "$WORK/aos-report.json" "$WORK/aos-metrics.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 queue = report["aos"]["queue"]
@@ -201,11 +156,10 @@ echo "== deoptimization =="
 # the stale speculative versions and recompile them, and the quality
 # timeline must recover after the repair (the last window's overlap
 # beats the post-shift trough).
-DEOPTREPORT=$(mktemp /tmp/cbsvm-deopt.XXXXXX.json)
 "$CBSVM" report phased --deopt-threshold 40 --decay-ticks 8 \
-  --phase-threshold 70 --json "$DEOPTREPORT" >/dev/null
-"$CBSVM" jsoncheck "$DEOPTREPORT"
-python3 - "$DEOPTREPORT" <<'EOF'
+  --phase-threshold 70 --json "$WORK/deopt.json" >/dev/null
+"$CBSVM" jsoncheck "$WORK/deopt.json"
+python3 - "$WORK/deopt.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 deopt = report["aos"]["deopt"]
@@ -221,17 +175,6 @@ print(f"deopt: {deopt['count']} deopts ({deopt['phaseShiftDeopts']} "
       f"recovered {trough:.1f} -> {overlap[-1]:.1f}")
 EOF
 
-# The forced-invalidation storm over 25 generated programs, and the
-# campaign report must not depend on the worker count.
-DEOPTFUZZ1=$(mktemp /tmp/cbsvm-deoptfuzz1.XXXXXX.txt)
-DEOPTFUZZ8=$(mktemp /tmp/cbsvm-deoptfuzz8.XXXXXX.txt)
-"$CBSVM" fuzz --oracle deopt-storm-stability --runs 25 --seed 1 \
-  --jobs 1 | tee "$DEOPTFUZZ1"
-"$CBSVM" fuzz --oracle deopt-storm-stability --runs 25 --seed 1 \
-  --jobs 8 >"$DEOPTFUZZ8"
-cmp "$DEOPTFUZZ1" "$DEOPTFUZZ8"
-echo "deopt-storm-stability fuzz jobs=1 and jobs=8 are byte-identical"
-
 echo "== on-stack replacement =="
 # OSR end to end on the phased workload: a fast compile pipeline plus a
 # policing threshold that kills mid-loop speculation makes frames
@@ -239,11 +182,10 @@ echo "== on-stack replacement =="
 # pin-tracked graveyard must be fully reclaimed once the last pinned
 # frame leaves (the report runs the VM to completion, so zero retained
 # graveyard instructions is an exact end-of-run invariant).
-OSRREPORT=$(mktemp /tmp/cbsvm-osr.XXXXXX.json)
-OSR_ARGS=(phased --osr --compile-latency-scale 0.2 --deopt-threshold 60)
-"$CBSVM" report "${OSR_ARGS[@]}" --json "$OSRREPORT" >/dev/null
-"$CBSVM" jsoncheck "$OSRREPORT"
-python3 - "$OSRREPORT" <<'EOF'
+"$CBSVM" report phased --osr --compile-latency-scale 0.2 \
+  --deopt-threshold 60 --json "$WORK/osr.json" >/dev/null
+"$CBSVM" jsoncheck "$WORK/osr.json"
+python3 - "$WORK/osr.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 osr = report["osr"]
@@ -256,46 +198,24 @@ print(f"osr: {osr['entries']} promotions, {osr['exits']} deopt exits; "
       f"reclaimed across {osr['graveyardReclaims']} frees, none retained")
 EOF
 
-# Frame transfer decisions happen on the VM thread at taken yieldpoints
-# in virtual time, so --osr runs must stay byte-identical across
-# compile worker counts.
-OSRJOBS1=$(mktemp /tmp/cbsvm-osrjobs1.XXXXXX.dcg)
-OSRJOBS8=$(mktemp /tmp/cbsvm-osrjobs8.XXXXXX.dcg)
-OSRJOBS1M=$(mktemp /tmp/cbsvm-osrjobs1m.XXXXXX.json)
-OSRJOBS8M=$(mktemp /tmp/cbsvm-osrjobs8m.XXXXXX.json)
-"$CBSVM" run "${OSR_ARGS[@]}" --compile-jobs 1 \
-  --save "$OSRJOBS1" --metrics-json "$OSRJOBS1M" >/dev/null
-"$CBSVM" run "${OSR_ARGS[@]}" --compile-jobs 8 \
-  --save "$OSRJOBS8" --metrics-json "$OSRJOBS8M" >/dev/null
-cmp "$OSRJOBS1" "$OSRJOBS8"
-cmp "$OSRJOBS1M" "$OSRJOBS8M"
-echo "osr compile-jobs=1 and compile-jobs=8 runs are byte-identical"
-
 # The osr-stability oracle over 25 long-loop programs (loops long
 # enough for installs to land mid-frame), and the campaign report must
 # not depend on the worker count.
-OSRFUZZ1=$(mktemp /tmp/cbsvm-osrfuzz1.XXXXXX.txt)
-OSRFUZZ8=$(mktemp /tmp/cbsvm-osrfuzz8.XXXXXX.txt)
 "$CBSVM" fuzz --oracle osr-stability --long-loops --runs 25 --seed 1 \
-  --jobs 1 | tee "$OSRFUZZ1"
+  --jobs 1 | tee "$WORK/osrfuzz1.txt"
 "$CBSVM" fuzz --oracle osr-stability --long-loops --runs 25 --seed 1 \
-  --jobs 8 >"$OSRFUZZ8"
-cmp "$OSRFUZZ1" "$OSRFUZZ8"
+  --jobs 8 >"$WORK/osrfuzz8.txt"
+cmp "$WORK/osrfuzz1.txt" "$WORK/osrfuzz8.txt"
 echo "osr-stability fuzz jobs=1 and jobs=8 are byte-identical"
 
 echo "== self-observability report =="
 # The monitored phase-shift workload: the quality monitor must see the
-# hot-set swap (>= 1 phase_shift dump), the overhead components must
-# sum to the reported total fraction, and two seeded runs — one through
-# an 8-shard repository — must produce byte-identical reports.
-REPORT_ARGS=(report phased --decay-ticks 4 --decay-factor 0.5 \
-  --every-ticks 4 --phase-threshold 75)
-"$CBSVM" "${REPORT_ARGS[@]}" --json "$REPORTA" >/dev/null
-"$CBSVM" "${REPORT_ARGS[@]}" --dcg-shards 8 --json "$REPORTB" >/dev/null
-"$CBSVM" jsoncheck "$REPORTA"
-cmp "$REPORTA" "$REPORTB"
-echo "report runs (dcg-shards=1 vs 8) are byte-identical"
-python3 - "$REPORTA" <<'EOF'
+# hot-set swap (>= 1 phase_shift dump), and the overhead components must
+# sum to the reported total fraction.
+"$CBSVM" report phased --decay-ticks 4 --decay-factor 0.5 \
+  --every-ticks 4 --phase-threshold 75 --json "$WORK/report.json" >/dev/null
+"$CBSVM" jsoncheck "$WORK/report.json"
+python3 - "$WORK/report.json" <<'EOF'
 import json, sys
 report = json.load(open(sys.argv[1]))
 dumps = [d["trigger"] for d in report["flightRecorder"]["dumps"]]
@@ -316,14 +236,13 @@ echo "== profile repository warm start =="
 # warm-starts from that entry and must reach its first optimized
 # install strictly earlier than the cold run did (the time-to-peak
 # benefit the repository exists to buy).
-REPODIR=$(mktemp -d /tmp/cbsvm-repo.XXXXXX)
-WARM1=$(mktemp /tmp/cbsvm-warm1.XXXXXX.json)
-WARM2=$(mktemp /tmp/cbsvm-warm2.XXXXXX.json)
-"$CBSVM" report phased --aos --profile-repo "$REPODIR" --json "$WARM1" >/dev/null
-"$CBSVM" report phased --aos --profile-repo "$REPODIR" --json "$WARM2" >/dev/null
-"$CBSVM" jsoncheck "$WARM1"
-"$CBSVM" jsoncheck "$WARM2"
-python3 - "$WARM1" "$WARM2" <<'EOF'
+"$CBSVM" report phased --aos --profile-repo "$WORK/repo" \
+  --json "$WORK/warm1.json" >/dev/null
+"$CBSVM" report phased --aos --profile-repo "$WORK/repo" \
+  --json "$WORK/warm2.json" >/dev/null
+"$CBSVM" jsoncheck "$WORK/warm1.json"
+"$CBSVM" jsoncheck "$WORK/warm2.json"
+python3 - "$WORK/warm1.json" "$WORK/warm2.json" <<'EOF'
 import json, sys
 cold = json.load(open(sys.argv[1]))
 warm = json.load(open(sys.argv[2]))
@@ -342,29 +261,6 @@ assert warm["aos"]["warm"]["enqueued"] >= 1, warm["aos"]["warm"]
 print(f"warm start: first install {cold_first} -> {warm_first} cycles "
       f"({warm['aos']['warm']['enqueued']} methods pre-enqueued)")
 EOF
-
-# Repository bytes are part of the determinism contract: two cold+warm
-# run pairs through separate fresh repositories — one at --compile-jobs
-# 1, one at --compile-jobs 8 — must leave byte-identical repository
-# entries and byte-identical metrics at every step.
-REPOJOBS1=$(mktemp -d /tmp/cbsvm-repojobs1.XXXXXX)
-REPOJOBS8=$(mktemp -d /tmp/cbsvm-repojobs8.XXXXXX)
-RJ1A=$(mktemp /tmp/cbsvm-rj1a.XXXXXX.json)
-RJ1B=$(mktemp /tmp/cbsvm-rj1b.XXXXXX.json)
-RJ8A=$(mktemp /tmp/cbsvm-rj8a.XXXXXX.json)
-RJ8B=$(mktemp /tmp/cbsvm-rj8b.XXXXXX.json)
-"$CBSVM" run jess --profile-repo "$REPOJOBS1" --compile-jobs 1 \
-  --metrics-json "$RJ1A" >/dev/null
-"$CBSVM" run jess --profile-repo "$REPOJOBS1" --compile-jobs 1 \
-  --metrics-json "$RJ1B" >/dev/null
-"$CBSVM" run jess --profile-repo "$REPOJOBS8" --compile-jobs 8 \
-  --metrics-json "$RJ8A" >/dev/null
-"$CBSVM" run jess --profile-repo "$REPOJOBS8" --compile-jobs 8 \
-  --metrics-json "$RJ8B" >/dev/null
-cmp "$REPOJOBS1"/jess.dcg "$REPOJOBS8"/jess.dcg
-cmp "$RJ1A" "$RJ8A"
-cmp "$RJ1B" "$RJ8B"
-echo "profile-repo compile-jobs=1 and compile-jobs=8 runs are byte-identical"
 
 echo "== text/JSON agreement =="
 # Every text view is rendered from the JSON document the same command
@@ -415,7 +311,8 @@ assert not missing, missing[:10]
 print(f"{sys.argv[3]}: text view shows every section and scalar of the JSON")
 EOF
 }
-AGREEDIR=$(mktemp -d /tmp/cbsvm-agree.XXXXXX)
+AGREEDIR="$WORK/agree"
+mkdir "$AGREEDIR"
 AGREE_ARGS=(phased --aos --osr --deopt-threshold 60 \
   --profile-repo "$AGREEDIR/repo")
 # A cold run seeds the repository so the compared runs are warm starts
@@ -431,28 +328,29 @@ check_text_json "$AGREEDIR/report.json" "$AGREEDIR/report.txt" report
 "$CBSVM" stats jess --aos --json - >"$AGREEDIR/stats.json"
 check_text_json "$AGREEDIR/stats.json" "$AGREEDIR/stats.txt" stats
 
-# A write that fails (here: a full device) is an error, not a success.
+# A write that fails (here: a full device) is an error, not a success:
+# a --json/--metrics-json FILE, standard output, and a bench report.
+fails() { if "$@" 2>/dev/null; then echo "$* exited 0" >&2; exit 1; fi; }
 if [[ -e /dev/full ]]; then
-  if "$CBSVM" report phased --aos --osr --json /dev/full >/dev/null 2>&1; then
-    echo "report --json /dev/full exited 0" >&2
-    exit 1
-  fi
-  if "$CBSVM" run compress --metrics-json /dev/full >/dev/null 2>&1; then
-    echo "run --metrics-json /dev/full exited 0" >&2
-    exit 1
-  fi
+  fails "$CBSVM" report phased --aos --osr --json /dev/full >/dev/null
+  fails "$CBSVM" run compress --metrics-json /dev/full >/dev/null
+  fails "$CBSVM" stats compress --json - >/dev/full
+  fails "$BUILD/bench/table1_benchmarks" --json /dev/full >/dev/null
   echo "writes to a full device fail with a nonzero exit"
 fi
 
 echo "== address + undefined-behaviour sanitizers: code cache reclamation =="
 # Every AOS run frees retired code the moment its last frame leaves, so
 # a missed pin is a use-after-free. Run the suites and a fuzz campaign
-# that recompile, deoptimize and transfer frames under ASan + UBSan.
+# that recompile, deoptimize and transfer frames under ASan + UBSan, and
+# the determinism matrix, which drives every run feature at once.
 ASAN_BUILD="${BUILD}-asan"
 cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD" -j \
-  --target CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest cbsvm
-for T in CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest; do
+  --target CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest \
+           DeterminismMatrixTest cbsvm
+for T in CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest \
+         DeterminismMatrixTest; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "$ASAN_BUILD/tests/$T" --gtest_brief=1
 done
@@ -460,14 +358,15 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   "$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
 
 if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
-  echo "== thread sanitizer: parallel engine + sharded DCG + compile queue + OSR + repository =="
+  echo "== thread sanitizer: parallel engine + sharded DCG + compile queue + OSR + repository + determinism matrix =="
   TSAN_BUILD="${BUILD}-tsan"
   cmake -B "$TSAN_BUILD" -S . -DCBSVM_SANITIZE=thread
   cmake --build "$TSAN_BUILD" -j \
     --target ParallelRunnerTest DCGConcurrencyTest CompileQueueTest OSRTest \
-             ProfileRepositoryTest
+             ProfileRepositoryTest DeterminismMatrixTest
   (cd "$TSAN_BUILD" && CBSVM_JOBS=8 \
-    ctest --output-on-failure -R '^(ParallelRunner|DCGConcurrency|CompileQueue|Osr|ProfileRepository)')
+    ctest --output-on-failure \
+      -R '^(ParallelRunner|DCGConcurrency|CompileQueue|Osr|ProfileRepository|DeterminismMatrix)')
 fi
 
 echo "== all checks passed =="

@@ -44,7 +44,7 @@
 /// decodes with default (empty) metadata. Edges are emitted in the
 /// snapshot's canonical order, so equal profiles with equal metadata
 /// encode byte-identically — the property every determinism check
-/// (jobs 1-vs-8 cmp, fuzz oracles) rests on.
+/// (the determinism matrix, fuzz oracles) rests on.
 ///
 /// The codec is deliberately program-agnostic (a repository can decode
 /// entries for programs it has never seen); validateAgainst() is the

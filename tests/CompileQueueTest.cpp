@@ -8,23 +8,20 @@
 /// The compile queue's deterministic contracts: backpressure policies
 /// (coalescing, eviction, rejection), ready-cycle gating and priority
 /// ordering at popReady, and the end-to-end guarantees of the async
-/// pipeline — byte-identical runs at any --compile-jobs count, stale
-/// plans re-validated at the install point, and modelled latency
-/// actually shifting install timing in virtual time.
+/// pipeline — stale plans re-validated at the install point, and
+/// modelled latency actually shifting install timing in virtual time.
+/// Byte-identity at any --compile-jobs count is DeterminismMatrixTest's.
 ///
 //===----------------------------------------------------------------------===//
 
 #include "aos/AdaptiveSystem.h"
 #include "aos/CompileQueue.h"
-#include "experiments/Experiments.h"
-#include "profiling/ProfileCodec.h"
+#include "experiments/RunDriver.h"
 #include "telemetry/TraceSink.h"
-#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <string>
 #include <vector>
 
 using namespace cbs;
@@ -148,102 +145,33 @@ TEST(CompileQueue, PopReadyOrdersByPriorityThenSeq) {
 
 namespace {
 
-/// One full run of a Table 1 workload under the adaptive system; the
-/// byte-level artifacts are everything `cbsvm run --save --metrics-json`
-/// would write plus the AOS's own counters.
-struct AOSRunArtifacts {
-  std::string Profile;
-  std::string Metrics;
-  uint64_t Cycles = 0;
+struct QueueCounts {
   uint64_t Installs = 0;
   uint64_t StaleDrops = 0;
-  uint64_t Deopts = 0;
 };
 
-AOSRunArtifacts runWorkload(const char *Name, uint32_t CompileJobs,
-                            double LatencyScale = 1.0,
-                            tel::TraceSink *Trace = nullptr,
-                            DeoptConfig Deopt = {}) {
-  const wl::WorkloadInfo *W = wl::findWorkload(Name);
-  bc::Program P = W ? W->Build(wl::InputSize::Small, /*Seed=*/1)
-                    : wl::buildPhased(wl::InputSize::Small, /*Seed=*/1);
-  vm::VMConfig Config =
-      exp::jitOnlyConfig(P, vm::Personality::JikesRVM, /*Seed=*/1);
-  Config.Costs.CompileLatencyScale = LatencyScale;
-  Config.Trace = Trace;
-
-  AOSConfig AC;
-  AC.CompileJobs = CompileJobs;
-  AC.Deopt = Deopt;
-  opt::NewJikesOracle Oracle;
-  AdaptiveSystem AOS(&Oracle, AC);
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-  EXPECT_EQ(VM.run(), vm::RunState::Finished) << VM.trapMessage();
-
-  AOSRunArtifacts A;
-  A.Profile = prof::ProfileCodec::encode(VM.profile());
-  A.Metrics = VM.metrics().toJson();
-  A.Cycles = VM.stats().Cycles;
-  A.Installs = AOS.stats().QueueInstalls;
-  A.StaleDrops = AOS.stats().QueueStaleDrops;
-  if (AOS.deoptController())
-    A.Deopts = AOS.deoptController()->stats().Deopts;
-  return A;
+/// `cbsvm run <Name> --aos --compile-latency-scale <LatencyScale>`,
+/// wired as the driver wires it, tracing into \p Trace; returns the
+/// compile queue's install counters.
+QueueCounts runWorkload(const char *Name, const char *LatencyScale,
+                        tel::TraceSink *Trace = nullptr) {
+  support::ArgParser Args(
+      {Name, "--aos", "--compile-latency-scale", LatencyScale});
+  exp::RunSetup S = exp::parseRunSetup(Args);
+  S.Config.Trace = Trace;
+  exp::DriverRun Run(S);
+  EXPECT_EQ(Run.run(), vm::RunState::Finished) << Run.vm().trapMessage();
+  const AOSStats &Stats = Run.adaptiveSystem()->stats();
+  return {Stats.QueueInstalls, Stats.QueueStaleDrops};
 }
 
 } // namespace
-
-TEST(CompileQueue, WorkerThreadsAreByteIdentical) {
-  // The deterministic-install contract: worker threads only pre-compute
-  // pure compile results, installs stay pinned to virtual-time points,
-  // so every artifact of the run is byte-identical at any job count.
-  AOSRunArtifacts Jobs0 = runWorkload("jess", 0);
-  AOSRunArtifacts Jobs1 = runWorkload("jess", 1);
-  AOSRunArtifacts Jobs4 = runWorkload("jess", 4);
-
-  EXPECT_GT(Jobs0.Installs, 0u) << "workload too small to exercise the queue";
-  EXPECT_EQ(Jobs0.Profile, Jobs1.Profile);
-  EXPECT_EQ(Jobs0.Profile, Jobs4.Profile);
-  EXPECT_EQ(Jobs0.Metrics, Jobs1.Metrics);
-  EXPECT_EQ(Jobs0.Metrics, Jobs4.Metrics);
-  EXPECT_EQ(Jobs0.Cycles, Jobs4.Cycles);
-}
-
-TEST(CompileQueue, ByteIdenticalUnderLongLatency) {
-  // Same contract with requests living long enough in the queue for
-  // worker results to genuinely arrive out of order.
-  AOSRunArtifacts Jobs0 = runWorkload("phased", 0, /*LatencyScale=*/25);
-  AOSRunArtifacts Jobs4 = runWorkload("phased", 4, /*LatencyScale=*/25);
-  EXPECT_EQ(Jobs0.Profile, Jobs4.Profile);
-  EXPECT_EQ(Jobs0.Metrics, Jobs4.Metrics);
-  EXPECT_EQ(Jobs0.Cycles, Jobs4.Cycles);
-}
-
-TEST(CompileQueue, DeoptStormByteIdenticalAcrossJobs) {
-  // The determinism contract must survive the harshest deopt schedule:
-  // under the forced-invalidation storm every install is invalidated at
-  // the next taken yieldpoint and recompiled, with requests dropped
-  // stale along the way. Worker threads still may not move any install
-  // or invalidation in virtual time.
-  DeoptConfig Storm;
-  Storm.Enabled = true;
-  Storm.ForceStormForTesting = true;
-  AOSRunArtifacts Jobs0 = runWorkload("jess", 0, 1.0, nullptr, Storm);
-  AOSRunArtifacts Jobs4 = runWorkload("jess", 4, 1.0, nullptr, Storm);
-
-  EXPECT_GT(Jobs0.Deopts, 0u) << "storm produced no deopts to schedule";
-  EXPECT_EQ(Jobs0.Profile, Jobs4.Profile);
-  EXPECT_EQ(Jobs0.Metrics, Jobs4.Metrics);
-  EXPECT_EQ(Jobs0.Cycles, Jobs4.Cycles);
-  EXPECT_EQ(Jobs0.Deopts, Jobs4.Deopts);
-}
 
 TEST(CompileQueue, StalePlansAreReValidatedAtInstall) {
   // With a long modelled latency on the phase-shift program, plans
   // go stale between decision and install: the install point must
   // drop and re-enqueue rather than install against the old phase.
-  AOSRunArtifacts A = runWorkload("phased", 0, /*LatencyScale=*/25);
+  QueueCounts A = runWorkload("phased", /*LatencyScale=*/"25");
   EXPECT_GE(A.StaleDrops, 1u);
   EXPECT_GT(A.Installs, 0u) << "re-enqueue must not starve installs";
 }
@@ -258,8 +186,8 @@ TEST(CompileQueue, LatencyShiftsInstallTiming) {
   };
 
   tel::CollectorSink Fast, Slow;
-  runWorkload("jess", 0, /*LatencyScale=*/0, &Fast);
-  runWorkload("jess", 0, /*LatencyScale=*/50, &Slow);
+  runWorkload("jess", /*LatencyScale=*/"0", &Fast);
+  runWorkload("jess", /*LatencyScale=*/"50", &Slow);
 
   uint64_t FastFirst = FirstInstallCycle(Fast);
   uint64_t SlowFirst = FirstInstallCycle(Slow);
@@ -271,7 +199,7 @@ TEST(CompileQueue, LatencyShiftsInstallTiming) {
 
 TEST(CompileQueue, EnqueueAndInstallEventsAreTraced) {
   tel::CollectorSink Sink;
-  runWorkload("jess", 0, /*LatencyScale=*/1, &Sink);
+  runWorkload("jess", /*LatencyScale=*/"1", &Sink);
 
   uint64_t Enqueues = 0, Installs = 0;
   for (const tel::TraceEvent &E : Sink.events()) {

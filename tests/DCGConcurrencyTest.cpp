@@ -132,7 +132,8 @@ TEST(DCGConcurrency, SnapshotIsImmutableUnderConcurrentWrites) {
 }
 
 TEST(DCGConcurrency, ShardedConcurrentMatchesSerialBitwise) {
-  // The determinism contract behind the check.sh cmp stage: the same
+  // The determinism contract behind the --dcg-shards axis of
+  // DeterminismMatrixTest, at the repository level: the same
   // logical samples produce byte-identical serialized profiles whether
   // they went through 1 shard on 1 thread or 8 shards on 8 racing
   // threads, in any interleaving.

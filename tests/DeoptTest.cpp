@@ -86,20 +86,18 @@ struct DeoptRun {
 
 /// Runs \p P under the adaptive system with \p Deopt policing.
 DeoptRun runWithDeopt(const Program &P, aos::DeoptConfig Deopt,
-                      double LatencyScale = 1.0, uint32_t CompileJobs = 0,
-                      uint64_t TimerPeriod = 20'000) {
+                      double LatencyScale = 1.0) {
   vm::VMConfig Config = exp::jitOnlyConfig(P, vm::Personality::JikesRVM, 1);
   Config.Profiler.Kind = vm::ProfilerKind::CBS;
   Config.Profiler.CBS.Stride = 3;
   Config.Profiler.CBS.SamplesPerTick = 16;
   Config.Profiler.DecayEveryTicks = 4;
   Config.Profiler.DecayFactor = 0.5;
-  Config.TimerPeriodCycles = TimerPeriod;
+  Config.TimerPeriodCycles = 20'000;
   Config.Costs.CompileLatencyScale = LatencyScale;
 
   aos::AOSConfig AC;
   AC.Deopt = Deopt;
-  AC.CompileJobs = CompileJobs;
   AC.Level1Samples = 2;
   AC.Level2Samples = 3;
   opt::NewJikesOracle Oracle;
@@ -259,18 +257,4 @@ TEST(Deopt, DisabledControllerChangesNothing) {
   EXPECT_EQ(AOS.deoptController(), nullptr);
   EXPECT_EQ(VM.output(), Disabled.Output);
   EXPECT_EQ(VM.stats().Cycles, Disabled.Cycles);
-}
-
-TEST(Deopt, StormIsByteIdenticalAcrossCompileJobs) {
-  Program P = wl::buildJess(wl::InputSize::Small, 1);
-  aos::DeoptConfig Deopt;
-  Deopt.Enabled = true;
-  Deopt.ForceStormForTesting = true;
-  DeoptRun Jobs0 = runWithDeopt(P, Deopt, /*LatencyScale=*/1, /*Jobs=*/0);
-  DeoptRun Jobs4 = runWithDeopt(P, Deopt, /*LatencyScale=*/1, /*Jobs=*/4);
-  EXPECT_GE(Jobs0.Stats.Deopts, 1u);
-  EXPECT_EQ(Jobs0.Output, Jobs4.Output);
-  EXPECT_EQ(Jobs0.Cycles, Jobs4.Cycles);
-  EXPECT_EQ(Jobs0.Stats.Deopts, Jobs4.Stats.Deopts);
-  EXPECT_EQ(Jobs0.Stats.StaleRequestsDropped, Jobs4.Stats.StaleRequestsDropped);
 }

@@ -10,17 +10,16 @@
 // pinned version was invalidated transfers off the dead code instead of
 // limping at baseline speed until it returns (deopt OSR). The battery
 // also pins the contract around the feature: with EnableOSR off no
-// frame ever transfers, transfers are byte-identical at any
-// --compile-jobs count, the conservative-pin cap composes with OSR, and
+// frame ever transfers, the conservative-pin cap composes with OSR, and
 // the code-cache graveyard is fully reclaimed by end of run with OSR on
-// or off.
+// or off. Byte-identity at any --compile-jobs count is
+// DeterminismMatrixTest's.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aos/AdaptiveSystem.h"
 #include "experiments/Experiments.h"
 #include "opt/InlineOracle.h"
-#include "profiling/ProfileCodec.h"
 #include "telemetry/MetricRegistry.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Patterns.h"
@@ -99,15 +98,13 @@ struct OsrRun {
   uint64_t ReclaimedInstructions = 0;
   uint64_t Reclaims = 0;
   uint64_t RetiredVersions = 0; ///< recompiles + invalidations
-  std::string Profile;
   aos::DeoptStats Deopt;
 };
 
 /// Runs \p P under the adaptive system (DeoptTest's configuration) with
 /// OSR on or off.
 OsrRun runWithOsr(const Program &P, bool EnableOSR,
-                  aos::DeoptConfig Deopt = {}, uint32_t CompileJobs = 0,
-                  double LatencyScale = 1.0) {
+                  aos::DeoptConfig Deopt = {}) {
   vm::VMConfig Config = exp::jitOnlyConfig(P, vm::Personality::JikesRVM, 1);
   Config.Profiler.Kind = vm::ProfilerKind::CBS;
   Config.Profiler.CBS.Stride = 3;
@@ -115,12 +112,10 @@ OsrRun runWithOsr(const Program &P, bool EnableOSR,
   Config.Profiler.DecayEveryTicks = 4;
   Config.Profiler.DecayFactor = 0.5;
   Config.TimerPeriodCycles = 20'000;
-  Config.Costs.CompileLatencyScale = LatencyScale;
   Config.EnableOSR = EnableOSR;
 
   aos::AOSConfig AC;
   AC.Deopt = Deopt;
-  AC.CompileJobs = CompileJobs;
   AC.Level1Samples = 2;
   AC.Level2Samples = 3;
   opt::NewJikesOracle Oracle;
@@ -141,7 +136,6 @@ OsrRun runWithOsr(const Program &P, bool EnableOSR,
   R.Reclaims = gauge(VM, "code.graveyard_reclaims");
   R.RetiredVersions =
       gauge(VM, "code.recompiles") + gauge(VM, "code.invalidations");
-  R.Profile = prof::ProfileCodec::encode(VM.profile());
   if (AOS.deoptController())
     R.Deopt = AOS.deoptController()->stats();
   return R;
@@ -254,29 +248,6 @@ TEST(Osr, OffByDefaultAndFullyInert) {
   EXPECT_EQ(R.Entries, 0u);
   EXPECT_EQ(R.Exits, 0u);
   EXPECT_EQ(R.Output, baselineOutput(P));
-}
-
-TEST(Osr, ByteIdenticalAcrossCompileJobs) {
-  // Transfers happen on the VM thread at taken backedge yieldpoints in
-  // virtual time; worker threads only pre-compute pure compile results.
-  Program P = longLoopProgram(200'000, /*FlipAt=*/100'000);
-  aos::DeoptConfig Deopt;
-  Deopt.Enabled = true;
-  Deopt.DominanceThresholdPct = 40.0;
-  Deopt.MinSiteWeight = 4;
-
-  OsrRun Jobs0 = runWithOsr(P, /*EnableOSR=*/true, Deopt, /*Jobs=*/0);
-  OsrRun Jobs4 = runWithOsr(P, /*EnableOSR=*/true, Deopt, /*Jobs=*/4);
-
-  EXPECT_GE(Jobs0.Entries + Jobs0.Exits, 1u)
-      << "the comparison must actually exercise a transfer";
-  EXPECT_EQ(Jobs0.Output, Jobs4.Output);
-  EXPECT_EQ(Jobs0.Cycles, Jobs4.Cycles);
-  EXPECT_EQ(Jobs0.Entries, Jobs4.Entries);
-  EXPECT_EQ(Jobs0.Exits, Jobs4.Exits);
-  EXPECT_EQ(Jobs0.Reclaims, Jobs4.Reclaims);
-  EXPECT_EQ(Jobs0.Profile, Jobs4.Profile)
-      << "profiles must serialize byte-identically at any job count";
 }
 
 TEST(Osr, GraveyardFullyReclaimedAtEndOfRun) {

@@ -4,18 +4,14 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aos/AdaptiveSystem.h"
-#include "fuzz/ProgramGenerator.h"
-#include "opt/InlineOracle.h"
+#include "experiments/RunDriver.h"
 #include "profiling/ProfileCodec.h"
 #include "profiling/ProfileRepository.h"
-#include "vm/VirtualMachine.h"
 
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 using namespace cbs;
 using namespace cbs::prof;
@@ -254,104 +250,33 @@ TEST(ProfileRepository, PathForSanitizesWorkloadNames) {
 }
 
 //===----------------------------------------------------------------------===//
-// Warm start end to end: the repository entry pre-enqueues compiles at
-// cycle 0, the run stays semantically identical, and both the run and
-// the repository bytes are identical at any --compile-jobs count.
+// Warm start end to end, through the driver's own repository wiring: the
+// cold run commits an entry; the warm run loads it, pre-enqueues
+// compiles at cycle 0, installs strictly earlier, and prints exactly
+// what the cold run printed. Byte-identity of both runs and of the
+// entry at any --compile-jobs count is DeterminismMatrixTest's.
 //===----------------------------------------------------------------------===//
 
-namespace {
-
-struct WarmRun {
-  vm::RunState State = vm::RunState::Running;
-  std::vector<int64_t> Output;
-  std::string Profile;
-  uint64_t FirstInstallCycle = 0;
-  uint64_t WarmEnqueued = 0;
-  std::string RepoBytes;
-};
-
-/// One AOS run of \p P against repository directory \p Dir (load +
-/// shutdown commit, exactly like the driver wires it).
-WarmRun runWithRepo(const bc::Program &P, const std::string &Dir,
-                    uint32_t CompileJobs) {
-  ProfileRepository Repo(Dir);
-  RepoKey Key = keyFor("gen", 0x1234, "jikes");
-
-  vm::VMConfig Config;
-  Config.Seed = 11;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.CBS.Stride = 2;
-  Config.Profiler.CBS.SamplesPerTick = 4;
-  Config.TimerPeriodCycles = 2'000;
-  Config.Costs.CompileLatencyScale = 1;
-
-  aos::AOSConfig AC;
-  AC.CompileJobs = CompileJobs;
-  RepoLoadResult L = Repo.load(Key);
-  if (L.ok())
-    AC.WarmStart.Profile =
-        std::make_shared<const prof::DCGSnapshot>(L.Entry->Graph);
-
-  Config.OnShutdown = [&](vm::VirtualMachine &VM) {
-    if (VM.state() == vm::RunState::Finished)
-      Repo.commit(Key, VM.profile(), VM.cycles());
+TEST(ProfileRepository, WarmStartKeepsOutputAndInstallsEarlier) {
+  std::string Dir = freshDir("warm");
+  // `cbsvm run jess --profile-repo DIR`, wired as the driver wires it.
+  auto Run = [&Dir](std::vector<int64_t> &Output) {
+    support::ArgParser Args({"jess", "--profile-repo", Dir});
+    exp::RunSetup S = exp::parseRunSetup(Args);
+    exp::DriverRun R(S);
+    EXPECT_EQ(R.run(), vm::RunState::Finished);
+    Output = R.vm().output();
+    return R.adaptiveSystem()->stats();
   };
+  std::vector<int64_t> ColdOutput, WarmOutput;
+  aos::AOSStats Cold = Run(ColdOutput);
+  EXPECT_EQ(Cold.WarmEnqueued, 0u);
+  EXPECT_GT(fs::file_size(ProfileRepository(Dir).pathFor("jess")), 0u);
+  ASSERT_GT(Cold.FirstInstallCycle, 0u) << "the cold run installed nothing";
 
-  opt::NewJikesOracle Oracle;
-  aos::AdaptiveSystem AOS(&Oracle, AC);
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-
-  WarmRun R;
-  R.State = VM.run();
-  R.Output = VM.output();
-  R.Profile = ProfileCodec::encode(VM.profile());
-  R.FirstInstallCycle = AOS.stats().FirstInstallCycle;
-  R.WarmEnqueued = AOS.stats().WarmEnqueued;
-  std::ifstream In(Repo.pathFor("gen"), std::ios::binary);
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  R.RepoBytes = SS.str();
-  return R;
-}
-
-} // namespace
-
-TEST(ProfileRepository, WarmStartIsDeterministicAcrossCompileJobs) {
-  bc::Program P = fuzz::generateRandomProgram(42);
-
-  // Cold pass populates one repository per jobs count; warm pass reads
-  // it back. Byte-identity at jobs 1-vs-8 must hold for the run output,
-  // the collected profile, and the repository file itself.
-  std::string Dir1 = freshDir("warm-jobs1");
-  std::string Dir8 = freshDir("warm-jobs8");
-
-  WarmRun Cold1 = runWithRepo(P, Dir1, 1);
-  WarmRun Cold8 = runWithRepo(P, Dir8, 8);
-  ASSERT_EQ(Cold1.State, vm::RunState::Finished);
-  EXPECT_EQ(Cold1.Output, Cold8.Output);
-  EXPECT_EQ(Cold1.Profile, Cold8.Profile);
-  EXPECT_EQ(Cold1.RepoBytes, Cold8.RepoBytes);
-  EXPECT_FALSE(Cold1.RepoBytes.empty());
-  EXPECT_EQ(Cold1.WarmEnqueued, 0u);
-
-  WarmRun Warm1 = runWithRepo(P, Dir1, 1);
-  WarmRun Warm8 = runWithRepo(P, Dir8, 8);
-  EXPECT_EQ(Warm1.Output, Warm8.Output);
-  EXPECT_EQ(Warm1.Profile, Warm8.Profile);
-  EXPECT_EQ(Warm1.RepoBytes, Warm8.RepoBytes);
-  EXPECT_EQ(Warm1.FirstInstallCycle, Warm8.FirstInstallCycle);
-  EXPECT_EQ(Warm1.WarmEnqueued, Warm8.WarmEnqueued);
-
-  // Warm semantics match cold semantics: advice changes scheduling,
-  // never results.
-  EXPECT_EQ(Warm1.Output, Cold1.Output);
-
-  // And the warm start actually happened: methods were pre-enqueued,
-  // and when the cold run installed anything at all, the warm run's
-  // first install lands strictly earlier.
-  if (Cold1.FirstInstallCycle > 0) {
-    EXPECT_GT(Warm1.WarmEnqueued, 0u);
-    EXPECT_LT(Warm1.FirstInstallCycle, Cold1.FirstInstallCycle);
-  }
+  aos::AOSStats Warm = Run(WarmOutput);
+  // Advice changes scheduling, never results.
+  EXPECT_EQ(WarmOutput, ColdOutput);
+  EXPECT_GT(Warm.WarmEnqueued, 0u);
+  EXPECT_LT(Warm.FirstInstallCycle, Cold.FirstInstallCycle);
 }

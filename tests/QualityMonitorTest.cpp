@@ -8,14 +8,13 @@
 // (overlap/churn/confidence pins, phase-shift flagging), the
 // per-component overhead attribution (the partition invariant over
 // vm.profiling_cycles), the flight recorder (ring retention, every
-// anomaly trigger, the MaxDumps cap), sample_drop event payloads, and
-// the determinism contract — monitor and recorder JSON byte-identical
-// across shard counts and ParallelRunner job counts.
+// anomaly trigger, the MaxDumps cap), and sample_drop event payloads.
+// Monitor and recorder JSON byte-identity across shard counts and
+// ParallelRunner job counts is DeterminismMatrixTest's.
 //
 //===----------------------------------------------------------------------===//
 
 #include "experiments/Experiments.h"
-#include "experiments/ParallelRunner.h"
 #include "profiling/DynamicCallGraph.h"
 #include "profiling/QualityMonitor.h"
 #include "support/Json.h"
@@ -356,50 +355,4 @@ TEST(QualityMonitorVM, RecorderObserverDoesNotPerturbRun) {
   EXPECT_EQ(Plain.cycles(), Recorded.cycles());
   EXPECT_EQ(monitorJson(*Plain.qualityMonitor()),
             monitorJson(*Recorded.qualityMonitor()));
-}
-
-//===----------------------------------------------------------------------===//
-// Determinism: shard count and job count must not change a byte
-//===----------------------------------------------------------------------===//
-
-namespace {
-
-/// One monitored run; returns the monitor + recorder JSON.
-std::string monitoredRunJson(unsigned Shards) {
-  bc::Program P = wl::buildPhased(wl::InputSize::Small, 1);
-  vm::VMConfig Config = monitoredConfig(P, 1);
-  Config.Profiler.DCGShards = Shards;
-  tel::FlightRecorder FR;
-  Config.Recorder = &FR;
-  vm::VirtualMachine VM(P, Config);
-  EXPECT_EQ(VM.run(), vm::RunState::Finished);
-  return monitorJson(*VM.qualityMonitor()) + "\n" + FR.toJson();
-}
-
-} // namespace
-
-TEST(QualityMonitorDeterminism, ByteIdenticalAcrossShardCounts) {
-  std::string OneShard = monitoredRunJson(1);
-  EXPECT_EQ(OneShard, monitoredRunJson(8));
-  EXPECT_EQ(OneShard, monitoredRunJson(1)) << "repeat run must be identical";
-}
-
-TEST(QualityMonitorDeterminism, ByteIdenticalAcrossJobCounts) {
-  auto RunWithJobs = [](unsigned Jobs) {
-    std::vector<std::string> Reports(4);
-    exp::ParallelConfig Config;
-    Config.Jobs = Jobs;
-    exp::ParallelRunner Runner(Config);
-    Runner.run(Reports.size(), [&Reports](exp::ParallelRunner::TaskContext &Ctx) {
-      bc::Program P = wl::buildPhased(wl::InputSize::Small, Ctx.Index + 1);
-      vm::VMConfig VC = monitoredConfig(P, Ctx.Index + 1);
-      tel::FlightRecorder FR;
-      VC.Recorder = &FR;
-      vm::VirtualMachine VM(P, VC);
-      VM.run();
-      Reports[Ctx.Index] = monitorJson(*VM.qualityMonitor()) + FR.toJson();
-    });
-    return Reports;
-  };
-  EXPECT_EQ(RunWithJobs(1), RunWithJobs(8));
 }

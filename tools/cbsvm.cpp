@@ -141,18 +141,23 @@
 // Unknown or unconsumed arguments are an error: every subcommand calls
 // ArgParser::finish() once it has pulled everything it understands. A
 // file that cannot be written (FILE of --json, --save, --trace,
-// --metrics-json) is an error too: exit 2 with "cannot write 'FILE'".
+// --metrics-json) is an error too: exit 2 with "cannot write 'FILE'",
+// and so is a failed write to standard output (checked once the command
+// returns: exit 2 with "cannot write standard output").
+//
+// The run wiring behind `run`, `stats` and `report` (workload and VM
+// options, profile repository, adaptive system, report inputs) lives in
+// experiments/RunDriver.h, shared with the determinism matrix test.
 //
 //===----------------------------------------------------------------------===//
 
-#include "aos/AdaptiveSystem.h"
 #include "aos/ReportJson.h"
 #include "bytecode/Printer.h"
 #include "experiments/Experiments.h"
+#include "experiments/RunDriver.h"
 #include "fuzz/Fuzzer.h"
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfileCodec.h"
-#include "profiling/ProfileRepository.h"
 #include "profiling/ProfilerRegistry.h"
 #include "support/ArgParser.h"
 #include "support/Json.h"
@@ -161,12 +166,9 @@
 #include "telemetry/TraceSink.h"
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <string>
-#include <vector>
 
 using namespace cbs;
 
@@ -192,166 +194,14 @@ ArgParser makeParser(int Argc, char **Argv) {
   return Args;
 }
 
-wl::InputSize parseSize(const std::string &S) {
-  if (S == "small")
-    return wl::InputSize::Small;
-  if (S == "large")
-    return wl::InputSize::Large;
-  if (S == "steady")
-    return wl::InputSize::Steady;
-  usageError("unknown size '" + S + "'");
+std::string readFileOrDie(const std::string &Path) {
+  std::ifstream In(Path);
+  if (!In)
+    usageError("cannot read '" + Path + "'");
+  std::ostringstream SS;
+  SS << In.rdbuf();
+  return SS.str();
 }
-
-/// --metrics-json FILE, shared by `run` and `fuzz`: where to dump the
-/// metric registry as JSON ("" = don't).
-class MetricsJsonOptionGroup : public support::OptionGroup {
-public:
-  std::string Path;
-
-  const char *name() const override { return "metrics-json"; }
-  void parse(ArgParser &Args) override {
-    Path = Args.option("--metrics-json", "");
-  }
-};
-
-/// Workload + VM configuration shared by `run`, `stats`, and `report`.
-struct RunSetup {
-  std::string Name;
-  wl::InputSize Size = wl::InputSize::Small;
-  vm::Personality Pers = vm::Personality::JikesRVM;
-  uint64_t Seed = 1;
-  bc::Program P;
-  vm::VMConfig Config;
-  /// --aos (or an option implying it): attach the adaptive system so
-  /// hot methods recompile through the background compile queue.
-  bool UseAOS = false;
-  aos::AOSConfig AOS;
-  /// --profile-repo DIR: warm-start from (and commit to) the
-  /// cross-run profile repository. Empty = disabled.
-  std::string RepoDir;
-};
-
-RunSetup parseRunSetup(ArgParser &Args) {
-  RunSetup S;
-  S.Name = Args.positional("workload name");
-  // "phased" is the two-phase convergence-study program — deliberately
-  // not part of the Table 1 suite, but the natural input for the
-  // quality monitor, so the driver accepts it everywhere a workload
-  // name is expected.
-  const wl::WorkloadInfo *W = wl::findWorkload(S.Name);
-  if (!W && S.Name != "phased")
-    usageError("unknown workload '" + S.Name + "' (try 'cbsvm list')");
-
-  S.Size = parseSize(Args.option("--size", "small"));
-  // The shared option groups: the VM group (--personality, --seed,
-  // --profiler and its knobs, --osr), the AOS group (--aos,
-  // --compile-jobs, --compile-latency-scale, --deopt-threshold,
-  // --max-deopts), and the profile repository (--profile-repo). Each
-  // option is declared once, in its group, for every subcommand.
-  vm::VMOptionGroup VMOpts;
-  aos::AOSOptionGroup AOSOpts;
-  prof::ProfileRepoOptionGroup RepoOpts;
-  support::applyGroups(Args, {&VMOpts, &AOSOpts, &RepoOpts});
-
-  S.Config = std::move(VMOpts.Config);
-  S.Pers = S.Config.Pers;
-  S.Seed = S.Config.Seed;
-
-  S.P = W ? W->Build(S.Size, S.Seed) : wl::buildPhased(S.Size, S.Seed);
-  exp::applyJitOnly(S.P, S.Config);
-
-  AOSOpts.finalize(S.Config);
-  S.UseAOS = AOSOpts.UseAOS;
-  S.AOS = AOSOpts.Config;
-  // Warm start is an AOS feature, so the repository implies --aos.
-  S.RepoDir = RepoOpts.Dir;
-  if (!S.RepoDir.empty())
-    S.UseAOS = true;
-  return S;
-}
-
-/// The adaptive system a command attaches when --aos was given. The
-/// oracle must outlive the system and the system must outlive the VM
-/// run, so both live together in the command's frame, declared before
-/// the VirtualMachine.
-struct DriverAOS {
-  opt::NewJikesOracle Oracle;
-  std::unique_ptr<aos::AdaptiveSystem> System;
-
-  void attach(const RunSetup &S, vm::VirtualMachine &VM) {
-    if (!S.UseAOS)
-      return;
-    System = std::make_unique<aos::AdaptiveSystem>(&Oracle, S.AOS);
-    VM.setClient(System.get());
-  }
-};
-
-/// Driver-side profile-repository wiring shared by run/stats/report.
-/// setup() must run before the VirtualMachine is constructed (it plants
-/// VMConfig::OnShutdown and the warm-start profile), and the object must
-/// outlive the run (the shutdown hook points back into it).
-struct DriverRepo {
-  std::unique_ptr<prof::ProfileRepository> Repo;
-  prof::RepoKey Key;
-  prof::RepoLoadResult Load;
-  prof::RepoCommitResult Commit;
-  bool Enabled = false;
-
-  /// Loads the run's entry (warm-starting the AOS on a hit, printing
-  /// the diagnostic on a rejection) and plants the shutdown hook that
-  /// commits the run's profile and publishes the repo.* gauges.
-  void setup(RunSetup &S) {
-    if (S.RepoDir.empty())
-      return;
-    Enabled = true;
-    Repo = std::make_unique<prof::ProfileRepository>(S.RepoDir);
-    Key.Workload = S.Name;
-    Key.ProgramHash = S.P.contentHash();
-    Key.Personality = S.Pers == vm::Personality::JikesRVM ? "jikes" : "j9";
-    Load = Repo->load(Key);
-    if (Load.ok())
-      S.AOS.WarmStart.Profile =
-          std::make_shared<const prof::DCGSnapshot>(Load.Entry->Graph);
-    else if (Load.Rejected)
-      std::fprintf(stderr, "cbsvm: profile-repo: %s\n",
-                   Load.Diagnostic.c_str());
-    S.Config.OnShutdown = [this](vm::VirtualMachine &VM) {
-      // Commit only a cleanly finished run: a trapped/halted/limited
-      // run's profile is partial evidence of a program that didn't
-      // complete, and persisting it would poison later warm starts.
-      if (VM.state() == vm::RunState::Finished) {
-        Commit = Repo->commit(Key, VM.profile(), VM.cycles());
-        if (!Commit.Error.empty())
-          std::fprintf(stderr, "cbsvm: profile-repo: %s\n",
-                       Commit.Error.c_str());
-      }
-      publishGauges(VM);
-    };
-  }
-
-  /// repo.* gauges, registered at shutdown so every metrics surface
-  /// (--metrics-json, stats --json) reports the repository interaction.
-  void publishGauges(vm::VirtualMachine &VM) {
-    tel::MetricRegistry &R = VM.metricsRegistry();
-    R.gauge("repo.loaded") = Load.ok() ? 1 : 0;
-    R.gauge("repo.rejected") = Load.Rejected ? 1 : 0;
-    R.gauge("repo.runs") = Load.ok() ? Load.Entry->Meta.Runs : 0;
-    R.gauge("repo.committed") = Commit.Committed ? 1 : 0;
-  }
-
-  /// The report section (emitted only when --profile-repo was given).
-  aos::RepoReport report(const RunSetup &S) const {
-    aos::RepoReport R;
-    R.Present = Enabled;
-    R.Dir = S.RepoDir;
-    R.Loaded = Load.ok() ? 1 : 0;
-    R.Rejected = Load.Rejected ? 1 : 0;
-    R.Runs = Load.ok() ? Load.Entry->Meta.Runs : 0;
-    R.Committed = Commit.Committed ? 1 : 0;
-    R.Diagnostic = Load.Rejected ? Load.Diagnostic : Commit.Error;
-    return R;
-  }
-};
 
 void writeFileOrDie(const std::string &Path, const std::string &Contents) {
   std::ofstream Out(Path);
@@ -374,22 +224,6 @@ void emitJson(const std::string &Path, const std::string &Json,
   }
   writeFileOrDie(Path, Json);
   std::printf("%s written to %s\n", What, Path.c_str());
-}
-
-/// The report document's inputs as every command fills them; `report`
-/// adds its flight recorder.
-aos::ReportInputs reportInputs(const RunSetup &S, vm::RunState State,
-                               vm::VirtualMachine &VM, const DriverAOS &AOS,
-                               const DriverRepo &Repo) {
-  aos::ReportInputs In;
-  In.Workload = S.Name;
-  In.Size = wl::inputSizeName(S.Size);
-  In.Seed = S.Seed;
-  In.State = vm::runStateName(State);
-  In.VM = &VM;
-  In.AOS = AOS.System.get();
-  In.Repo = Repo.report(S);
-  return In;
 }
 
 /// Prints a trapped run's trap message; returns the exit status.
@@ -424,32 +258,26 @@ int cmdList(ArgParser &Args) {
 }
 
 int cmdRun(ArgParser &Args) {
-  RunSetup S = parseRunSetup(Args);
+  exp::RunSetup S = exp::parseRunSetup(Args);
   size_t Edges = Args.optionUInt("--edges", 15, 1, 1 << 20);
   bool WantAccuracy = Args.flag("--accuracy");
   std::string SavePath = Args.option("--save", "");
   std::string TracePath = Args.option("--trace", "");
-  MetricsJsonOptionGroup MetricsOpt;
-  support::applyGroups(Args, {&MetricsOpt});
-  std::string MetricsPath = MetricsOpt.Path;
+  std::string MetricsPath = Args.option("--metrics-json", "");
   Args.finish();
 
   tel::ChromeTraceSink Sink;
-  if (!TracePath.empty())
-    S.Config.Trace = &Sink;
-
-  DriverRepo Repo;
-  Repo.setup(S);
-  DriverAOS AOS;
-  vm::VirtualMachine VM(S.P, S.Config);
-  AOS.attach(S, VM);
   if (!TracePath.empty()) {
-    const bc::Program &P = VM.program();
+    S.Config.Trace = &Sink;
+    const bc::Program &P = S.P;
     Sink.setMethodNamer([&P](uint32_t M) {
       return M < P.numMethods() ? P.qualifiedName(M) : std::string();
     });
   }
-  vm::RunState State = VM.run();
+
+  exp::DriverRun Run(S);
+  vm::VirtualMachine &VM = Run.vm();
+  vm::RunState State = Run.run();
   std::printf("%s-%s: %s after %.2fM cycles (%.2fM instructions, %llu "
               "calls, %llu ticks, %llu samples)\n",
               S.Name.c_str(), wl::inputSizeName(S.Size),
@@ -464,7 +292,7 @@ int cmdRun(ArgParser &Args) {
   // The report document's aos, osr and repo sections (each present only
   // when the run used that feature).
   json::JsonValue Sections = *json::parseJson(
-      aos::buildReportJson(reportInputs(S, State, VM, AOS, Repo))).Value;
+      aos::buildReportJson(Run.reportInputs())).Value;
   std::erase_if(Sections.Members, [](const auto &Member) {
     return Member.first != "aos" && Member.first != "osr" &&
            Member.first != "repo";
@@ -505,16 +333,13 @@ int cmdRun(ArgParser &Args) {
 }
 
 int cmdStats(ArgParser &Args) {
-  RunSetup S = parseRunSetup(Args);
+  exp::RunSetup S = exp::parseRunSetup(Args);
   std::string JsonPath = Args.option("--json", "");
   Args.finish();
 
-  DriverRepo Repo;
-  Repo.setup(S);
-  DriverAOS AOS;
-  vm::VirtualMachine VM(S.P, S.Config);
-  AOS.attach(S, VM);
-  vm::RunState State = VM.run();
+  exp::DriverRun Run(S);
+  vm::VirtualMachine &VM = Run.vm();
+  vm::RunState State = Run.run();
   if (State == vm::RunState::Trapped)
     return reportTrap(VM);
 
@@ -529,42 +354,20 @@ int cmdStats(ArgParser &Args) {
 }
 
 int cmdReport(ArgParser &Args) {
-  RunSetup S = parseRunSetup(Args);
-  S.Config.Profiler.Quality.EveryTicks = static_cast<uint32_t>(
-      Args.optionUInt("--every-ticks", 8, 1, UINT32_MAX));
-  S.Config.Profiler.Quality.HotEdges =
-      Args.optionUInt("--hot-edges", 16, 1, 1 << 20);
-  S.Config.Profiler.Quality.PhaseShiftOverlapPct =
-      Args.optionDouble("--phase-threshold", 50.0, 0.0, 100.0);
-
-  tel::FlightRecorderConfig RC;
-  RC.OverheadBudgetPct =
-      Args.optionDouble("--overhead-budget", 0.0, 0.0, 100.0);
-  RC.DropSpikeThreshold =
-      Args.optionUInt("--drop-spike", 256, 0, UINT64_MAX);
-  RC.EventCapacity = Args.optionUInt("--ring", 256, 1, 1 << 20);
+  exp::RunSetup S = exp::parseRunSetup(Args);
+  tel::FlightRecorder Recorder(exp::parseReportOptions(Args, S));
   std::string JsonPath = Args.option("--json", "");
   Args.finish();
 
-  tel::FlightRecorder Recorder(RC);
   S.Config.Recorder = &Recorder;
-
-  DriverRepo Repo;
-  Repo.setup(S);
-  DriverAOS AOS;
-  vm::VirtualMachine VM(S.P, S.Config);
-  AOS.attach(S, VM);
-  vm::RunState State = VM.run();
-  Recorder.requestDump("end_of_run", VM.cycles());
-
-  aos::ReportInputs In = reportInputs(S, State, VM, AOS, Repo);
-  In.Recorder = &Recorder;
-  std::string Json = aos::buildReportJson(In);
+  exp::DriverRun Run(S);
+  vm::RunState State = Run.run();
+  std::string Json = aos::buildReportJson(Run.reportInputs());
   if (JsonPath.empty())
     std::fputs(json::writeText(*json::parseJson(Json).Value).c_str(), stdout);
   else
     emitJson(JsonPath, Json, "report");
-  return State == vm::RunState::Trapped ? reportTrap(VM) : 0;
+  return State == vm::RunState::Trapped ? reportTrap(Run.vm()) : 0;
 }
 
 int cmdDisasm(ArgParser &Args) {
@@ -572,8 +375,7 @@ int cmdDisasm(ArgParser &Args) {
   const wl::WorkloadInfo *W = wl::findWorkload(Name);
   if (!W)
     usageError("unknown workload '" + Name + "'");
-  bc::Program P =
-      W->Build(parseSize(Args.option("--size", "small")), /*Seed=*/1);
+  bc::Program P = W->Build(exp::parseSizeOption(Args), /*Seed=*/1);
   std::string MethodName = Args.option("--method", "");
   Args.finish();
   if (MethodName.empty()) {
@@ -590,14 +392,10 @@ int cmdDisasm(ArgParser &Args) {
 
 int cmdCompare(ArgParser &Args) {
   auto Load = [](const std::string &Path) {
-    std::ifstream In(Path);
-    if (!In)
-      usageError("cannot read '" + Path + "'");
-    std::ostringstream SS;
-    SS << In.rdbuf();
     // The codec accepts v1 saves and v2 repository entries alike, so
     // `compare` works on anything the tool ever wrote.
-    prof::ProfileCodec::Decoded R = prof::ProfileCodec::decode(SS.str());
+    prof::ProfileCodec::Decoded R =
+        prof::ProfileCodec::decode(readFileOrDie(Path));
     if (!R.ok())
       usageError(Path + ": " + R.Error);
     return *R.Graph;
@@ -637,9 +435,7 @@ int cmdFuzz(ArgParser &Args) {
       "--max-call-repeat", Options.Shape.MaxCallRepeat, 1, 1u << 10));
   bool WithBroken = Args.flag("--broken-oracle");
   bool ListOracles = Args.flag("--list-oracles");
-  MetricsJsonOptionGroup MetricsOpt;
-  support::applyGroups(Args, {&MetricsOpt});
-  std::string MetricsPath = MetricsOpt.Path;
+  std::string MetricsPath = Args.option("--metrics-json", "");
   std::string ReplayPath = Args.option("--replay", "");
   Args.finish();
 
@@ -654,13 +450,8 @@ int cmdFuzz(ArgParser &Args) {
   }
 
   if (!ReplayPath.empty()) {
-    std::ifstream In(ReplayPath);
-    if (!In)
-      usageError("cannot read '" + ReplayPath + "'");
-    std::ostringstream SS;
-    SS << In.rdbuf();
     std::string Error;
-    fuzz::Artifact A = fuzz::parseArtifact(SS.str(), Error);
+    fuzz::Artifact A = fuzz::parseArtifact(readFileOrDie(ReplayPath), Error);
     if (!Error.empty())
       usageError(ReplayPath + ": " + Error);
     std::string Message = fuzz::replayArtifact(A, Registry, Error);
@@ -691,12 +482,7 @@ int cmdFuzz(ArgParser &Args) {
 int cmdJsonCheck(ArgParser &Args) {
   std::string Path = Args.positional("json file");
   Args.finish();
-  std::ifstream In(Path);
-  if (!In)
-    usageError("cannot read '" + Path + "'");
-  std::ostringstream SS;
-  SS << In.rdbuf();
-  json::JsonParseResult R = json::parseJson(SS.str());
+  json::JsonParseResult R = json::parseJson(readFileOrDie(Path));
   if (!R.Value) {
     std::fprintf(stderr, "%s: %s\n", Path.c_str(), R.Error.c_str());
     return 1;
@@ -711,24 +497,26 @@ int main(int Argc, char **Argv) {
   if (Argc < 2)
     usageError("missing command");
   std::string Command = Argv[1];
+  static const std::pair<const char *, int (*)(ArgParser &)> Commands[] = {
+      {"list", cmdList},         {"run", cmdRun},
+      {"stats", cmdStats},       {"report", cmdReport},
+      {"disasm", cmdDisasm},     {"compare", cmdCompare},
+      {"jsoncheck", cmdJsonCheck}, {"fuzz", cmdFuzz}};
+  int Status = -1;
   if (Command == "--list-profilers")
-    return listProfilers();
-  ArgParser Args = makeParser(Argc - 1, Argv + 1);
-  if (Command == "list")
-    return cmdList(Args);
-  if (Command == "run")
-    return cmdRun(Args);
-  if (Command == "stats")
-    return cmdStats(Args);
-  if (Command == "report")
-    return cmdReport(Args);
-  if (Command == "disasm")
-    return cmdDisasm(Args);
-  if (Command == "compare")
-    return cmdCompare(Args);
-  if (Command == "jsoncheck")
-    return cmdJsonCheck(Args);
-  if (Command == "fuzz")
-    return cmdFuzz(Args);
-  usageError("unknown command '" + Command + "'");
+    Status = listProfilers();
+  for (const auto &[Name, Run] : Commands)
+    if (Command == Name) {
+      ArgParser Args = makeParser(Argc - 1, Argv + 1);
+      Status = Run(Args);
+    }
+  if (Status < 0)
+    usageError("unknown command '" + Command + "'");
+  // Standard output is buffered: a failed write (a full device, a closed
+  // pipe) surfaces only here, and is an error like a failed file write.
+  if (std::fflush(stdout) != 0 || std::ferror(stdout)) {
+    std::fprintf(stderr, "cbsvm: cannot write standard output\n");
+    return 2;
+  }
+  return Status;
 }
