@@ -7,9 +7,10 @@
 /// \file
 /// Helpers shared by the table/figure reproduction binaries. Every
 /// binary prints the paper artifact it regenerates, the configuration,
-/// and a rendered table; CBSVM_RUNS controls the median-of-N repetition
-/// count (the paper uses 10; the default here is 3 to keep the full
-/// bench sweep interactive).
+/// and its tables; each table's rows live in one BenchReport, which
+/// renders them as text and, with `--json`, as JSON. CBSVM_RUNS
+/// controls the median-of-N repetition count (the paper uses 10; the
+/// default here is 3 to keep the full bench sweep interactive).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,6 +27,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -68,38 +70,21 @@ inline void printRunnerSummary(const tel::MetricRegistry &R) {
                static_cast<double>(Speedup->Value) / 100.0);
 }
 
-inline void printHeader(const char *Artifact, const char *Description) {
-  std::printf("==============================================================="
-              "=\n");
-  std::printf("%s — %s\n", Artifact, Description);
-  std::printf("Arnold & Grove, \"Collecting and Exploiting High-Accuracy "
-              "Call Graph\nProfiles in Virtual Machines\" (CGO 2005) — CBSVM "
-              "reproduction\n");
-  std::printf("==============================================================="
-              "=\n\n");
-}
-
-/// "overhead/accuracy" cell in the Table 2 style.
-inline std::string cell(const exp::AccuracyCell &C) {
-  return TablePrinter::formatDouble(C.OverheadPct, 1) + "/" +
-         TablePrinter::formatDouble(C.AccuracyPct, 0);
-}
-
 inline const char *personalityName(vm::Personality Pers) {
   return Pers == vm::Personality::JikesRVM ? "Jikes RVM" : "J9";
 }
 
-/// Machine-readable mirror of a bench binary's printed tables. The
-/// binary feeds it the same cells it hands to TablePrinter; when the
-/// command line carries `--json FILE`, the destructor writes
+/// The one table model of a bench binary. The binary hands it each
+/// table's header and rows; print() renders the current table as text
+/// through TablePrinter, and when the command line carries `--json FILE`
+/// the destructor writes the same rows as
 ///
 ///   {"artifact": ..., "tables": [{"name", "columns", "rows"}...],
 ///    "meta": {...}}
 ///
 /// to FILE ("-" for stdout) and exits 2 if that write fails. Cells that
-/// lex fully as numbers are emitted as JSON numbers, everything else as
-/// strings. Without `--json` every call is a no-op, so the mirroring
-/// costs nothing in the normal text mode.
+/// match the JSON number grammar are emitted as JSON numbers, everything
+/// else as strings. Separators shape the text only.
 class BenchReport {
 public:
   BenchReport(support::ArgParser &Args, std::string Artifact)
@@ -127,44 +112,49 @@ public:
     }
   }
 
-  bool enabled() const { return !Path.empty(); }
+  /// Prints the banner naming the artifact and what it shows.
+  void printHeader(const char *Description) const {
+    const std::string Rule(64, '=');
+    std::printf("%s\n%s — %s\n", Rule.c_str(), Artifact.c_str(), Description);
+    std::printf("Arnold & Grove, \"Collecting and Exploiting High-Accuracy "
+                "Call Graph\nProfiles in Virtual Machines\" (CGO 2005) — "
+                "CBSVM reproduction\n%s\n\n",
+                Rule.c_str());
+  }
 
   void beginTable(std::string Name, std::vector<std::string> Columns) {
-    if (!enabled())
-      return;
-    Tables.push_back({std::move(Name), std::move(Columns), {}});
+    Tables.push_back({std::move(Name), std::move(Columns), {}, {}});
   }
 
   void addRow(std::vector<std::string> Cells) {
-    if (!enabled())
-      return;
     Tables.back().Rows.push_back(std::move(Cells));
   }
 
+  /// A horizontal rule below the rows added so far (text only).
+  void separator() {
+    Tables.back().Separators.push_back(Tables.back().Rows.size());
+  }
+
+  /// Renders the current table to stdout.
+  void print() const {
+    const Table &T = Tables.back();
+    TablePrinter TP;
+    TP.setHeader(T.Columns);
+    auto Sep = T.Separators.begin();
+    for (size_t I = 0; I <= T.Rows.size(); ++I) {
+      for (; Sep != T.Separators.end() && *Sep == I; ++Sep)
+        TP.addSeparator();
+      if (I != T.Rows.size())
+        TP.addRow(T.Rows[I]);
+    }
+    std::fputs(TP.render().c_str(), stdout);
+  }
+
   void note(std::string Key, std::string Value) {
-    if (!enabled())
-      return;
     Meta.emplace_back(std::move(Key), std::move(Value));
   }
 
-private:
-  /// Numbers pass through as raw JSON; anything else is escaped. The
-  /// character whitelist keeps strtod's extras (inf/nan/hex) out of the
-  /// raw path — those are not valid JSON numbers.
-  static void emitCell(json::JsonWriter &W, const std::string &Cell) {
-    bool Numeric = !Cell.empty();
-    for (char C : Cell)
-      if (!(C >= '0' && C <= '9') && C != '+' && C != '-' && C != '.' &&
-          C != 'e' && C != 'E')
-        Numeric = false;
-    if (Numeric)
-      Numeric = json::parseJson(Cell).ok();
-    if (Numeric)
-      W.raw(Cell);
-    else
-      W.value(Cell);
-  }
-
+  /// The `--json` document.
   std::string render() const {
     json::JsonWriter W;
     W.beginObject();
@@ -204,10 +194,24 @@ private:
     return W.take();
   }
 
+private:
+  /// Cells that match the JSON number grammar exactly pass through as
+  /// raw JSON; anything else (inf, nan, hex, "1.", "+1") is a string.
+  static void emitCell(json::JsonWriter &W, const std::string &Cell) {
+    static const std::regex Number(
+        R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
+    if (std::regex_match(Cell, Number))
+      W.raw(Cell);
+    else
+      W.value(Cell);
+  }
+
   struct Table {
     std::string Name;
     std::vector<std::string> Columns;
     std::vector<std::vector<std::string>> Rows;
+    /// Row counts at which the text draws a rule, in order.
+    std::vector<size_t> Separators;
   };
 
   std::string Artifact;
@@ -215,6 +219,35 @@ private:
   std::vector<Table> Tables;
   std::vector<std::pair<std::string, std::string>> Meta;
 };
+
+/// Table 2's two Samples x Stride grids, overhead % and accuracy: each
+/// becomes one report table, printed under its title.
+inline void reportSweep(BenchReport &Report, const exp::SweepResult &R) {
+  std::vector<std::string> Header{"Samples\\Stride"};
+  for (uint32_t S : R.Strides)
+    Header.push_back(std::to_string(S));
+  struct Grid {
+    const char *Name;
+    const char *Title;
+    double exp::AccuracyCell::*Value;
+    int Digits;
+  };
+  for (const Grid &G :
+       {Grid{"overhead_pct", "overhead %", &exp::AccuracyCell::OverheadPct, 3},
+        Grid{"accuracy_pct", "accuracy (overlap %, 0-100)",
+             &exp::AccuracyCell::AccuracyPct, 2}}) {
+    std::printf("--- %s ---\n", G.Title);
+    Report.beginTable(G.Name, Header);
+    for (size_t SI = 0; SI != R.SamplesPerTick.size(); ++SI) {
+      std::vector<std::string> Row{std::to_string(R.SamplesPerTick[SI])};
+      for (const exp::AccuracyCell &C : R.Cells[SI])
+        Row.push_back(TablePrinter::formatDouble(C.*G.Value, G.Digits));
+      Report.addRow(std::move(Row));
+    }
+    Report.print();
+    std::printf("\n");
+  }
+}
 
 } // namespace cbs::bench
 

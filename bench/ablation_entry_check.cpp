@@ -19,12 +19,12 @@ using namespace cbs::bench;
 
 int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
+  BenchReport Report(Args, "Ablation: overloaded vs explicit entry check");
   Args.finish();
-  printHeader("Ablation: overloaded vs explicit entry check",
-              "the zero-overhead-when-disarmed claim (§4)");
+  Report.printHeader("the zero-overhead-when-disarmed claim (§4)");
 
-  TablePrinter TP;
-  TP.setHeader({"Benchmark", "overloaded ovh%", "explicit-check ovh%"});
+  Report.beginTable("entry_check",
+                    {"Benchmark", "overloaded ovh%", "explicit-check ovh%"});
   std::vector<double> Overloaded, Explicit;
 
   for (const wl::WorkloadInfo &W : wl::suite()) {
@@ -47,13 +47,13 @@ int main(int Argc, char **Argv) {
     double O = Measure(false), E = Measure(true);
     Overloaded.push_back(O);
     Explicit.push_back(E);
-    TP.addRow({W.Name, TablePrinter::formatDouble(O, 2),
-               TablePrinter::formatDouble(E, 2)});
+    Report.addRow({W.Name, TablePrinter::formatDouble(O, 2),
+                   TablePrinter::formatDouble(E, 2)});
   }
-  TP.addSeparator();
-  TP.addRow({"Average", TablePrinter::formatDouble(mean(Overloaded), 2),
-             TablePrinter::formatDouble(mean(Explicit), 2)});
-  std::fputs(TP.render().c_str(), stdout);
+  Report.separator();
+  Report.addRow({"Average", TablePrinter::formatDouble(mean(Overloaded), 2),
+                 TablePrinter::formatDouble(mean(Explicit), 2)});
+  Report.print();
   std::printf("\nThe explicit 3-instruction check costs real overhead on "
               "call-dense programs;\nthe overloaded flag keeps the "
               "disarmed path free — the paper's argument for\nwhy CBS "

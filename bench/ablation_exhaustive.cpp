@@ -18,13 +18,13 @@ using namespace cbs::bench;
 
 int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
+  BenchReport Report(Args, "Ablation: exhaustive per-call counters vs CBS");
   Args.finish();
-  printHeader("Ablation: exhaustive per-call counters vs CBS",
-              "the Vortex 15-50% overhead tradeoff (§3.1)");
+  Report.printHeader("the Vortex 15-50% overhead tradeoff (§3.1)");
 
-  TablePrinter TP;
-  TP.setHeader({"Benchmark", "exhaustive ovh%", "exhaustive acc",
-                "cbs ovh%", "cbs acc"});
+  Report.beginTable("exhaustive_vs_cbs",
+                    {"Benchmark", "exhaustive ovh%", "exhaustive acc",
+                     "cbs ovh%", "cbs acc"});
   std::vector<double> ExOvh, CBSOvh, CBSAcc;
 
   for (const wl::WorkloadInfo &W : wl::suite()) {
@@ -45,16 +45,16 @@ int main(int Argc, char **Argv) {
     ExOvh.push_back(ExCell.OverheadPct);
     CBSOvh.push_back(CBSCell.OverheadPct);
     CBSAcc.push_back(CBSCell.AccuracyPct);
-    TP.addRow({W.Name, TablePrinter::formatDouble(ExCell.OverheadPct, 1),
-               TablePrinter::formatDouble(ExCell.AccuracyPct, 0),
-               TablePrinter::formatDouble(CBSCell.OverheadPct, 2),
-               TablePrinter::formatDouble(CBSCell.AccuracyPct, 0)});
+    Report.addRow({W.Name, TablePrinter::formatDouble(ExCell.OverheadPct, 1),
+                   TablePrinter::formatDouble(ExCell.AccuracyPct, 0),
+                   TablePrinter::formatDouble(CBSCell.OverheadPct, 2),
+                   TablePrinter::formatDouble(CBSCell.AccuracyPct, 0)});
   }
-  TP.addSeparator();
-  TP.addRow({"Average", TablePrinter::formatDouble(mean(ExOvh), 1), "100",
-             TablePrinter::formatDouble(mean(CBSOvh), 2),
-             TablePrinter::formatDouble(mean(CBSAcc), 0)});
-  std::fputs(TP.render().c_str(), stdout);
+  Report.separator();
+  Report.addRow({"Average", TablePrinter::formatDouble(mean(ExOvh), 1), "100",
+                 TablePrinter::formatDouble(mean(CBSOvh), 2),
+                 TablePrinter::formatDouble(mean(CBSAcc), 0)});
+  Report.print();
   std::printf("\npaper landmark: instrumented PICs cost 15-50%% depending "
               "on call density.\n");
   return 0;

@@ -20,12 +20,12 @@ using namespace cbs::bench;
 
 int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
+  BenchReport Report(Args, "Ablation: generality (§8)");
   Args.finish();
-  printHeader("Ablation: generality (§8)",
-              "the same sampler over allocation events");
+  Report.printHeader("the same sampler over allocation events");
 
-  TablePrinter TP;
-  TP.setHeader({"Benchmark", "samples/tick", "alloc acc", "ovh %"});
+  Report.beginTable("alloc_sampling",
+                    {"Benchmark", "samples/tick", "alloc acc", "ovh %"});
 
   for (const char *Name : {"jbb", "mtrt", "ipsixql", "kawa"}) {
     const wl::WorkloadInfo *W = wl::findWorkload(Name);
@@ -55,13 +55,13 @@ int main(int Argc, char **Argv) {
       double Ovh = 100.0 *
                    (static_cast<double>(VM.stats().Cycles) - BaseCycles) /
                    BaseCycles;
-      TP.addRow({Name, std::to_string(Samples),
-                 TablePrinter::formatDouble(Acc, 0),
-                 TablePrinter::formatDouble(Ovh, 2)});
+      Report.addRow({Name, std::to_string(Samples),
+                     TablePrinter::formatDouble(Acc, 0),
+                     TablePrinter::formatDouble(Ovh, 2)});
     }
-    TP.addSeparator();
+    Report.separator();
   }
-  std::fputs(TP.render().c_str(), stdout);
+  Report.print();
   std::printf("\nalloc acc = overlap of the sampled per-class allocation "
               "histogram with the\nheap's exhaustive counts. The "
               "frequency-profile recipe (timer arms a window,\ncounter "

@@ -67,33 +67,27 @@ const char *skipName(prof::SkipPolicy Skip) {
 
 int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
+  BenchReport Report(Args, "Ablation: initial skip policy");
   Args.finish();
-  printHeader("Ablation: initial skip policy",
-              "pseudo-random vs round-robin vs fixed (§4)");
+  Report.printHeader("pseudo-random vs round-robin vs fixed (§4)");
 
   {
     std::printf("--- adversarial program (burst aligned to the window; "
                 "strictly periodic timer) ---\n");
-    TablePrinter TP;
-    TP.setHeader({"Stride/Samples", "fixed err%", "round-robin err%",
-                  "random err%"});
+    Report.beginTable("adversary", {"Stride/Samples", "fixed err%",
+                                    "round-robin err%", "random err%"});
     for (auto [Stride, Samples] :
          {std::pair{4u, 2u}, std::pair{3u, 4u}, std::pair{7u, 2u}}) {
-      TP.addRow({std::to_string(Stride) + "/" + std::to_string(Samples),
-                 TablePrinter::formatDouble(
-                     adversaryDecoyError(prof::SkipPolicy::Fixed, Stride,
-                                         Samples),
-                     0),
-                 TablePrinter::formatDouble(
-                     adversaryDecoyError(prof::SkipPolicy::RoundRobin,
-                                         Stride, Samples),
-                     0),
-                 TablePrinter::formatDouble(
-                     adversaryDecoyError(prof::SkipPolicy::Random, Stride,
-                                         Samples),
-                     0)});
+      std::vector<std::string> Row{std::to_string(Stride) + "/" +
+                                   std::to_string(Samples)};
+      for (prof::SkipPolicy Skip :
+           {prof::SkipPolicy::Fixed, prof::SkipPolicy::RoundRobin,
+            prof::SkipPolicy::Random})
+        Row.push_back(TablePrinter::formatDouble(
+            adversaryDecoyError(Skip, Stride, Samples), 0));
+      Report.addRow(std::move(Row));
     }
-    std::fputs(TP.render().c_str(), stdout);
+    Report.print();
     std::printf("err%% = relative error of the decoy call's observed "
                 "profile share vs ground truth\n\n");
   }
@@ -101,8 +95,7 @@ int main(int Argc, char **Argv) {
   {
     std::printf("--- benchmark suite (small inputs): accuracy is "
                 "insensitive to the policy ---\n");
-    TablePrinter TP;
-    TP.setHeader({"Policy", "avg accuracy"});
+    Report.beginTable("suite_accuracy", {"Policy", "avg accuracy"});
     for (prof::SkipPolicy Skip :
          {prof::SkipPolicy::Fixed, prof::SkipPolicy::RoundRobin,
           prof::SkipPolicy::Random}) {
@@ -117,9 +110,10 @@ int main(int Argc, char **Argv) {
                                            Prof, Perfect, 1)
                           .AccuracyPct);
       }
-      TP.addRow({skipName(Skip), TablePrinter::formatDouble(mean(Acc), 1)});
+      Report.addRow(
+          {skipName(Skip), TablePrinter::formatDouble(mean(Acc), 1)});
     }
-    std::fputs(TP.render().c_str(), stdout);
+    Report.print();
   }
   return 0;
 }

@@ -60,9 +60,9 @@ prof::DCGSnapshot phaseBProfile(const bc::Program &P,
 
 int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
+  BenchReport Report(Args, "Ablation: phase shift");
   Args.finish();
-  printHeader("Ablation: phase shift",
-              "continuous profiling vs windows vs decay (§1, §3.2)");
+  Report.printHeader("continuous profiling vs windows vs decay (§1, §3.2)");
 
   bc::Program P = wl::buildPhased(wl::InputSize::Small, 1);
   uint64_t MidCycles = 0;
@@ -94,19 +94,19 @@ int main(int Argc, char **Argv) {
     Configs.push_back(Decay);
   }
 
-  TablePrinter TP;
-  TP.setHeader({"Profiler", "accuracy vs phase-B profile", "samples"});
+  Report.beginTable("phase_b_accuracy",
+                    {"Profiler", "accuracy vs phase-B profile", "samples"});
   for (const Config &C : Configs) {
     vm::VMConfig VC = exp::jitOnlyConfig(P, vm::Personality::JikesRVM, 1);
     VC.Profiler = C.Prof;
     vm::VirtualMachine VM(P, VC);
     VM.run();
-    TP.addRow({C.Name,
-               TablePrinter::formatDouble(
-                   prof::accuracy(VM.profile(), PhaseB), 0),
-               std::to_string(VM.stats().SamplesTaken)});
+    Report.addRow(
+        {C.Name,
+         TablePrinter::formatDouble(prof::accuracy(VM.profile(), PhaseB), 0),
+         std::to_string(VM.stats().SamplesTaken)});
   }
-  std::fputs(TP.render().c_str(), stdout);
+  Report.print();
   std::printf("\nThe metric scores each final repository against what a "
               "late-run optimizer\nneeds: the phase-B profile. One-shot "
               "windows freeze phase A; decayed CBS\ntracks the shift.\n");

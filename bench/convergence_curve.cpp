@@ -25,7 +25,7 @@ int main(int Argc, char **Argv) {
   BenchReport Report(Args, "Convergence");
   uint64_t Seed = seedFromArgs(Args);
   Args.finish();
-  printHeader("Convergence", "accuracy vs elapsed virtual time (jess-large)");
+  Report.printHeader("accuracy vs elapsed virtual time (jess-large)");
 
   const wl::WorkloadInfo &W = *wl::findWorkload("jess");
   bc::Program P = W.Build(wl::InputSize::Large, Seed);
@@ -49,11 +49,9 @@ int main(int Argc, char **Argv) {
   std::vector<uint64_t> Checkpoints = {2'000'000,  5'000'000, 10'000'000,
                                        20'000'000, 40'000'000};
 
-  TablePrinter TP;
   std::vector<std::string> Header{"Profiler"};
   for (uint64_t C : Checkpoints)
     Header.push_back(std::to_string(C / 1'000'000) + "Mcyc");
-  TP.setHeader(Header);
   Report.beginTable("accuracy_pct", Header);
 
   for (const Curve &C : Curves) {
@@ -69,10 +67,9 @@ int main(int Argc, char **Argv) {
       Row.push_back(TablePrinter::formatDouble(
           prof::accuracy(VM.profile(), Perfect.DCG), 0));
     }
-    TP.addRow(Row);
     Report.addRow(Row);
   }
-  std::fputs(TP.render().c_str(), stdout);
+  Report.print();
   std::printf("\nCBS converges within the first few Mcycles — while the "
               "adaptive system is\nstill making its inlining decisions; "
               "the timer profile is still catching up\nat the end of the "

@@ -58,14 +58,10 @@ int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
   BenchReport Report(Args, "Figure 1");
   Args.finish();
-  printHeader("Figure 1",
-              "Timer-based sampling misattributes call frequency");
+  Report.printHeader("Timer-based sampling misattributes call frequency");
 
-  TablePrinter TP;
-  std::vector<std::string> Header{"Non-call work", "timer call_1 %",
-                                  "timer acc", "cbs call_1 %", "cbs acc"};
-  TP.setHeader(Header);
-  Report.beginTable("timer_bias", Header);
+  Report.beginTable("timer_bias", {"Non-call work", "timer call_1 %",
+                                   "timer acc", "cbs call_1 %", "cbs acc"});
 
   vm::ProfilerOptions Timer;
   prof::ProfilerRegistry::instance().configure("timer", Timer);
@@ -77,15 +73,13 @@ int main(int Argc, char **Argv) {
         exp::runPerfect(P, vm::Personality::JikesRVM, 1);
     Split T = measure(P, Perfect, Timer);
     Split C = measure(P, Perfect, CBS);
-    std::vector<std::string> Row{std::to_string(Work),
-                                 TablePrinter::formatDouble(T.Call1Share, 1),
-                                 TablePrinter::formatDouble(T.Accuracy, 0),
-                                 TablePrinter::formatDouble(C.Call1Share, 1),
-                                 TablePrinter::formatDouble(C.Accuracy, 0)};
-    TP.addRow(Row);
-    Report.addRow(Row);
+    Report.addRow({std::to_string(Work),
+                   TablePrinter::formatDouble(T.Call1Share, 1),
+                   TablePrinter::formatDouble(T.Accuracy, 0),
+                   TablePrinter::formatDouble(C.Call1Share, 1),
+                   TablePrinter::formatDouble(C.Accuracy, 0)});
   }
-  std::fputs(TP.render().c_str(), stdout);
+  Report.print();
   std::printf("\nGround truth: call_1 and call_2 each execute 50%% of the "
               "calls in the loop.\nTimer sampling drifts toward 100%% "
               "call_1 as the non-call stretch grows; CBS\nstays at ~50%%.\n");

@@ -74,8 +74,8 @@ int main(int Argc, char **Argv) {
   BenchReport Report(Args, "Figure 5 latency");
   unsigned Jobs = jobsFromArgs(Args);
   Args.finish();
-  printHeader("Figure 5 latency",
-              "Compile-latency sweep: install timing vs steady-state speedup");
+  Report.printHeader(
+      "Compile-latency sweep: install timing vs steady-state speedup");
 
   opt::NewJikesOracle NewInliner;
   const std::vector<wl::WorkloadInfo> &Suite = wl::suite();
@@ -92,12 +92,9 @@ int main(int Argc, char **Argv) {
   Par.Metrics = &RunnerMetrics;
   exp::ParallelRunner Runner(Par);
 
-  TablePrinter TP;
-  std::vector<std::string> Header{"Benchmark",        "scale",
-                                  "speedup %",        "installs",
-                                  "first install Mcyc", "mean wait kcyc"};
-  TP.setHeader(Header);
-  Report.beginTable("latency_sweep", Header);
+  Report.beginTable("latency_sweep",
+                    {"Benchmark", "scale", "speedup %", "installs",
+                     "first install Mcyc", "mean wait kcyc"});
   std::vector<double> SpeedupByScale[NumScales];
 
   Runner.run(
@@ -120,27 +117,23 @@ int main(int Argc, char **Argv) {
           const ScaleResult &S = R.AtScale[SI];
           double Pct = exp::speedupPercent(S.Run, R.Base);
           SpeedupByScale[SI].push_back(Pct);
-          std::vector<std::string> Row{
-              SI == 0 ? Suite[Ctx.Index].Name : "",
-              TablePrinter::formatDouble(Scales[SI], 0),
-              TablePrinter::formatDouble(Pct, 1),
-              std::to_string(S.Installs),
-              TablePrinter::formatDouble(S.FirstInstallCycle / 1e6, 2),
-              TablePrinter::formatDouble(S.MeanWaitCycles / 1e3, 1)};
-          TP.addRow(Row);
-          Report.addRow(Row);
+          Report.addRow(
+              {SI == 0 ? Suite[Ctx.Index].Name : "",
+               TablePrinter::formatDouble(Scales[SI], 0),
+               TablePrinter::formatDouble(Pct, 1), std::to_string(S.Installs),
+               TablePrinter::formatDouble(S.FirstInstallCycle / 1e6, 2),
+               TablePrinter::formatDouble(S.MeanWaitCycles / 1e3, 1)});
         }
       });
+  printRunnerSummary(RunnerMetrics);
 
-  TP.addSeparator();
-  for (size_t SI = 0; SI != NumScales; ++SI) {
-    std::vector<std::string> AvgRow{
-        SI == 0 ? "Average" : "", TablePrinter::formatDouble(Scales[SI], 0),
-        TablePrinter::formatDouble(mean(SpeedupByScale[SI]), 1), "", "", ""};
-    TP.addRow(AvgRow);
-    Report.addRow(AvgRow);
-  }
-  std::fputs(TP.render().c_str(), stdout);
+  Report.separator();
+  for (size_t SI = 0; SI != NumScales; ++SI)
+    Report.addRow({SI == 0 ? "Average" : "",
+                   TablePrinter::formatDouble(Scales[SI], 0),
+                   TablePrinter::formatDouble(mean(SpeedupByScale[SI]), 1),
+                   "", "", ""});
+  Report.print();
   std::printf(
       "\nReading: first-install cycle and mean wait must grow with the "
       "scale; the scale-1 speedup column must match scale 0 within "

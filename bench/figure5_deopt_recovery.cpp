@@ -156,8 +156,8 @@ int main(int Argc, char **Argv) {
   BenchReport Report(Args, "Figure 5 (deopt recovery)");
   uint64_t Seed = seedFromArgs(Args);
   Args.finish();
-  printHeader("Figure 5 (deopt recovery)",
-              "Phased workload: stale speculative code vs guard policing");
+  Report.printHeader(
+      "Phased workload: stale speculative code vs guard policing");
 
   std::vector<std::string> Header{
       "input/latency", "interp Mcyc", "stale Mcyc",  "deopt Mcyc",
@@ -168,8 +168,8 @@ int main(int Argc, char **Argv) {
   // alone (deopt), and policing plus on-stack replacement (osr). The
   // recovery columns are the cycle saving of the deopt and osr arms
   // relative to running phase B through phase-A speculation.
-  auto emitRow = [&](TablePrinter &Table, const char *Label,
-                     const bc::Program &P, double Latency) {
+  auto emitRow = [&](const char *Label, const bc::Program &P,
+                     double Latency) {
     ArmResult Interp = runInterpreter(P, Seed);
     ArmResult Stale =
         runAdaptive(P, /*DeoptOn=*/false, /*OsrOn=*/false, Latency, Seed);
@@ -184,23 +184,17 @@ int main(int Argc, char **Argv) {
                                 static_cast<double>(Stale.Cycles)
                           : 0.0;
     };
-    std::vector<std::string> Cells{
-        Label,
-        TablePrinter::formatDouble(Interp.Cycles / 1e6, 1),
-        TablePrinter::formatDouble(Stale.Cycles / 1e6, 1),
-        TablePrinter::formatDouble(Deopt.Cycles / 1e6, 1),
-        TablePrinter::formatDouble(Osr.Cycles / 1e6, 1),
-        TablePrinter::formatDouble(RecoveryPct(Deopt.Cycles), 2),
-        TablePrinter::formatDouble(RecoveryPct(Osr.Cycles), 2),
-        std::to_string(Deopt.Deopt.Deopts),
-        std::to_string(Deopt.Deopt.GuardFailures),
-        std::to_string(Deopt.Deopt.Recompiles)};
-    Table.addRow(Cells);
-    Report.addRow(Cells);
+    Report.addRow({Label, TablePrinter::formatDouble(Interp.Cycles / 1e6, 1),
+                   TablePrinter::formatDouble(Stale.Cycles / 1e6, 1),
+                   TablePrinter::formatDouble(Deopt.Cycles / 1e6, 1),
+                   TablePrinter::formatDouble(Osr.Cycles / 1e6, 1),
+                   TablePrinter::formatDouble(RecoveryPct(Deopt.Cycles), 2),
+                   TablePrinter::formatDouble(RecoveryPct(Osr.Cycles), 2),
+                   std::to_string(Deopt.Deopt.Deopts),
+                   std::to_string(Deopt.Deopt.GuardFailures),
+                   std::to_string(Deopt.Deopt.Recompiles)});
   };
 
-  TablePrinter TP;
-  TP.setHeader(Header);
   Report.beginTable("phased_recovery", Header);
 
   struct Row {
@@ -214,8 +208,8 @@ int main(int Argc, char **Argv) {
       {"large/1x", wl::InputSize::Large, 1.0},
   };
   for (const Row &R : Rows)
-    emitRow(TP, R.Label, wl::buildPhased(R.Size, Seed), R.Latency);
-  std::fputs(TP.render().c_str(), stdout);
+    emitRow(R.Label, wl::buildPhased(R.Size, Seed), R.Latency);
+  Report.print();
 
   std::printf("\n--- receiver flip: one hot site whose dominant callee "
               "changes mid-run ---\n");
@@ -227,8 +221,6 @@ int main(int Argc, char **Argv) {
   };
   // Short-lived frames: each loop() frame covers 500 iterations, so the
   // recompiled version is re-entered a few calls after the deopt.
-  TablePrinter FlipTP;
-  FlipTP.setHeader(Header);
   Report.beginTable("receiver_flip", Header);
   const FlipRow FlipRows[] = {
       {"60k/1x", 60'000, 500, 1.0},
@@ -236,9 +228,8 @@ int main(int Argc, char **Argv) {
       {"300k/25x", 300'000, 500, 25.0},
   };
   for (const FlipRow &R : FlipRows)
-    emitRow(FlipTP, R.Label, receiverFlipProgram(R.PerPhase, R.PerCall),
-            R.Latency);
-  std::fputs(FlipTP.render().c_str(), stdout);
+    emitRow(R.Label, receiverFlipProgram(R.PerPhase, R.PerCall), R.Latency);
+  Report.print();
 
   std::printf("\n--- receiver flip, long-lived frames: one loop() frame "
               "spans an entire phase ---\n");
@@ -246,8 +237,6 @@ int main(int Argc, char **Argv) {
   // never returns inside the phase, so without OSR it limps to the end
   // at baseline speed and the recompiled version is never entered. The
   // osr arm transfers the live frame at the next backedge yieldpoint.
-  TablePrinter LongTP;
-  LongTP.setHeader(Header);
   Report.beginTable("receiver_flip_long", Header);
   const FlipRow LongRows[] = {
       {"60k/1x", 60'000, 60'000, 1.0},
@@ -255,9 +244,8 @@ int main(int Argc, char **Argv) {
       {"300k/25x", 300'000, 300'000, 25.0},
   };
   for (const FlipRow &R : LongRows)
-    emitRow(LongTP, R.Label, receiverFlipProgram(R.PerPhase, R.PerCall),
-            R.Latency);
-  std::fputs(LongTP.render().c_str(), stdout);
+    emitRow(R.Label, receiverFlipProgram(R.PerPhase, R.PerCall), R.Latency);
+  Report.print();
 
   std::printf("\nrecovery %% is the cycle saving of guard policing over the "
               "stale-plan arm,\nosr rec %% the saving when policing can also "

@@ -33,8 +33,7 @@ int main(int Argc, char **Argv) {
   BenchReport Report(Args, "Figure 5");
   unsigned Jobs = jobsFromArgs(Args);
   Args.finish();
-  printHeader("Figure 5",
-              "Speedup of profile-directed inlining: timer-only vs cbs");
+  Report.printHeader("Speedup of profile-directed inlining: timer-only vs cbs");
 
   opt::NewJikesOracle NewInliner;
   opt::J9Oracle J9Dynamic;
@@ -55,11 +54,8 @@ int main(int Argc, char **Argv) {
   {
     std::printf("--- Jikes RVM personality: new inliner, speedup over "
                 "no-profile inlining ---\n");
-    TablePrinter TP;
-    std::vector<std::string> Header{"Benchmark", "timer-only %", "cbs %",
-                                    "recompiles", "compile Mcyc (cbs)"};
-    TP.setHeader(Header);
-    Report.beginTable("jikes_speedup", Header);
+    Report.beginTable("jikes_speedup", {"Benchmark", "timer-only %", "cbs %",
+                                        "recompiles", "compile Mcyc (cbs)"});
     std::vector<double> TimerAll, CBSAll;
     struct JikesResult {
       exp::ThroughputResult Base, Timer, CBS;
@@ -93,21 +89,16 @@ int main(int Argc, char **Argv) {
           double CBSPct = exp::speedupPercent(R.CBS, R.Base);
           TimerAll.push_back(TimerPct);
           CBSAll.push_back(CBSPct);
-          std::vector<std::string> Row{
-              Suite[Ctx.Index].Name, TablePrinter::formatDouble(TimerPct, 1),
-              TablePrinter::formatDouble(CBSPct, 1),
-              std::to_string(R.CBS.Recompilations),
-              TablePrinter::formatDouble(R.CBS.CompileCycles / 1e6, 1)};
-          TP.addRow(Row);
-          Report.addRow(Row);
+          Report.addRow(
+              {Suite[Ctx.Index].Name, TablePrinter::formatDouble(TimerPct, 1),
+               TablePrinter::formatDouble(CBSPct, 1),
+               std::to_string(R.CBS.Recompilations),
+               TablePrinter::formatDouble(R.CBS.CompileCycles / 1e6, 1)});
         });
-    TP.addSeparator();
-    std::vector<std::string> AvgRow{
-        "Average", TablePrinter::formatDouble(mean(TimerAll), 1),
-        TablePrinter::formatDouble(mean(CBSAll), 1), "", ""};
-    TP.addRow(AvgRow);
-    Report.addRow(AvgRow);
-    std::fputs(TP.render().c_str(), stdout);
+    Report.separator();
+    Report.addRow({"Average", TablePrinter::formatDouble(mean(TimerAll), 1),
+                   TablePrinter::formatDouble(mean(CBSAll), 1), "", ""});
+    Report.print();
     std::printf("\n");
   }
 
@@ -115,12 +106,9 @@ int main(int Argc, char **Argv) {
   {
     std::printf("--- J9 personality: dynamic heuristics, speedup over "
                 "static-only heuristics ---\n");
-    TablePrinter TP;
-    std::vector<std::string> Header{"Benchmark", "timer-only %", "cbs %",
-                                    "compile Mcyc static",
-                                    "compile Mcyc cbs"};
-    TP.setHeader(Header);
-    Report.beginTable("j9_speedup", Header);
+    Report.beginTable("j9_speedup", {"Benchmark", "timer-only %", "cbs %",
+                                     "compile Mcyc static",
+                                     "compile Mcyc cbs"});
     std::vector<double> TimerAll, CBSAll, CompileDelta;
     struct J9Result {
       exp::ThroughputResult Base, Timer, CBS;
@@ -161,21 +149,16 @@ int main(int Argc, char **Argv) {
                 100.0 * (static_cast<double>(R.CBS.CompileCycles) /
                              R.Base.CompileCycles -
                          1.0));
-          std::vector<std::string> Row{
-              Suite[Ctx.Index].Name, TablePrinter::formatDouble(TimerPct, 1),
-              TablePrinter::formatDouble(CBSPct, 1),
-              TablePrinter::formatDouble(R.Base.CompileCycles / 1e6, 1),
-              TablePrinter::formatDouble(R.CBS.CompileCycles / 1e6, 1)};
-          TP.addRow(Row);
-          Report.addRow(Row);
+          Report.addRow(
+              {Suite[Ctx.Index].Name, TablePrinter::formatDouble(TimerPct, 1),
+               TablePrinter::formatDouble(CBSPct, 1),
+               TablePrinter::formatDouble(R.Base.CompileCycles / 1e6, 1),
+               TablePrinter::formatDouble(R.CBS.CompileCycles / 1e6, 1)});
         });
-    TP.addSeparator();
-    std::vector<std::string> AvgRow{
-        "Average", TablePrinter::formatDouble(mean(TimerAll), 1),
-        TablePrinter::formatDouble(mean(CBSAll), 1), "", ""};
-    TP.addRow(AvgRow);
-    Report.addRow(AvgRow);
-    std::fputs(TP.render().c_str(), stdout);
+    Report.separator();
+    Report.addRow({"Average", TablePrinter::formatDouble(mean(TimerAll), 1),
+                   TablePrinter::formatDouble(mean(CBSAll), 1), "", ""});
+    Report.print();
     std::printf("\nAOS compile-cycle change (hot methods only), "
                 "dynamic(cbs) vs static-only: %.1f%%\n",
                 mean(CompileDelta));
@@ -191,11 +174,9 @@ int main(int Argc, char **Argv) {
   {
     std::printf("\n--- whole-program compile cost: dynamic(cbs profile) "
                 "vs static-only plans ---\n");
-    TablePrinter TP;
-    std::vector<std::string> Header{"Benchmark", "static Mcyc",
-                                    "dynamic Mcyc", "change %"};
-    TP.setHeader(Header);
-    Report.beginTable("whole_program_compile_cost", Header);
+    Report.beginTable("whole_program_compile_cost",
+                      {"Benchmark", "static Mcyc", "dynamic Mcyc",
+                       "change %"});
     vm::CostModel Costs;
     std::vector<double> Deltas;
     std::vector<std::pair<uint64_t, uint64_t>> CostPairs(Suite.size());
@@ -230,21 +211,15 @@ int main(int Argc, char **Argv) {
           double Delta =
               100.0 * (static_cast<double>(DynCost) / StaticCost - 1.0);
           Deltas.push_back(Delta);
-          std::vector<std::string> Row{
-              Suite[Ctx.Index].Name,
-              TablePrinter::formatDouble(StaticCost / 1e6, 1),
-              TablePrinter::formatDouble(DynCost / 1e6, 1),
-              TablePrinter::formatDouble(Delta, 1)};
-          TP.addRow(Row);
-          Report.addRow(Row);
+          Report.addRow({Suite[Ctx.Index].Name,
+                         TablePrinter::formatDouble(StaticCost / 1e6, 1),
+                         TablePrinter::formatDouble(DynCost / 1e6, 1),
+                         TablePrinter::formatDouble(Delta, 1)});
         });
-    TP.addSeparator();
-    std::vector<std::string> AvgRow{"Average", "", "",
-                                    TablePrinter::formatDouble(mean(Deltas),
-                                                               1)};
-    TP.addRow(AvgRow);
-    Report.addRow(AvgRow);
-    std::fputs(TP.render().c_str(), stdout);
+    Report.separator();
+    Report.addRow(
+        {"Average", "", "", TablePrinter::formatDouble(mean(Deltas), 1)});
+    Report.print();
     std::printf("\npaper landmark: dynamic heuristics reduced compilation "
                 "time ~9%% on average.\n");
   }

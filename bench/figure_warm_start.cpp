@@ -41,8 +41,8 @@ int main(int Argc, char **Argv) {
   unsigned Jobs = jobsFromArgs(Args);
   uint64_t Seed = seedFromArgs(Args);
   Args.finish();
-  printHeader("Warm start",
-              "Profile-repository warm start: time to first optimized install");
+  Report.printHeader(
+      "Profile-repository warm start: time to first optimized install");
 
   opt::NewJikesOracle NewInliner;
   const std::vector<wl::WorkloadInfo> &Suite = wl::suite();
@@ -54,12 +54,9 @@ int main(int Argc, char **Argv) {
   Par.Metrics = &RunnerMetrics;
   exp::ParallelRunner Runner(Par);
 
-  TablePrinter TP;
-  std::vector<std::string> Header{
-      "Benchmark",    "cold first kcyc", "warm first kcyc", "earlier %",
-      "warm enqueued", "warm installs"};
-  TP.setHeader(Header);
-  Report.beginTable("warm_start", Header);
+  Report.beginTable("warm_start",
+                    {"Benchmark", "cold first kcyc", "warm first kcyc",
+                     "earlier %", "warm enqueued", "warm installs"});
 
   Runner.run(
       Suite.size(),
@@ -84,18 +81,16 @@ int main(int Argc, char **Argv) {
                 : 100.0 * (1.0 - static_cast<double>(R.Warm.FirstInstallCycle) /
                                      static_cast<double>(
                                          R.Cold.FirstInstallCycle));
-        std::vector<std::string> Row{
-            std::string(Suite[Ctx.Index].Name),
-            TablePrinter::formatDouble(R.Cold.FirstInstallCycle / 1e3, 1),
-            TablePrinter::formatDouble(R.Warm.FirstInstallCycle / 1e3, 1),
-            TablePrinter::formatDouble(EarlierPct, 1),
-            std::to_string(R.Warm.WarmEnqueued),
-            std::to_string(R.Warm.WarmInstalls)};
-        TP.addRow(Row);
-        Report.addRow(Row);
+        Report.addRow(
+            {std::string(Suite[Ctx.Index].Name),
+             TablePrinter::formatDouble(R.Cold.FirstInstallCycle / 1e3, 1),
+             TablePrinter::formatDouble(R.Warm.FirstInstallCycle / 1e3, 1),
+             TablePrinter::formatDouble(EarlierPct, 1),
+             std::to_string(R.Warm.WarmEnqueued),
+             std::to_string(R.Warm.WarmInstalls)});
       });
 
-  std::fputs(TP.render().c_str(), stdout);
+  Report.print();
   std::printf(
       "\nReading: wherever the cold run installed optimized code at all "
       "(cold first > 0), the warm column must be strictly earlier — the "

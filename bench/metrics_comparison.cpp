@@ -31,13 +31,12 @@ using namespace cbs::bench;
 
 int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
+  BenchReport Report(Args, "Metrics comparison");
   Args.finish();
-  printHeader("Metrics comparison",
-              "accuracy is client-dependent (§6.2 / §5.1)");
+  Report.printHeader("accuracy is client-dependent (§6.2 / §5.1)");
 
-  TablePrinter TP;
-  TP.setHeader({"Benchmark", "profiler", "overlap", ">1% cover",
-                "top20 order", "site L1 err"});
+  Report.beginTable("metrics", {"Benchmark", "profiler", "overlap",
+                                ">1% cover", "top20 order", "site L1 err"});
 
   std::vector<double> TimerCover, TimerOverlap;
   for (const wl::WorkloadInfo &W : wl::suite()) {
@@ -67,18 +66,18 @@ int main(int Argc, char **Argv) {
           100 * prof::hotEdgeCoverage(DCG, Perfect.DCG, NumHot);
       double Order = 100 * prof::hotOrderAgreement(DCG, Perfect.DCG, 20);
       double SiteErr = prof::siteDistributionError(DCG, Perfect.DCG);
-      TP.addRow({std::string(W.Name), UseCBS ? "cbs" : "timer",
-                 TablePrinter::formatDouble(Overlap, 0),
-                 TablePrinter::formatDouble(Cover, 0),
-                 TablePrinter::formatDouble(Order, 0),
-                 TablePrinter::formatDouble(SiteErr, 2)});
+      Report.addRow({std::string(W.Name), UseCBS ? "cbs" : "timer",
+                     TablePrinter::formatDouble(Overlap, 0),
+                     TablePrinter::formatDouble(Cover, 0),
+                     TablePrinter::formatDouble(Order, 0),
+                     TablePrinter::formatDouble(SiteErr, 2)});
       if (!UseCBS) {
         TimerCover.push_back(Cover);
         TimerOverlap.push_back(Overlap);
       }
     }
   }
-  std::fputs(TP.render().c_str(), stdout);
+  Report.print();
   std::printf("\ntimer averages: overlap %.0f, but coverage of the >1%%-"
               "weight edges is %.0f —\nthe only question the old Jikes "
               "inliner asked. A conservative is-it-hot client\nsees "

@@ -19,14 +19,11 @@ int main(int Argc, char **Argv) {
   support::ArgParser Args(Argc, Argv);
   BenchReport Report(Args, "Table 1");
   Args.finish();
-  printHeader("Table 1", "Benchmarks used in this study");
+  Report.printHeader("Benchmarks used in this study");
 
-  TablePrinter TP;
-  std::vector<std::string> Header{"Benchmark", "Cycles(M) small", "Meth exe",
-                                  "Size (K)", "Cycles(M) large", "Meth exe",
-                                  "Size (K)"};
-  TP.setHeader(Header);
-  Report.beginTable("benchmarks", Header);
+  Report.beginTable("benchmarks",
+                    {"Benchmark", "Cycles(M) small", "Meth exe", "Size (K)",
+                     "Cycles(M) large", "Meth exe", "Size (K)"});
 
   for (const wl::WorkloadInfo &W : wl::suite()) {
     std::vector<std::string> Row{W.Name};
@@ -41,10 +38,9 @@ int main(int Argc, char **Argv) {
       Row.push_back(std::to_string(PP.MethodsExecuted));
       Row.push_back(TablePrinter::formatDouble(ExecutedBytes / 1024.0, 0));
     }
-    TP.addRow(Row);
     Report.addRow(Row);
   }
-  std::fputs(TP.render().c_str(), stdout);
+  Report.print();
   std::printf("\nPaper reference (small input): compress 243 methods/22K, "
               "jess 662/42K,\njavac 939/86K, daikon 1671/140K, kawa "
               "1794/96K, soot 1215/111K.\n");

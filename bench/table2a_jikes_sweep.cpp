@@ -4,9 +4,9 @@
 //
 // Table 2A: overhead and accuracy of counter-based sampling on the
 // Jikes RVM personality, over a grid of Stride (columns) and
-// Samples-per-timer-tick (rows). Each cell prints "overhead%/accuracy".
-// Values are the average over all benchmarks (small inputs), median
-// over CBSVM_RUNS seeds.
+// Samples-per-timer-tick (rows), printed as two grids: overhead % and
+// accuracy. Values are the average over all benchmarks (small inputs),
+// median over CBSVM_RUNS seeds.
 //
 // The paper's landmarks to compare against: the (1,1) corner is the
 // original timer-quality profile (~38% accuracy); a knee such as
@@ -27,9 +27,8 @@ int main(int Argc, char **Argv) {
   unsigned Jobs = jobsFromArgs(Args);
   uint64_t Seed = seedFromArgs(Args);
   Args.finish();
-  printHeader("Table 2A",
-              "Overhead%/Accuracy over the Stride x Samples grid (Jikes "
-              "RVM personality)");
+  Report.printHeader("Overhead%/Accuracy over the Stride x Samples grid "
+                     "(Jikes RVM personality)");
 
   std::vector<uint32_t> Strides = {1, 3, 7, 15, 31, 63};
   std::vector<uint32_t> Samples = {1,  2,   4,   8,    16,  32,
@@ -53,39 +52,9 @@ int main(int Argc, char **Argv) {
                     wl::InputSize::Small, Strides, Samples, Runs, Seed, Par);
   printRunnerSummary(RunnerMetrics);
 
-  TablePrinter TP;
-  std::vector<std::string> Header{"Samples\\Stride"};
-  for (uint32_t S : R.Strides)
-    Header.push_back(std::to_string(S));
-  TP.setHeader(Header);
-  // The JSON mirror splits the "overhead/accuracy" cells into two
-  // numeric tables.
   Report.note("personality", "jikes");
   Report.note("runs", std::to_string(Runs));
-  Report.beginTable("overhead_pct", Header);
-  for (size_t SI = 0; SI != R.SamplesPerTick.size(); ++SI) {
-    std::vector<std::string> Row{std::to_string(R.SamplesPerTick[SI])};
-    for (size_t TI = 0; TI != R.Strides.size(); ++TI)
-      Row.push_back(
-          TablePrinter::formatDouble(R.Cells[SI][TI].OverheadPct, 3));
-    Report.addRow(Row);
-  }
-  Report.beginTable("accuracy_pct", Header);
-  for (size_t SI = 0; SI != R.SamplesPerTick.size(); ++SI) {
-    std::vector<std::string> Row{std::to_string(R.SamplesPerTick[SI])};
-    for (size_t TI = 0; TI != R.Strides.size(); ++TI)
-      Row.push_back(
-          TablePrinter::formatDouble(R.Cells[SI][TI].AccuracyPct, 2));
-    Report.addRow(Row);
-  }
-  for (size_t SI = 0; SI != R.SamplesPerTick.size(); ++SI) {
-    std::vector<std::string> Row{std::to_string(R.SamplesPerTick[SI])};
-    for (size_t TI = 0; TI != R.Strides.size(); ++TI)
-      Row.push_back(cell(R.Cells[SI][TI]));
-    TP.addRow(Row);
-  }
-  std::fputs(TP.render().c_str(), stdout);
-  std::printf("\ncell = overhead%% / accuracy (overlap %%, 0-100)\n");
+  reportSweep(Report, R);
   std::printf("paper landmarks: (1,1) ~= -/38; (3,32) ~= 0.3/66; large "
               "samples rows cost tens of %% overhead\n");
   return 0;

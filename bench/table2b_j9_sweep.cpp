@@ -21,9 +21,8 @@ int main(int Argc, char **Argv) {
   unsigned Jobs = jobsFromArgs(Args);
   uint64_t Seed = seedFromArgs(Args);
   Args.finish();
-  printHeader("Table 2B",
-              "Overhead%/Accuracy over the Stride x Samples grid (J9 "
-              "personality)");
+  Report.printHeader("Overhead%/Accuracy over the Stride x Samples grid "
+                     "(J9 personality)");
 
   std::vector<uint32_t> Strides = {1, 3, 7, 15, 31, 63};
   std::vector<uint32_t> Samples = {1,  2,   4,   8,    16,  32,
@@ -47,39 +46,9 @@ int main(int Argc, char **Argv) {
                     Strides, Samples, Runs, Seed, Par);
   printRunnerSummary(RunnerMetrics);
 
-  TablePrinter TP;
-  std::vector<std::string> Header{"Samples\\Stride"};
-  for (uint32_t S : R.Strides)
-    Header.push_back(std::to_string(S));
-  TP.setHeader(Header);
-  // The JSON mirror splits the "overhead/accuracy" cells into two
-  // numeric tables.
   Report.note("personality", "j9");
   Report.note("runs", std::to_string(Runs));
-  Report.beginTable("overhead_pct", Header);
-  for (size_t SI = 0; SI != R.SamplesPerTick.size(); ++SI) {
-    std::vector<std::string> Row{std::to_string(R.SamplesPerTick[SI])};
-    for (size_t TI = 0; TI != R.Strides.size(); ++TI)
-      Row.push_back(
-          TablePrinter::formatDouble(R.Cells[SI][TI].OverheadPct, 3));
-    Report.addRow(Row);
-  }
-  Report.beginTable("accuracy_pct", Header);
-  for (size_t SI = 0; SI != R.SamplesPerTick.size(); ++SI) {
-    std::vector<std::string> Row{std::to_string(R.SamplesPerTick[SI])};
-    for (size_t TI = 0; TI != R.Strides.size(); ++TI)
-      Row.push_back(
-          TablePrinter::formatDouble(R.Cells[SI][TI].AccuracyPct, 2));
-    Report.addRow(Row);
-  }
-  for (size_t SI = 0; SI != R.SamplesPerTick.size(); ++SI) {
-    std::vector<std::string> Row{std::to_string(R.SamplesPerTick[SI])};
-    for (size_t TI = 0; TI != R.Strides.size(); ++TI)
-      Row.push_back(cell(R.Cells[SI][TI]));
-    TP.addRow(Row);
-  }
-  std::fputs(TP.render().c_str(), stdout);
-  std::printf("\ncell = overhead%% / accuracy (overlap %%, 0-100)\n");
+  reportSweep(Report, R);
   std::printf("paper landmarks: (1,1) ~= -/37; (7,32) ~= 0.5/69\n");
   return 0;
 }

@@ -30,7 +30,7 @@ int main(int Argc, char **Argv) {
   uint64_t Seed = seedFromArgs(Args);
   Args.finish();
   unsigned Runs = exp::envRuns(3);
-  printHeader("Table 3", "Per-benchmark overhead and accuracy breakdown");
+  Report.printHeader("Per-benchmark overhead and accuracy breakdown");
   std::printf("runs per cell: %u (CBSVM_RUNS)\n\n", Runs);
   Report.note("runs", std::to_string(Runs));
   tel::MetricRegistry RunnerMetrics;
@@ -45,19 +45,16 @@ int main(int Argc, char **Argv) {
                                                   : "CBS(1,1)",
                 CBS.CBS.Stride, CBS.CBS.SamplesPerTick);
 
-    TablePrinter TP;
-    std::vector<std::string> Header{"Benchmark", "Base ovh%", "Base acc",
-                                    "CBS ovh%", "CBS acc"};
-    TP.setHeader(Header);
     Report.beginTable(Pers == vm::Personality::JikesRVM ? "jikes" : "j9",
-                      Header);
+                      {"Benchmark", "Base ovh%", "Base acc", "CBS ovh%",
+                       "CBS acc"});
     for (wl::InputSize Size :
          {wl::InputSize::Small, wl::InputSize::Large}) {
       std::vector<double> BaseAcc, CBSAcc, BaseOvh, CBSOvh;
       // One task per workload; both configurations are measured inside
       // the task (serial inner harness — no nested pools) and rows
-      // commit in suite order, keeping the table and the JSON mirror
-      // byte-identical to the serial schedule.
+      // commit in suite order, keeping the table byte-identical to the
+      // serial schedule.
       const std::vector<wl::WorkloadInfo> &Suite = wl::suite();
       std::vector<std::pair<exp::AccuracyCell, exp::AccuracyCell>> Cells(
           Suite.size());
@@ -80,30 +77,25 @@ int main(int Argc, char **Argv) {
           [&](exp::ParallelRunner::TaskContext &Ctx) {
             const wl::WorkloadInfo &W = Suite[Ctx.Index];
             const auto &[BaseCell, CBSCell] = Cells[Ctx.Index];
-            std::vector<std::string> Row{
-                std::string(W.Name) + "-" + wl::inputSizeName(Size),
-                TablePrinter::formatDouble(BaseCell.OverheadPct, 2),
-                TablePrinter::formatDouble(BaseCell.AccuracyPct, 0),
-                TablePrinter::formatDouble(CBSCell.OverheadPct, 2),
-                TablePrinter::formatDouble(CBSCell.AccuracyPct, 0)};
-            TP.addRow(Row);
-            Report.addRow(Row);
+            Report.addRow(
+                {std::string(W.Name) + "-" + wl::inputSizeName(Size),
+                 TablePrinter::formatDouble(BaseCell.OverheadPct, 2),
+                 TablePrinter::formatDouble(BaseCell.AccuracyPct, 0),
+                 TablePrinter::formatDouble(CBSCell.OverheadPct, 2),
+                 TablePrinter::formatDouble(CBSCell.AccuracyPct, 0)});
             BaseAcc.push_back(BaseCell.AccuracyPct);
             CBSAcc.push_back(CBSCell.AccuracyPct);
             BaseOvh.push_back(BaseCell.OverheadPct);
             CBSOvh.push_back(CBSCell.OverheadPct);
           });
-      std::vector<std::string> AvgRow{
-          std::string("Average ") + wl::inputSizeName(Size),
-          TablePrinter::formatDouble(mean(BaseOvh), 2),
-          TablePrinter::formatDouble(mean(BaseAcc), 0),
-          TablePrinter::formatDouble(mean(CBSOvh), 2),
-          TablePrinter::formatDouble(mean(CBSAcc), 0)};
-      TP.addRow(AvgRow);
-      Report.addRow(AvgRow);
-      TP.addSeparator();
+      Report.addRow({std::string("Average ") + wl::inputSizeName(Size),
+                     TablePrinter::formatDouble(mean(BaseOvh), 2),
+                     TablePrinter::formatDouble(mean(BaseAcc), 0),
+                     TablePrinter::formatDouble(mean(CBSOvh), 2),
+                     TablePrinter::formatDouble(mean(CBSAcc), 0)});
+      Report.separator();
     }
-    std::fputs(TP.render().c_str(), stdout);
+    Report.print();
     std::printf("\n");
   }
   std::printf("paper landmarks (Jikes): small avg 26 (base) vs 55 (cbs); "

@@ -9,7 +9,8 @@
 #  - CLI determinism: warm start at baseline vs shards 8 + compile-jobs 4
 #  - compile queue, deoptimization, on-stack replacement
 #  - self-observability report, profile repository warm start
-#  - text/JSON agreement; writes to a full device fail
+#  - text/JSON agreement (cbsvm report/stats, then the fast bench
+#    binaries); writes to a full device fail
 #  - ASan + UBSan, then TSan
 #
 # Usage: scripts/check.sh [build-dir]
@@ -327,6 +328,41 @@ check_text_json "$AGREEDIR/report.json" "$AGREEDIR/report.txt" report
 "$CBSVM" stats jess --aos >"$AGREEDIR/stats.txt"
 "$CBSVM" stats jess --aos --json - >"$AGREEDIR/stats.json"
 check_text_json "$AGREEDIR/stats.json" "$AGREEDIR/stats.txt" stats
+
+echo "== bench text/JSON agreement =="
+# Every table/figure binary prints its text and its --json from the same
+# report rows. On the fast binaries, each JSON output must be valid and
+# each JSON row's cell lexemes must appear, in order, on one line of the
+# text.
+for B in figure1_timer_bias ablation_phase_shift figure_warm_start \
+         ablation_generality convergence_curve metrics_comparison \
+         ablation_exhaustive ablation_entry_check; do
+  CBSVM_RUNS=1 "$BUILD/bench/$B" >"$AGREEDIR/$B.txt"
+  CBSVM_RUNS=1 "$BUILD/bench/$B" --json "$AGREEDIR/$B.json" >/dev/null
+  "$CBSVM" jsoncheck "$AGREEDIR/$B.json"
+  python3 - "$AGREEDIR/$B.json" "$AGREEDIR/$B.txt" "$B" <<'EOF'
+import json, sys
+doc = json.loads(open(sys.argv[1]).read(), parse_float=str, parse_int=str)
+lines = open(sys.argv[2]).read().splitlines()
+
+def on_one_line(cells):
+    for line in lines:
+        pos = 0
+        for cell in cells:
+            pos = line.find(cell, pos)
+            if pos < 0:
+                break
+            pos += len(cell)
+        else:
+            return True
+    return False
+
+rows = [row for table in doc["tables"] for row in table["rows"]]
+missing = [row for row in rows if not on_one_line(row)]
+assert rows and not missing, missing[:5]
+print(f"{sys.argv[3]}: all {len(rows)} JSON rows appear in the text")
+EOF
+done
 
 # A write that fails (here: a full device) is an error, not a success:
 # a --json/--metrics-json FILE, standard output, and a bench report.

@@ -5,9 +5,9 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-width table renderer used by the bench binaries to print
-/// paper-style tables (Table 1, Table 2A/2B, Table 3) and figure series,
-/// and by json::writeText for the text view of a JSON document.
+/// A small fixed-width table renderer: the text view of the bench
+/// binaries' tables (bench::BenchReport::print) and of a JSON document
+/// (json::writeText).
 /// Columns auto-size to their widest cell; numeric cells are right
 /// aligned, text cells left aligned.
 ///
