@@ -27,7 +27,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -198,9 +197,7 @@ private:
   /// Cells that match the JSON number grammar exactly pass through as
   /// raw JSON; anything else (inf, nan, hex, "1.", "+1") is a string.
   static void emitCell(json::JsonWriter &W, const std::string &Cell) {
-    static const std::regex Number(
-        R"(-?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?)");
-    if (std::regex_match(Cell, Number))
+    if (json::isNumber(Cell))
       W.raw(Cell);
     else
       W.value(Cell);

@@ -11,6 +11,8 @@
 #  - self-observability report, profile repository warm start
 #  - text/JSON agreement (cbsvm report/stats, then the fast bench
 #    binaries); writes to a full device fail
+#  - pinned virtual time: the perf ledger's smoke test matches every
+#    benchmark workload's pinned digests
 #  - ASan + UBSan, then TSan
 #
 # Usage: scripts/check.sh [build-dir]
@@ -374,6 +376,17 @@ if [[ -e /dev/full ]]; then
   fails "$BUILD/bench/table1_benchmarks" --json /dev/full >/dev/null
   echo "writes to a full device fail with a nonzero exit"
 fi
+
+echo "== pinned virtual time =="
+# The perf ledger (bench/ledger, a standalone project over the same
+# sources) runs all four benchmark workloads at 1/50 scale; ledger_smoke
+# fails unless every unit's digest (virtual cycles, outputs, profiles)
+# matches the value pinned in bench/ledger/expected.json. It builds into
+# the directory bench/ledger/run.py uses.
+LEDGER_BUILD=.bench_build/ledger
+cmake -S bench/ledger -B "$LEDGER_BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo
+cmake --build "$LEDGER_BUILD" -j
+(cd "$LEDGER_BUILD" && ctest --output-on-failure -R ledger_smoke)
 
 echo "== address + undefined-behaviour sanitizers: code cache reclamation =="
 # Every AOS run frees retired code the moment its last frame leaves, so

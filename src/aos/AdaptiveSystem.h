@@ -252,20 +252,19 @@ private:
 /// --compile-latency-scale, --deopt-threshold, --max-deopts. Options
 /// that only make sense with the adaptive system imply it, so
 /// "--compile-jobs 4" alone does the expected thing; finalize() applies
-/// the cross-cutting implications onto the VM config after every group
-/// has parsed.
-class AOSOptionGroup : public support::OptionGroup {
+/// the cross-cutting implications onto the VM config once
+/// VMConfig::fromArgs has parsed it.
+class AOSOptionGroup {
 public:
   /// --aos, or any option above that implies it (or EnableOSR, applied
   /// in finalize()).
   bool UseAOS = false;
   AOSConfig Config;
 
-  const char *name() const override { return "aos"; }
-  void parse(support::ArgParser &Args) override;
+  void parse(support::ArgParser &Args);
 
   /// Applies --compile-latency-scale onto \p VMC's cost model and lets
-  /// VMConfig::EnableOSR (parsed by the VM group) imply --aos.
+  /// VMConfig::EnableOSR (parsed by VMConfig::fromArgs) imply --aos.
   void finalize(vm::VMConfig &VMC);
 
 private:

@@ -181,8 +181,7 @@ void MethodBuilder::finish() {
     LabelBoundAtEnd |= PC == Code.size();
   if (!M.HasResult &&
       (Code.empty() || LabelBoundAtEnd ||
-       (!isReturn(Code.back().Op) && Code.back().Op != Opcode::Goto &&
-        Code.back().Op != Opcode::Halt)))
+       fallsThrough(Code.back().Op)))
     Code.emplace_back(Opcode::Return);
 
   for (auto [InstIndex, LabelIndex] : Fixups) {

@@ -31,6 +31,13 @@ struct Instruction {
       : Op(Op), A(A), B(B), Site(Site) {}
 };
 
+/// Base (unscaled) virtual-cycle cost of executing \p I: its opcode's
+/// table cycles, or its operand for `work`.
+inline uint32_t instructionCycles(const Instruction &I) {
+  return I.Op == Opcode::Work ? static_cast<uint32_t>(I.A)
+                              : opcodeInfo(I.Op).Cycles;
+}
+
 } // namespace cbs::bc
 
 #endif // CBSVM_BYTECODE_INSTRUCTION_H

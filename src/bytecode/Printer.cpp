@@ -14,51 +14,34 @@ using namespace cbs::bc;
 std::string bc::printInstruction(const Program &P, const Instruction &I) {
   std::ostringstream OS;
   OS << opcodeName(I.Op);
-  switch (I.Op) {
-  case Opcode::IConst:
-  case Opcode::ILoad:
-  case Opcode::IStore:
-  case Opcode::ALoad:
-  case Opcode::AStore:
-  case Opcode::GetField:
-  case Opcode::PutField:
-  case Opcode::Work:
+  switch (operandKind(I.Op)) {
+  case OperandKind::None:
+    break;
+  case OperandKind::Imm:
+  case OperandKind::Slot:
+  case OperandKind::Field:
+  case OperandKind::Cycles:
     OS << ' ' << I.A;
     break;
-  case Opcode::IInc:
+  case OperandKind::SlotImm:
     OS << ' ' << I.A << ' ' << I.B;
     break;
-  case Opcode::Goto:
-  case Opcode::IfEq:
-  case Opcode::IfNe:
-  case Opcode::IfLt:
-  case Opcode::IfLe:
-  case Opcode::IfGt:
-  case Opcode::IfGe:
-  case Opcode::IfICmpEq:
-  case Opcode::IfICmpNe:
-  case Opcode::IfICmpLt:
-  case Opcode::IfICmpGe:
+  case OperandKind::Target:
     OS << " -> " << I.A;
     break;
-  case Opcode::New:
-  case Opcode::ClassEq:
+  case OperandKind::Class:
     OS << ' ' << P.hierarchy().classOf(static_cast<ClassId>(I.A)).Name;
     break;
-  case Opcode::InvokeStatic:
-    OS << ' ' << P.qualifiedName(static_cast<MethodId>(I.A)) << " (site "
-       << I.Site << ')';
-    break;
-  case Opcode::InvokeVirtual:
-    OS << ' ' << P.hierarchy().selectorName(static_cast<SelectorId>(I.A))
-       << "/" << I.B << " (site " << I.Site << ')';
-    break;
-  case Opcode::Spawn:
+  case OperandKind::Method:
     OS << ' ' << P.qualifiedName(static_cast<MethodId>(I.A));
     break;
-  default:
+  case OperandKind::Selector:
+    OS << ' ' << P.hierarchy().selectorName(static_cast<SelectorId>(I.A))
+       << "/" << I.B;
     break;
   }
+  if (isCall(I.Op))
+    OS << " (site " << I.Site << ')';
   return OS.str();
 }
 

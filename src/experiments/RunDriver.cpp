@@ -35,17 +35,16 @@ RunSetup parseRunSetup(support::ArgParser &Args) {
     Args.fail("unknown workload '" + S.Name + "' (try 'cbsvm list')");
 
   S.Size = parseSizeOption(Args);
-  // The shared option groups: the VM group (--personality, --seed,
-  // --profiler and its knobs, --osr), the AOS group (--aos,
+  // The shared options, pulled in this order: the VM's (--personality,
+  // --seed, --profiler and its knobs, --osr), the AOS's (--aos,
   // --compile-jobs, --compile-latency-scale, --deopt-threshold,
-  // --max-deopts), and the profile repository (--profile-repo). Each
-  // option is declared once, in its group, for every subcommand.
-  vm::VMOptionGroup VMOpts;
+  // --max-deopts), then the profile repository (--profile-repo). Each
+  // is declared here once for every subcommand.
+  S.Config = vm::VMConfig::fromArgs(Args);
   aos::AOSOptionGroup AOSOpts;
-  prof::ProfileRepoOptionGroup RepoOpts;
-  support::applyGroups(Args, {&VMOpts, &AOSOpts, &RepoOpts});
+  AOSOpts.parse(Args);
+  S.RepoDir = Args.option("--profile-repo", "");
 
-  S.Config = std::move(VMOpts.Config);
   S.Pers = S.Config.Pers;
   S.Seed = S.Config.Seed;
 
@@ -56,7 +55,6 @@ RunSetup parseRunSetup(support::ArgParser &Args) {
   S.UseAOS = AOSOpts.UseAOS;
   S.AOS = AOSOpts.Config;
   // Warm start is an AOS feature, so the repository implies --aos.
-  S.RepoDir = RepoOpts.Dir;
   if (!S.RepoDir.empty())
     S.UseAOS = true;
   return S;

@@ -52,7 +52,7 @@ struct RunSetup {
 };
 
 /// Pulls the workload name (a Table 1 workload or "phased") and the
-/// shared VM, AOS and profile-repository option groups, then builds the
+/// shared VM, AOS and profile-repository options, then builds the
 /// program. Errors route through \p Args' error handler.
 RunSetup parseRunSetup(support::ArgParser &Args);
 

@@ -211,44 +211,30 @@ private:
          ++PC) {
       Map[PC] = static_cast<uint32_t>(NewCode.size());
       const Instruction &I = M.Code[PC];
-      switch (I.Op) {
-      case Opcode::ILoad:
-      case Opcode::IStore:
-      case Opcode::ALoad:
-      case Opcode::AStore:
-        NewCode.emplace_back(I.Op, mapSlot(I.A));
-        break;
-      case Opcode::IInc:
-        NewCode.emplace_back(I.Op, mapSlot(I.A), I.B);
-        break;
-      case Opcode::Goto:
-      case Opcode::IfEq:
-      case Opcode::IfNe:
-      case Opcode::IfLt:
-      case Opcode::IfLe:
-      case Opcode::IfGt:
-      case Opcode::IfGe:
-      case Opcode::IfICmpEq:
-      case Opcode::IfICmpNe:
-      case Opcode::IfICmpLt:
-      case Opcode::IfICmpGe:
-        BranchFixups.emplace_back(NewCode.size(),
-                                  static_cast<uint32_t>(I.A));
-        NewCode.push_back(I);
-        break;
-      case Opcode::Return:
-      case Opcode::IReturn:
-      case Opcode::AReturn:
+      if (isReturn(I.Op)) {
         if (Depth == 0) {
           NewCode.push_back(I);
         } else {
           ReturnFixups.push_back(NewCode.size());
           NewCode.emplace_back(Opcode::Goto, /*A=*/-1);
         }
-        break;
-      case Opcode::InvokeStatic:
-      case Opcode::InvokeVirtual:
+        continue;
+      }
+      if (isCall(I.Op)) {
         emitCall(I, Depth);
+        continue;
+      }
+      switch (operandKind(I.Op)) {
+      case OperandKind::Slot:
+        NewCode.emplace_back(I.Op, mapSlot(I.A));
+        break;
+      case OperandKind::SlotImm:
+        NewCode.emplace_back(I.Op, mapSlot(I.A), I.B);
+        break;
+      case OperandKind::Target:
+        BranchFixups.emplace_back(NewCode.size(),
+                                  static_cast<uint32_t>(I.A));
+        NewCode.push_back(I);
         break;
       default:
         NewCode.push_back(I);

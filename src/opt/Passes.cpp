@@ -6,8 +6,6 @@
 
 #include "opt/Passes.h"
 
-#include "support/ErrorHandling.h"
-
 #include <algorithm>
 #include <cassert>
 #include <deque>
@@ -30,119 +28,6 @@ opt::computeBranchTargets(const std::vector<Instruction> &Code) {
 }
 
 namespace {
-
-/// Wrap-around arithmetic matching the interpreter exactly.
-int64_t evalBinop(Opcode Op, int64_t L, int64_t R) {
-  uint64_t UL = static_cast<uint64_t>(L), UR = static_cast<uint64_t>(R);
-  switch (Op) {
-  case Opcode::IAdd:
-    return static_cast<int64_t>(UL + UR);
-  case Opcode::ISub:
-    return static_cast<int64_t>(UL - UR);
-  case Opcode::IMul:
-    return static_cast<int64_t>(UL * UR);
-  case Opcode::IDiv:
-    assert(R != 0 && "folding a trapping division");
-    if (L == INT64_MIN && R == -1)
-      return INT64_MIN;
-    return L / R;
-  case Opcode::IRem:
-    assert(R != 0 && "folding a trapping remainder");
-    if (L == INT64_MIN && R == -1)
-      return 0;
-    return L % R;
-  case Opcode::IAnd:
-    return L & R;
-  case Opcode::IOr:
-    return L | R;
-  case Opcode::IXor:
-    return L ^ R;
-  case Opcode::IShl:
-    return static_cast<int64_t>(UL << (UR & 63));
-  case Opcode::IShr:
-    return L >> (UR & 63);
-  default:
-    cbsUnreachable("not a foldable binop");
-  }
-}
-
-bool isFoldableBinop(Opcode Op) {
-  switch (Op) {
-  case Opcode::IAdd:
-  case Opcode::ISub:
-  case Opcode::IMul:
-  case Opcode::IDiv:
-  case Opcode::IRem:
-  case Opcode::IAnd:
-  case Opcode::IOr:
-  case Opcode::IXor:
-  case Opcode::IShl:
-  case Opcode::IShr:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool evalCondition(Opcode Op, int64_t V) {
-  switch (Op) {
-  case Opcode::IfEq:
-    return V == 0;
-  case Opcode::IfNe:
-    return V != 0;
-  case Opcode::IfLt:
-    return V < 0;
-  case Opcode::IfLe:
-    return V <= 0;
-  case Opcode::IfGt:
-    return V > 0;
-  case Opcode::IfGe:
-    return V >= 0;
-  default:
-    cbsUnreachable("not a unary condition");
-  }
-}
-
-bool evalCompare(Opcode Op, int64_t L, int64_t R) {
-  switch (Op) {
-  case Opcode::IfICmpEq:
-    return L == R;
-  case Opcode::IfICmpNe:
-    return L != R;
-  case Opcode::IfICmpLt:
-    return L < R;
-  case Opcode::IfICmpGe:
-    return L >= R;
-  default:
-    cbsUnreachable("not a binary compare");
-  }
-}
-
-bool isUnaryCondition(Opcode Op) {
-  switch (Op) {
-  case Opcode::IfEq:
-  case Opcode::IfNe:
-  case Opcode::IfLt:
-  case Opcode::IfLe:
-  case Opcode::IfGt:
-  case Opcode::IfGe:
-    return true;
-  default:
-    return false;
-  }
-}
-
-bool isBinaryCompare(Opcode Op) {
-  switch (Op) {
-  case Opcode::IfICmpEq:
-  case Opcode::IfICmpNe:
-  case Opcode::IfICmpLt:
-  case Opcode::IfICmpGe:
-    return true;
-  default:
-    return false;
-  }
-}
 
 /// Does a call instruction push a result? (Selector result arity is
 /// derived from any implementation; the verifier enforces consistency.)
@@ -180,10 +65,10 @@ bool opt::foldConstants(const Program &P, std::vector<Instruction> &Code) {
     Opcode Op = Code[I].Op;
 
     // IConst a; IConst b; binop  ->  nop; nop; IConst(a op b)
-    if (I >= 2 && isFoldableBinop(Op) && Code[I - 1].Op == Opcode::IConst &&
+    if (I >= 2 && isBinop(Op) && Code[I - 1].Op == Opcode::IConst &&
         Code[I - 2].Op == Opcode::IConst && !Targets[I] && !Targets[I - 1]) {
       int64_t L = Code[I - 2].A, R = Code[I - 1].A;
-      if ((Op == Opcode::IDiv || Op == Opcode::IRem) && R == 0)
+      if (trapsOnZero(Op) && R == 0)
         continue; // Preserve the trap.
       int64_t V = evalBinop(Op, L, R);
       if (V < INT32_MIN || V > INT32_MAX)
@@ -198,7 +83,7 @@ bool opt::foldConstants(const Program &P, std::vector<Instruction> &Code) {
     // IConst c; ineg -> nop; IConst(-c)
     if (I >= 1 && Op == Opcode::INeg && Code[I - 1].Op == Opcode::IConst &&
         !Targets[I]) {
-      int64_t V = -static_cast<int64_t>(Code[I - 1].A);
+      int64_t V = evalNeg(Code[I - 1].A);
       if (V < INT32_MIN || V > INT32_MAX)
         continue;
       Code[I - 1] = Instruction(Opcode::Nop);
@@ -208,9 +93,9 @@ bool opt::foldConstants(const Program &P, std::vector<Instruction> &Code) {
     }
 
     // IConst c; if<cond> -> nop; (goto | nop)
-    if (I >= 1 && isUnaryCondition(Op) && Code[I - 1].Op == Opcode::IConst &&
-        !Targets[I]) {
-      bool Taken = evalCondition(Op, Code[I - 1].A);
+    if (I >= 1 && flowKind(Op) == FlowKind::UnaryCond &&
+        Code[I - 1].Op == Opcode::IConst && !Targets[I]) {
+      bool Taken = branchTaken(Op, Code[I - 1].A, 0);
       Code[I - 1] = Instruction(Opcode::Nop);
       Code[I] = Taken ? Instruction(Opcode::Goto, Code[I].A)
                       : Instruction(Opcode::Nop);
@@ -219,9 +104,10 @@ bool opt::foldConstants(const Program &P, std::vector<Instruction> &Code) {
     }
 
     // IConst a; IConst b; if_icmp<cond> -> nop; nop; (goto | nop)
-    if (I >= 2 && isBinaryCompare(Op) && Code[I - 1].Op == Opcode::IConst &&
-        Code[I - 2].Op == Opcode::IConst && !Targets[I] && !Targets[I - 1]) {
-      bool Taken = evalCompare(Op, Code[I - 2].A, Code[I - 1].A);
+    if (I >= 2 && flowKind(Op) == FlowKind::BinaryCond &&
+        Code[I - 1].Op == Opcode::IConst && Code[I - 2].Op == Opcode::IConst &&
+        !Targets[I] && !Targets[I - 1]) {
+      bool Taken = branchTaken(Op, Code[I - 2].A, Code[I - 1].A);
       Code[I - 2] = Instruction(Opcode::Nop);
       Code[I - 1] = Instruction(Opcode::Nop);
       Code[I] = Taken ? Instruction(Opcode::Goto, Code[I].A)
@@ -263,17 +149,9 @@ bool opt::propagateLocalConstants(const Program &P,
   };
   uint32_t MaxSlot = 0;
   for (const Instruction &I : Code)
-    switch (I.Op) {
-    case Opcode::ILoad:
-    case Opcode::IStore:
-    case Opcode::IInc:
-    case Opcode::ALoad:
-    case Opcode::AStore:
+    if (operandKind(I.Op) == OperandKind::Slot ||
+        operandKind(I.Op) == OperandKind::SlotImm)
       MaxSlot = std::max(MaxSlot, static_cast<uint32_t>(I.A));
-      break;
-    default:
-      break;
-    }
   Locals.assign(MaxSlot + 1, std::nullopt);
 
   auto pop = [&]() -> std::optional<int64_t> {
@@ -292,9 +170,38 @@ bool opt::propagateLocalConstants(const Program &P,
     if (Targets[I])
       reset();
     Instruction &Ins = Code[I];
-    switch (Ins.Op) {
-    case Opcode::Nop:
+    if (isBinop(Ins.Op)) {
+      std::optional<int64_t> R = pop(), L = pop();
+      if (L && R && !(trapsOnZero(Ins.Op) && *R == 0))
+        Stack.push_back(evalBinop(Ins.Op, *L, *R));
+      else
+        Stack.push_back(std::nullopt);
+      continue;
+    }
+    switch (flowKind(Ins.Op)) {
+    case FlowKind::Goto:
+    case FlowKind::Return:
+    case FlowKind::Halt:
+      reset();
+      continue;
+    case FlowKind::UnaryCond:
+      // The fall-through keeps the state: locals are unchanged on the
+      // not-taken path, and the taken path re-enters at a leader where
+      // the state resets anyway.
+      pop();
+      continue;
+    case FlowKind::BinaryCond:
+      popN(2);
+      continue;
+    case FlowKind::Call:
+      popN(static_cast<unsigned>(Ins.B));
+      if (Calls.pushesResult(Ins))
+        Stack.push_back(std::nullopt);
+      continue;
+    case FlowKind::Next:
       break;
+    }
+    switch (Ins.Op) {
     case Opcode::IConst:
       Stack.push_back(static_cast<int64_t>(Ins.A));
       break;
@@ -312,101 +219,34 @@ bool opt::propagateLocalConstants(const Program &P,
       break;
     case Opcode::IInc:
       if (Locals[Ins.A])
-        Locals[Ins.A] = static_cast<int64_t>(
-            static_cast<uint64_t>(*Locals[Ins.A]) +
-            static_cast<uint64_t>(Ins.B));
+        Locals[Ins.A] = evalBinop(Opcode::IAdd, *Locals[Ins.A], Ins.B);
       break;
     case Opcode::ALoad:
     case Opcode::AConstNull:
+    case Opcode::New:
       Stack.push_back(std::nullopt);
       break;
     case Opcode::AStore:
       pop();
       Locals[Ins.A] = std::nullopt;
       break;
-    case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-    case Opcode::IXor:
-    case Opcode::IShl:
-    case Opcode::IShr: {
-      std::optional<int64_t> R = pop(), L = pop();
-      if (L && R)
-        Stack.push_back(evalBinop(Ins.Op, *L, *R));
-      else
-        Stack.push_back(std::nullopt);
-      break;
-    }
-    case Opcode::IDiv:
-    case Opcode::IRem: {
-      std::optional<int64_t> R = pop(), L = pop();
-      if (L && R && *R != 0)
-        Stack.push_back(evalBinop(Ins.Op, *L, *R));
-      else
-        Stack.push_back(std::nullopt);
-      break;
-    }
     case Opcode::INeg: {
       std::optional<int64_t> V = pop();
-      if (V)
-        Stack.push_back(static_cast<int64_t>(-static_cast<uint64_t>(*V)));
-      else
-        Stack.push_back(std::nullopt);
+      Stack.push_back(V ? std::optional<int64_t>(evalNeg(*V)) : std::nullopt);
       break;
     }
-    case Opcode::Goto:
-      reset();
-      break;
-    case Opcode::IfEq:
-    case Opcode::IfNe:
-    case Opcode::IfLt:
-    case Opcode::IfLe:
-    case Opcode::IfGt:
-    case Opcode::IfGe:
-      pop();
-      // The fall-through keeps the state: locals are unchanged on the
-      // not-taken path, and the taken path re-enters at a leader where
-      // the state resets anyway.
-      break;
-    case Opcode::IfICmpEq:
-    case Opcode::IfICmpNe:
-    case Opcode::IfICmpLt:
-    case Opcode::IfICmpGe:
-      popN(2);
-      break;
-    case Opcode::New:
-      Stack.push_back(std::nullopt);
-      break;
     case Opcode::GetField:
+    case Opcode::ClassEq:
       pop();
       Stack.push_back(std::nullopt);
       break;
     case Opcode::PutField:
       popN(2);
       break;
-    case Opcode::ClassEq:
-      pop();
-      Stack.push_back(std::nullopt);
-      break;
-    case Opcode::InvokeStatic:
-    case Opcode::InvokeVirtual:
-      popN(static_cast<unsigned>(Ins.B));
-      if (Calls.pushesResult(Ins))
-        Stack.push_back(std::nullopt);
-      break;
-    case Opcode::Return:
-    case Opcode::IReturn:
-    case Opcode::AReturn:
-    case Opcode::Halt:
-      reset();
-      break;
-    case Opcode::Work:
-    case Opcode::Spawn:
-      break;
     case Opcode::Print:
       pop();
+      break;
+    default: // nop, work, spawn: no operand-stack effect
       break;
     }
   }
@@ -459,9 +299,7 @@ bool opt::removeUnreachable(const Program &P, std::vector<Instruction> &Code) {
     const Instruction &I = Code[PC];
     if (isBranch(I.Op))
       Worklist.push_back(static_cast<uint32_t>(I.A));
-    bool FallsThrough = I.Op != Opcode::Goto && !isReturn(I.Op) &&
-                        I.Op != Opcode::Halt;
-    if (FallsThrough)
+    if (fallsThrough(I.Op))
       Worklist.push_back(PC + 1);
   }
   bool Changed = false;

@@ -180,7 +180,3 @@ RepoCommitResult ProfileRepository::commit(const RepoKey &Key,
   Result.Runs = Meta.Runs;
   return Result;
 }
-
-void ProfileRepoOptionGroup::parse(support::ArgParser &Args) {
-  Dir = Args.option("--profile-repo", "");
-}

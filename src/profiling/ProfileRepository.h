@@ -50,7 +50,6 @@
 #define CBSVM_PROFILING_PROFILEREPOSITORY_H
 
 #include "profiling/ProfileCodec.h"
-#include "support/ArgParser.h"
 
 #include <cstdint>
 #include <optional>
@@ -125,20 +124,6 @@ public:
 
 private:
   std::string Dir;
-};
-
-/// The one declaration of --profile-repo: every cbsvm subcommand that
-/// supports the repository registers this group instead of re-wiring
-/// the option.
-class ProfileRepoOptionGroup : public support::OptionGroup {
-public:
-  /// Repository directory; empty when --profile-repo was not given.
-  std::string Dir;
-
-  bool enabled() const { return !Dir.empty(); }
-
-  const char *name() const override { return "profile-repo"; }
-  void parse(support::ArgParser &Args) override;
 };
 
 } // namespace cbs::prof

@@ -116,11 +116,3 @@ void ArgParser::finish() {
     if (!Consumed[I])
       fail("unexpected argument '" + Args[I] + "'");
 }
-
-OptionGroup::~OptionGroup() = default;
-
-void cbs::support::applyGroups(ArgParser &Args,
-                               std::initializer_list<OptionGroup *> Groups) {
-  for (OptionGroup *G : Groups)
-    G->parse(Args);
-}

@@ -25,7 +25,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -87,40 +86,6 @@ private:
   std::vector<bool> Consumed;
   ErrorHandler Handler;
 };
-
-/// A named bundle of related options that several commands share. A
-/// command registers the groups it supports and applies them in one
-/// call, so an option like --profile-repo is declared (name, range,
-/// default, validation) exactly once instead of being re-wired in every
-/// subcommand:
-///
-/// \code
-///   vm::VMOptionGroup VMOpts;
-///   prof::ProfileRepoOptionGroup Repo;
-///   support::applyGroups(Args, {&VMOpts, &Repo});
-/// \endcode
-///
-/// parse() pulls the group's options from \p Args (same strict rules as
-/// any direct pull); whatever the group stores is read by the command
-/// afterwards. Groups are plain structs a command composes — there is
-/// deliberately no global registry.
-class OptionGroup {
-public:
-  virtual ~OptionGroup();
-
-  /// Diagnostic label ("vm", "aos", "profile-repo", ...).
-  virtual const char *name() const = 0;
-
-  /// Pulls this group's options from \p Args. Errors route through the
-  /// parser's error handler like any direct pull.
-  virtual void parse(ArgParser &Args) = 0;
-};
-
-/// Applies each group in order (earlier groups see the arguments first,
-/// which only matters if two groups claim the same option — a bug the
-/// strict parser surfaces as the second pull missing its value).
-void applyGroups(ArgParser &Args,
-                 std::initializer_list<OptionGroup *> Groups);
 
 } // namespace cbs::support
 

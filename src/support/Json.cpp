@@ -9,7 +9,6 @@
 #include "support/TablePrinter.h"
 
 #include <cassert>
-#include <cctype>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -185,6 +184,45 @@ double JsonValue::numberOr(std::string_view Name, double Default) const {
 
 namespace {
 
+bool isDigit(char C) { return C >= '0' && C <= '9'; }
+
+/// Length of the RFC 8259 number at the start of \p Text,
+///   -? (0 | [1-9][0-9]*) (\.[0-9]+)? ([eE][+-]?[0-9]+)?
+/// or 0 when \p Text does not start with a well-formed one ("", "-",
+/// "01", "1.", "1e", "+1", ".5"). What follows the number is the
+/// caller's business: "1-2" lexes as "1".
+size_t lexNumber(std::string_view Text) {
+  size_t Pos = 0, End = Text.size();
+  auto digits = [&] {
+    size_t Start = Pos;
+    while (Pos < End && isDigit(Text[Pos]))
+      ++Pos;
+    return Pos - Start;
+  };
+  if (Pos < End && Text[Pos] == '-')
+    ++Pos;
+  if (Pos < End && Text[Pos] == '0') {
+    ++Pos;
+    if (Pos < End && isDigit(Text[Pos]))
+      return 0; // Leading zero.
+  } else if (digits() == 0) {
+    return 0;
+  }
+  if (Pos < End && Text[Pos] == '.') {
+    ++Pos;
+    if (digits() == 0)
+      return 0;
+  }
+  if (Pos < End && (Text[Pos] == 'e' || Text[Pos] == 'E')) {
+    ++Pos;
+    if (Pos < End && (Text[Pos] == '+' || Text[Pos] == '-'))
+      ++Pos;
+    if (digits() == 0)
+      return 0;
+  }
+  return Pos;
+}
+
 class Parser {
 public:
   explicit Parser(std::string_view Text) : Text(Text) {}
@@ -269,19 +307,13 @@ private:
   }
 
   bool parseNumber(JsonValue &V) {
-    size_t Start = Pos;
-    if (consume('-')) {
-    }
-    if (Pos >= Text.size() || !std::isdigit(static_cast<unsigned char>(Text[Pos])))
+    size_t Len = lexNumber(Text.substr(Pos));
+    if (Len == 0)
       return fail("invalid number");
-    while (Pos < Text.size() &&
-           (std::isdigit(static_cast<unsigned char>(Text[Pos])) ||
-            Text[Pos] == '.' || Text[Pos] == 'e' || Text[Pos] == 'E' ||
-            Text[Pos] == '+' || Text[Pos] == '-'))
-      ++Pos;
     V.K = JsonValue::Kind::Number;
-    V.Str = std::string(Text.substr(Start, Pos - Start));
+    V.Str = std::string(Text.substr(Pos, Len));
     V.NumVal = std::strtod(V.Str.c_str(), nullptr);
+    Pos += Len;
     return true;
   }
 
@@ -436,6 +468,10 @@ void writeValue(const JsonValue &V, JsonWriter &W) {
 }
 
 } // namespace
+
+bool json::isNumber(std::string_view Text) {
+  return !Text.empty() && lexNumber(Text) == Text.size();
+}
 
 JsonParseResult json::parseJson(std::string_view Text) {
   return Parser(Text).run();

@@ -122,8 +122,13 @@ struct JsonParseResult {
 };
 
 /// Parses one JSON document (trailing whitespace allowed, trailing
-/// garbage is an error).
+/// garbage is an error). Numbers follow the RFC 8259 grammar exactly.
 JsonParseResult parseJson(std::string_view Text);
+
+/// True when all of \p Text is one RFC 8259 number lexeme, e.g. "-0.5"
+/// or "1e5" but not "01", "1.", "+1", "inf" or "0x10" — the check
+/// parseJson applies to every number.
+bool isNumber(std::string_view Text);
 
 /// Serializes \p V compactly. A parseJson→writeJson round trip of text
 /// produced by JsonWriter is byte-identical.

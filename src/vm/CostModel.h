@@ -19,24 +19,14 @@
 #ifndef CBSVM_VM_COSTMODEL_H
 #define CBSVM_VM_COSTMODEL_H
 
-#include "bytecode/Instruction.h"
-
 #include <cstdint>
 
 namespace cbs::vm {
 
 struct CostModel {
-  // --- Application instruction costs -----------------------------------
-  uint32_t SimpleOp = 1;        ///< arithmetic, const, local load/store
-  uint32_t BranchOp = 1;        ///< all branches
-  uint32_t FieldOp = 3;         ///< getfield/putfield
-  uint32_t AllocOp = 16;        ///< new
-  uint32_t GuardOp = 2;         ///< classeq (inline guard test)
-  uint32_t PrintOp = 8;
-  uint32_t SpawnOp = 400;       ///< thread creation
-  uint32_t CallSequence = 15;   ///< static call: frame setup + linkage
-  uint32_t VirtualDispatch = 6; ///< extra over CallSequence for vtables
-  uint32_t ReturnOp = 3;
+  // Per-instruction base costs are the instruction-set table's cycles
+  // column (bytecode/Opcode.h, read through bc::instructionCycles);
+  // this struct holds everything the VM charges besides instructions.
 
   // --- Runtime services --------------------------------------------------
   uint32_t TimerInterrupt = 80; ///< signal delivery per tick (base + prof)
@@ -110,9 +100,6 @@ struct CostModel {
   /// decision; larger values model a slower (or more contended)
   /// compile thread consuming an ever-staler plan.
   double CompileLatencyScale = 1.0;
-
-  /// Base (unscaled) cost of one instruction.
-  uint32_t cost(const bc::Instruction &I) const;
 };
 
 } // namespace cbs::vm

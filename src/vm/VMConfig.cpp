@@ -66,7 +66,3 @@ VMConfig VMConfig::fromArgs(support::ArgParser &Args) {
   Config.EnableOSR = Args.flag("--osr");
   return Config;
 }
-
-void VMOptionGroup::parse(support::ArgParser &Args) {
-  Config = VMConfig::fromArgs(Args);
-}

@@ -195,17 +195,6 @@ struct VMConfig {
   static VMConfig fromArgs(support::ArgParser &Args);
 };
 
-/// fromArgs as a composable option group: commands that mix VM options
-/// with other groups (AOS, profile repository, ...) register this one
-/// alongside them in a single support::applyGroups call.
-class VMOptionGroup : public support::OptionGroup {
-public:
-  VMConfig Config;
-
-  const char *name() const override { return "vm"; }
-  void parse(support::ArgParser &Args) override;
-};
-
 } // namespace cbs::vm
 
 #endif // CBSVM_VM_VMCONFIG_H

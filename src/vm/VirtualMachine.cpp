@@ -692,8 +692,8 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
 
     // A deopted frame runs its pinned code at baseline (unscaled)
     // speed: the modelled interpreter fallback.
-    Stats.Cycles += F.Deopted ? Costs.cost(I)
-                              : F.CM->scaledCost(Costs.cost(I));
+    uint32_t Cycles = bc::instructionCycles(I);
+    Stats.Cycles += F.Deopted ? Cycles : F.CM->scaledCost(Cycles);
     Stats.Instructions += I.Op == bc::Opcode::Work
                               ? static_cast<uint64_t>(I.A)
                               : 1;
@@ -722,79 +722,30 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       Locals[I.A] = pop();
       break;
     case Opcode::IInc:
-      Locals[I.A] += I.B;
+      Locals[I.A] = bc::evalBinop(Opcode::IAdd, Locals[I.A], I.B);
       break;
-    case Opcode::IAdd: {
+    case Opcode::IAdd:
+    case Opcode::ISub:
+    case Opcode::IMul:
+    case Opcode::IDiv:
+    case Opcode::IRem:
+    case Opcode::IAnd:
+    case Opcode::IOr:
+    case Opcode::IXor:
+    case Opcode::IShl:
+    case Opcode::IShr: {
       int64_t R = pop(), L = pop();
-      push(static_cast<int64_t>(static_cast<uint64_t>(L) +
-                                static_cast<uint64_t>(R)));
-      break;
-    }
-    case Opcode::ISub: {
-      int64_t R = pop(), L = pop();
-      push(static_cast<int64_t>(static_cast<uint64_t>(L) -
-                                static_cast<uint64_t>(R)));
-      break;
-    }
-    case Opcode::IMul: {
-      int64_t R = pop(), L = pop();
-      push(static_cast<int64_t>(static_cast<uint64_t>(L) *
-                                static_cast<uint64_t>(R)));
-      break;
-    }
-    case Opcode::IDiv: {
-      int64_t R = pop(), L = pop();
-      if (R == 0) {
-        trap("division by zero");
+      if (R == 0 && bc::trapsOnZero(I.Op)) {
+        trap(I.Op == Opcode::IDiv ? "division by zero"
+                                  : "remainder by zero");
         continue;
       }
-      if (L == INT64_MIN && R == -1)
-        push(INT64_MIN);
-      else
-        push(L / R);
-      break;
-    }
-    case Opcode::IRem: {
-      int64_t R = pop(), L = pop();
-      if (R == 0) {
-        trap("remainder by zero");
-        continue;
-      }
-      if (L == INT64_MIN && R == -1)
-        push(0);
-      else
-        push(L % R);
+      push(bc::evalBinop(I.Op, L, R));
       break;
     }
     case Opcode::INeg:
-      push(static_cast<int64_t>(-static_cast<uint64_t>(pop())));
+      push(bc::evalNeg(pop()));
       break;
-    case Opcode::IAnd: {
-      int64_t R = pop(), L = pop();
-      push(L & R);
-      break;
-    }
-    case Opcode::IOr: {
-      int64_t R = pop(), L = pop();
-      push(L | R);
-      break;
-    }
-    case Opcode::IXor: {
-      int64_t R = pop(), L = pop();
-      push(L ^ R);
-      break;
-    }
-    case Opcode::IShl: {
-      int64_t R = pop(), L = pop();
-      push(static_cast<int64_t>(static_cast<uint64_t>(L)
-                                << (static_cast<uint64_t>(R) & 63)));
-      break;
-    }
-    case Opcode::IShr: {
-      int64_t R = pop(), L = pop();
-      push(L >> (static_cast<uint64_t>(R) & 63));
-      break;
-    }
 
     case Opcode::Goto:
     case Opcode::IfEq:
@@ -807,49 +758,10 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     case Opcode::IfICmpNe:
     case Opcode::IfICmpLt:
     case Opcode::IfICmpGe: {
-      bool Taken;
-      switch (I.Op) {
-      case Opcode::Goto:
-        Taken = true;
-        break;
-      case Opcode::IfEq:
-        Taken = pop() == 0;
-        break;
-      case Opcode::IfNe:
-        Taken = pop() != 0;
-        break;
-      case Opcode::IfLt:
-        Taken = pop() < 0;
-        break;
-      case Opcode::IfLe:
-        Taken = pop() <= 0;
-        break;
-      case Opcode::IfGt:
-        Taken = pop() > 0;
-        break;
-      case Opcode::IfGe:
-        Taken = pop() >= 0;
-        break;
-      default: {
-        int64_t R = pop(), L = pop();
-        switch (I.Op) {
-        case Opcode::IfICmpEq:
-          Taken = L == R;
-          break;
-        case Opcode::IfICmpNe:
-          Taken = L != R;
-          break;
-        case Opcode::IfICmpLt:
-          Taken = L < R;
-          break;
-        default:
-          Taken = L >= R;
-          break;
-        }
-        break;
-      }
-      }
-      if (Taken) {
+      bc::FlowKind Flow = bc::flowKind(I.Op);
+      int64_t R = Flow == bc::FlowKind::BinaryCond ? pop() : 0;
+      int64_t L = Flow == bc::FlowKind::Goto ? 0 : pop();
+      if (bc::branchTaken(I.Op, L, R)) {
         uint32_t Target = static_cast<uint32_t>(I.A);
         // Backedge yieldpoint: taken only when the word is positive
         // (the Jikes 3-state encoding; the J9 personality services

@@ -246,3 +246,97 @@ TEST(Builder, MutualRecursionViaForwardDeclaration) {
   Program P = PB.finish(Main);
   EXPECT_TRUE(verifyProgram(P).ok()) << verifyProgram(P).str();
 }
+
+//===----------------------------------------------------------------------===//
+// Instruction-set table
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// One opcode's facts, pinned as literals: the encoded size feeds every
+/// method's bytecode size (and so the inliner's thresholds), and the
+/// cycles are the virtual time every run is measured in.
+struct PinnedOpcode {
+  Opcode Op;
+  const char *Name;
+  unsigned SizeBytes;
+  uint32_t Cycles; ///< of an instruction whose A operand is 1
+};
+
+const PinnedOpcode Pinned[] = {
+    {Opcode::Nop, "nop", 1, 1},
+    {Opcode::IConst, "iconst", 2, 1},
+    {Opcode::ILoad, "iload", 2, 1},
+    {Opcode::IStore, "istore", 2, 1},
+    {Opcode::IInc, "iinc", 3, 1},
+    {Opcode::IAdd, "iadd", 1, 1},
+    {Opcode::ISub, "isub", 1, 1},
+    {Opcode::IMul, "imul", 1, 1},
+    {Opcode::IDiv, "idiv", 1, 1},
+    {Opcode::IRem, "irem", 1, 1},
+    {Opcode::INeg, "ineg", 1, 1},
+    {Opcode::IAnd, "iand", 1, 1},
+    {Opcode::IOr, "ior", 1, 1},
+    {Opcode::IXor, "ixor", 1, 1},
+    {Opcode::IShl, "ishl", 1, 1},
+    {Opcode::IShr, "ishr", 1, 1},
+    {Opcode::Goto, "goto", 3, 1},
+    {Opcode::IfEq, "ifeq", 3, 1},
+    {Opcode::IfNe, "ifne", 3, 1},
+    {Opcode::IfLt, "iflt", 3, 1},
+    {Opcode::IfLe, "ifle", 3, 1},
+    {Opcode::IfGt, "ifgt", 3, 1},
+    {Opcode::IfGe, "ifge", 3, 1},
+    {Opcode::IfICmpEq, "if_icmpeq", 3, 1},
+    {Opcode::IfICmpNe, "if_icmpne", 3, 1},
+    {Opcode::IfICmpLt, "if_icmplt", 3, 1},
+    {Opcode::IfICmpGe, "if_icmpge", 3, 1},
+    {Opcode::New, "new", 3, 16},
+    {Opcode::GetField, "getfield", 2, 3},
+    {Opcode::PutField, "putfield", 2, 3},
+    {Opcode::ALoad, "aload", 2, 1},
+    {Opcode::AStore, "astore", 2, 1},
+    {Opcode::AConstNull, "aconst_null", 1, 1},
+    {Opcode::ClassEq, "classeq", 3, 2},
+    {Opcode::InvokeStatic, "invokestatic", 3, 15},
+    {Opcode::InvokeVirtual, "invokevirtual", 3, 21},
+    {Opcode::Return, "return", 1, 3},
+    {Opcode::IReturn, "ireturn", 1, 3},
+    {Opcode::AReturn, "areturn", 1, 3},
+    {Opcode::Work, "work", 2, 1},
+    {Opcode::Print, "print", 1, 8},
+    {Opcode::Halt, "halt", 1, 1},
+    {Opcode::Spawn, "spawn", 3, 400},
+};
+
+} // namespace
+
+TEST(OpcodeTable, PinsNameSizeAndCyclesOfEveryOpcode) {
+  ASSERT_EQ(std::size(Pinned), NumOpcodes);
+  for (size_t I = 0; I != std::size(Pinned); ++I) {
+    const PinnedOpcode &Row = Pinned[I];
+    EXPECT_EQ(static_cast<size_t>(Row.Op), I) << Row.Name;
+    EXPECT_STREQ(opcodeName(Row.Op), Row.Name);
+    EXPECT_EQ(opcodeSizeBytes(Row.Op), Row.SizeBytes) << Row.Name;
+    EXPECT_EQ(instructionCycles(Instruction(Row.Op, /*A=*/1, /*B=*/0)),
+              Row.Cycles)
+        << Row.Name;
+  }
+  EXPECT_EQ(instructionCycles(Instruction(Opcode::Work, 123)), 123u);
+}
+
+TEST(OpcodeTable, FlowFlagsMatchOperandsAndOpcodes) {
+  for (size_t I = 0; I != NumOpcodes; ++I) {
+    Opcode Op = static_cast<Opcode>(I);
+    EXPECT_EQ(isBranch(Op), operandKind(Op) == OperandKind::Target)
+        << opcodeName(Op);
+    EXPECT_EQ(isConditionalBranch(Op), isBranch(Op) && Op != Opcode::Goto)
+        << opcodeName(Op);
+    EXPECT_EQ(isCall(Op),
+              Op == Opcode::InvokeStatic || Op == Opcode::InvokeVirtual)
+        << opcodeName(Op);
+    EXPECT_EQ(isReturn(Op), Op == Opcode::Return || Op == Opcode::IReturn ||
+                                Op == Opcode::AReturn)
+        << opcodeName(Op);
+  }
+}

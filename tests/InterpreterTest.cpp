@@ -6,6 +6,7 @@
 
 #include "bytecode/Builder.h"
 #include "bytecode/Verifier.h"
+#include "opt/Passes.h"
 #include "vm/VirtualMachine.h"
 
 #include <gtest/gtest.h>
@@ -111,6 +112,18 @@ TEST_P(BinopTest, Evaluates) {
   std::vector<int64_t> Out = runProgram(P);
   ASSERT_EQ(Out.size(), 1u);
   EXPECT_EQ(Out[0], C.Expected);
+
+  // The constant folder must compute what the interpreter did: iconst;
+  // iconst; binop becomes nop; nop; iconst(result) whenever the result
+  // fits an iconst immediate, and is left alone otherwise.
+  std::vector<Instruction> Code = P.method(P.entryMethod()).Code;
+  ASSERT_EQ(Code[2].Op, C.Op);
+  opt::foldConstants(P, Code);
+  bool Fits = C.Expected >= INT32_MIN && C.Expected <= INT32_MAX;
+  ASSERT_EQ(Code[2].Op, Fits ? Opcode::IConst : C.Op) << opcodeName(C.Op);
+  if (Fits) {
+    EXPECT_EQ(Code[2].A, C.Expected) << opcodeName(C.Op);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

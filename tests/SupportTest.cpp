@@ -246,6 +246,30 @@ TEST(TablePrinter, SeparatorAndPadding) {
 }
 
 //===----------------------------------------------------------------------===//
+// Json number grammar
+//===----------------------------------------------------------------------===//
+
+TEST(JsonNumber, AcceptsExactlyTheRfc8259Grammar) {
+  for (const char *Good : {"0", "-0", "12", "-7", "0.5", "-0.25", "1e5",
+                           "1E+5", "2.5e-3", "10.0E10"}) {
+    EXPECT_TRUE(json::isNumber(Good)) << Good;
+    json::JsonParseResult R = json::parseJson(Good);
+    ASSERT_TRUE(R.ok()) << Good << ": " << R.Error;
+    EXPECT_EQ(R.Value->Str, Good);
+  }
+  for (const char *Bad : {"", "-", "1.", "1e", "1e+", "1-2", "01", "-01",
+                          "1.2.3", "+1", ".5", "1.e5", "0x10", "inf",
+                          "nan", "1 2"}) {
+    EXPECT_FALSE(json::isNumber(Bad)) << Bad;
+    EXPECT_FALSE(json::parseJson(Bad).ok()) << Bad;
+    if (*Bad) { // "[]" is an empty array.
+      EXPECT_FALSE(json::parseJson(std::string("[") + Bad + "]").ok())
+          << Bad;
+    }
+  }
+}
+
+//===----------------------------------------------------------------------===//
 // Json text view
 //===----------------------------------------------------------------------===//
 

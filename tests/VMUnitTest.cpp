@@ -174,21 +174,18 @@ TEST(CodeCache, ScaledCostUsesQ8Fixedpoint) {
 //===----------------------------------------------------------------------===//
 
 TEST(CostModel, WorkChargesItsOperand) {
-  vm::CostModel Costs;
-  EXPECT_EQ(Costs.cost(Instruction(Opcode::Work, 123)), 123u);
+  EXPECT_EQ(instructionCycles(Instruction(Opcode::Work, 123)), 123u);
 }
 
 TEST(CostModel, VirtualCallsCostMoreThanStatic) {
-  vm::CostModel Costs;
-  EXPECT_GT(Costs.cost(Instruction(Opcode::InvokeVirtual, 0, 1)),
-            Costs.cost(Instruction(Opcode::InvokeStatic, 0, 0)));
+  EXPECT_GT(instructionCycles(Instruction(Opcode::InvokeVirtual, 0, 1)),
+            instructionCycles(Instruction(Opcode::InvokeStatic, 0, 0)));
 }
 
 TEST(CostModel, EveryOpcodeHasPositiveCost) {
-  vm::CostModel Costs;
   for (int Op = 0; Op <= static_cast<int>(Opcode::Spawn); ++Op) {
     Instruction I(static_cast<Opcode>(Op), /*A=*/1, /*B=*/0);
-    EXPECT_GT(Costs.cost(I), 0u) << opcodeName(static_cast<Opcode>(Op));
+    EXPECT_GT(instructionCycles(I), 0u) << opcodeName(static_cast<Opcode>(Op));
   }
 }
 
