@@ -388,18 +388,19 @@ cmake -S bench/ledger -B "$LEDGER_BUILD" -DCMAKE_BUILD_TYPE=RelWithDebInfo
 cmake --build "$LEDGER_BUILD" -j
 (cd "$LEDGER_BUILD" && ctest --output-on-failure -R ledger_smoke)
 
-echo "== address + undefined-behaviour sanitizers: code cache reclamation =="
+echo "== address + undefined-behaviour sanitizers: code cache reclamation, counters and reports =="
 # Every AOS run frees retired code the moment its last frame leaves, so
 # a missed pin is a use-after-free. Run the suites and a fuzz campaign
-# that recompile, deoptimize and transfer frames under ASan + UBSan, and
-# the determinism matrix, which drives every run feature at once.
+# that recompile, deoptimize and transfer frames under ASan + UBSan, the
+# suites that drive the VM counters, the report and the flight recorder,
+# and the determinism matrix, which drives every run feature at once.
 ASAN_BUILD="${BUILD}-asan"
+ASAN_TESTS=(CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest
+            TelemetryTest ReportSchemaTest QualityMonitorTest
+            DeterminismMatrixTest)
 cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
-cmake --build "$ASAN_BUILD" -j \
-  --target CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest \
-           DeterminismMatrixTest cbsvm
-for T in CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest \
-         DeterminismMatrixTest; do
+cmake --build "$ASAN_BUILD" -j --target "${ASAN_TESTS[@]}" cbsvm
+for T in "${ASAN_TESTS[@]}"; do
   UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
     "$ASAN_BUILD/tests/$T" --gtest_brief=1
 done

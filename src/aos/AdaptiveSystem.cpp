@@ -25,67 +25,45 @@ AdaptiveSystem::AdaptiveSystem(const opt::InlineOracle *Oracle,
 
 AdaptiveSystem::~AdaptiveSystem() = default;
 
+// Every aos.* gauge publishMetrics mirrors, one row each:
+//   X(group, registry name, value)
+// A `Warm` row is published only on warm-started runs, a `Deopt` row
+// only when the guard-policing controller is on (D is its stats).
+#define CBSVM_AOS_GAUGES(X)                                                    \
+  X(Always, "aos.ticks", Stats.Ticks)                                          \
+  X(Always, "aos.recompilations", Stats.Recompilations)                        \
+  X(Always, "aos.plans_computed", Stats.PlansComputed)                         \
+  X(Always, "aos.promotions_l1", Stats.PromotionsToL1)                         \
+  X(Always, "aos.promotions_l2", Stats.PromotionsToL2)                         \
+  X(Always, "aos.reoptimizations", Stats.Reoptimizations)                      \
+  X(Always, "aos.phase_shift_replans", Stats.PhaseShiftReplans)                \
+  X(Always, "aos.plan_overlap_bp", PlanOverlapBp)                              \
+  X(Always, "aos.queue.depth", Queue.depth())                                  \
+  X(Always, "aos.queue.enqueued", Stats.QueueEnqueued)                         \
+  X(Always, "aos.queue.installs", Stats.QueueInstalls)                         \
+  X(Always, "aos.queue.stale_drops", Stats.QueueStaleDrops)                    \
+  X(Always, "aos.queue.coalesced", Stats.QueueCoalesced)                       \
+  X(Always, "aos.queue.dropped", Stats.QueueDropped)                           \
+  X(Always, "aos.queue.first_install_cycle", Stats.FirstInstallCycle)          \
+  X(Warm, "aos.warm.enqueued", Stats.WarmEnqueued)                             \
+  X(Warm, "aos.warm.installs", Stats.WarmInstalls)                             \
+  X(Deopt, "aos.deopt.guard_checks", D->GuardChecks)                           \
+  X(Deopt, "aos.deopt.guard_failures", D->GuardFailures)                       \
+  X(Deopt, "aos.deopt.count", D->Deopts)                                       \
+  X(Deopt, "aos.deopt.phase_shift", D->PhaseShiftDeopts)                       \
+  X(Deopt, "aos.deopt.conservative_pins", D->ConservativePins)                 \
+  X(Deopt, "aos.deopt.stale_requests_dropped", D->StaleRequestsDropped)        \
+  X(Deopt, "aos.deopt.recompiles", D->Recompiles)
+
 void AdaptiveSystem::publishMetrics(vm::VirtualMachine &VM) {
-  if (!Gauges.Ticks) {
-    tel::MetricRegistry &R = VM.metricsRegistry();
-    Gauges.Ticks = &R.gauge("aos.ticks");
-    Gauges.Recompilations = &R.gauge("aos.recompilations");
-    Gauges.PlansComputed = &R.gauge("aos.plans_computed");
-    Gauges.PromotionsToL1 = &R.gauge("aos.promotions_l1");
-    Gauges.PromotionsToL2 = &R.gauge("aos.promotions_l2");
-    Gauges.Reoptimizations = &R.gauge("aos.reoptimizations");
-    Gauges.PhaseShiftReplans = &R.gauge("aos.phase_shift_replans");
-    Gauges.PlanOverlapBp = &R.gauge("aos.plan_overlap_bp");
-    Gauges.QueueDepth = &R.gauge("aos.queue.depth");
-    Gauges.QueueEnqueued = &R.gauge("aos.queue.enqueued");
-    Gauges.QueueInstalls = &R.gauge("aos.queue.installs");
-    Gauges.QueueStaleDrops = &R.gauge("aos.queue.stale_drops");
-    Gauges.QueueCoalesced = &R.gauge("aos.queue.coalesced");
-    Gauges.QueueDropped = &R.gauge("aos.queue.dropped");
-    Gauges.FirstInstallCycle = &R.gauge("aos.queue.first_install_cycle");
-    if (warmStarted()) {
-      Gauges.WarmEnqueued = &R.gauge("aos.warm.enqueued");
-      Gauges.WarmInstalls = &R.gauge("aos.warm.installs");
-    }
-    if (DeoptCtl) {
-      Gauges.DeoptGuardChecks = &R.gauge("aos.deopt.guard_checks");
-      Gauges.DeoptGuardFailures = &R.gauge("aos.deopt.guard_failures");
-      Gauges.DeoptCount = &R.gauge("aos.deopt.count");
-      Gauges.DeoptPhaseShift = &R.gauge("aos.deopt.phase_shift");
-      Gauges.DeoptPins = &R.gauge("aos.deopt.conservative_pins");
-      Gauges.DeoptStaleDropped = &R.gauge("aos.deopt.stale_requests_dropped");
-      Gauges.DeoptRecompiles = &R.gauge("aos.deopt.recompiles");
-    }
-  }
-  *Gauges.Ticks = Stats.Ticks;
-  *Gauges.Recompilations = Stats.Recompilations;
-  *Gauges.PlansComputed = Stats.PlansComputed;
-  *Gauges.PromotionsToL1 = Stats.PromotionsToL1;
-  *Gauges.PromotionsToL2 = Stats.PromotionsToL2;
-  *Gauges.Reoptimizations = Stats.Reoptimizations;
-  *Gauges.PhaseShiftReplans = Stats.PhaseShiftReplans;
-  *Gauges.PlanOverlapBp = PlanOverlapBp;
-  *Gauges.QueueDepth = Queue.depth();
-  *Gauges.QueueEnqueued = Stats.QueueEnqueued;
-  *Gauges.QueueInstalls = Stats.QueueInstalls;
-  *Gauges.QueueStaleDrops = Stats.QueueStaleDrops;
-  *Gauges.QueueCoalesced = Stats.QueueCoalesced;
-  *Gauges.QueueDropped = Stats.QueueDropped;
-  *Gauges.FirstInstallCycle = Stats.FirstInstallCycle;
-  if (warmStarted()) {
-    *Gauges.WarmEnqueued = Stats.WarmEnqueued;
-    *Gauges.WarmInstalls = Stats.WarmInstalls;
-  }
-  if (DeoptCtl) {
-    const DeoptStats &D = DeoptCtl->stats();
-    *Gauges.DeoptGuardChecks = D.GuardChecks;
-    *Gauges.DeoptGuardFailures = D.GuardFailures;
-    *Gauges.DeoptCount = D.Deopts;
-    *Gauges.DeoptPhaseShift = D.PhaseShiftDeopts;
-    *Gauges.DeoptPins = D.ConservativePins;
-    *Gauges.DeoptStaleDropped = D.StaleRequestsDropped;
-    *Gauges.DeoptRecompiles = D.Recompiles;
-  }
+  tel::MetricRegistry &R = VM.metricsRegistry();
+  const DeoptStats *D = DeoptCtl ? &DeoptCtl->stats() : nullptr;
+  const bool Always = true, Warm = warmStarted(), Deopt = D != nullptr;
+#define CBSVM_AOS_PUBLISH(Group, Name, Value)                                  \
+  if (Group)                                                                   \
+    R.gauge(Name) = Value;
+  CBSVM_AOS_GAUGES(CBSVM_AOS_PUBLISH)
+#undef CBSVM_AOS_PUBLISH
 }
 
 std::shared_ptr<const opt::InlinePlan>

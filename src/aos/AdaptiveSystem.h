@@ -50,10 +50,6 @@
 #include <memory>
 #include <vector>
 
-namespace cbs::tel {
-struct Gauge;
-}
-
 namespace cbs::aos {
 
 struct AOSConfig {
@@ -185,43 +181,13 @@ private:
   /// The cached no-speculation plan pinned methods compile against.
   std::shared_ptr<const opt::InlinePlan>
   conservativePlan(vm::VirtualMachine &VM);
-  /// Mirrors AOSStats into the VM's metric registry ("aos.*" gauges)
-  /// and caches the gauge addresses on first use.
+  /// Mirrors AOSStats and DeoptStats into the VM's metric registry:
+  /// one "aos.*" gauge per CBSVM_AOS_GAUGES row.
   void publishMetrics(vm::VirtualMachine &VM);
 
   const opt::InlineOracle *Oracle;
   AOSConfig Config;
   AOSStats Stats;
-
-  struct GaugeSet {
-    tel::Gauge *Ticks = nullptr;
-    tel::Gauge *Recompilations = nullptr;
-    tel::Gauge *PlansComputed = nullptr;
-    tel::Gauge *PromotionsToL1 = nullptr;
-    tel::Gauge *PromotionsToL2 = nullptr;
-    tel::Gauge *Reoptimizations = nullptr;
-    tel::Gauge *PhaseShiftReplans = nullptr;
-    tel::Gauge *PlanOverlapBp = nullptr;
-    tel::Gauge *QueueDepth = nullptr;
-    tel::Gauge *QueueEnqueued = nullptr;
-    tel::Gauge *QueueInstalls = nullptr;
-    tel::Gauge *QueueStaleDrops = nullptr;
-    tel::Gauge *QueueCoalesced = nullptr;
-    tel::Gauge *QueueDropped = nullptr;
-    tel::Gauge *FirstInstallCycle = nullptr;
-    // aos.warm.* (registered only on warm-started runs).
-    tel::Gauge *WarmEnqueued = nullptr;
-    tel::Gauge *WarmInstalls = nullptr;
-    // aos.deopt.* (registered only when the controller is on).
-    tel::Gauge *DeoptGuardChecks = nullptr;
-    tel::Gauge *DeoptGuardFailures = nullptr;
-    tel::Gauge *DeoptCount = nullptr;
-    tel::Gauge *DeoptPhaseShift = nullptr;
-    tel::Gauge *DeoptPins = nullptr;
-    tel::Gauge *DeoptStaleDropped = nullptr;
-    tel::Gauge *DeoptRecompiles = nullptr;
-  };
-  GaugeSet Gauges;
 
   /// The current whole-program inline plan, shared as an immutable
   /// snapshot with every in-flight CompileRequest (and the worker

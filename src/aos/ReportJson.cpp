@@ -19,11 +19,6 @@ using namespace cbs::aos;
 
 namespace {
 
-uint64_t counterOrZero(const tel::MetricRegistry &Metrics, const char *Name) {
-  const tel::Counter *C = Metrics.findCounter(Name);
-  return C ? static_cast<uint64_t>(*C) : 0;
-}
-
 uint64_t gaugeOrZero(const tel::MetricRegistry &Metrics, const char *Name) {
   const tel::Gauge *G = Metrics.findGauge(Name);
   return G ? static_cast<uint64_t>(*G) : 0;
@@ -36,7 +31,8 @@ std::string aos::buildReportJson(const ReportInputs &In) {
   // metrics() refreshes the derived gauges (code.*, heap.*) before we
   // read them.
   const tel::MetricRegistry &Metrics = VM.metrics();
-  uint64_t VmCycles = VM.cycles();
+  const vm::VMStats &Stats = VM.stats();
+  uint64_t VmCycles = Stats.Cycles;
   uint64_t OvTotal = VM.overheadCycles();
   auto FractionPct = [VmCycles](uint64_t Cycles) {
     return VmCycles == 0 ? 0.0
@@ -72,8 +68,7 @@ std::string aos::buildReportJson(const ReportInputs &In) {
   W.beginObject();
   W.key("components");
   W.beginArray();
-  for (const char *Name : OverheadComponentNames) {
-    uint64_t Cycles = counterOrZero(Metrics, Name);
+  auto Component = [&](const char *Name, uint64_t Cycles) {
     W.beginObject();
     W.key("name");
     W.value(Name);
@@ -82,7 +77,10 @@ std::string aos::buildReportJson(const ReportInputs &In) {
     W.key("fractionPct");
     W.value(FractionPct(Cycles));
     W.endObject();
-  }
+  };
+#define CBSVM_OVERHEAD_COMPONENT(Field, Name, Kind) Component(Name, Stats.Field);
+  CBSVM_VM_OVERHEAD_METRICS(CBSVM_OVERHEAD_COMPONENT)
+#undef CBSVM_OVERHEAD_COMPONENT
   W.endArray();
   W.key("totalCycles");
   W.value(OvTotal);
@@ -161,9 +159,9 @@ std::string aos::buildReportJson(const ReportInputs &In) {
     W.key("osr");
     W.beginObject();
     W.key("entries");
-    W.value(counterOrZero(Metrics, "vm.osr_entries"));
+    W.value(Stats.OsrEntries);
     W.key("exits");
-    W.value(counterOrZero(Metrics, "vm.osr_exits"));
+    W.value(Stats.OsrExits);
     W.key("graveyardInstructions");
     W.value(gaugeOrZero(Metrics, "code.graveyard_instructions"));
     W.key("graveyardReclaimedInstructions");

@@ -20,6 +20,8 @@
 #ifndef CBSVM_AOS_REPORTJSON_H
 #define CBSVM_AOS_REPORTJSON_H
 
+#include "vm/VMStats.h"
+
 #include <cstdint>
 #include <string>
 
@@ -35,15 +37,14 @@ namespace cbs::aos {
 
 class AdaptiveSystem;
 
-/// The overhead.* components, in registration order. The first six
-/// partition vm.profiling_cycles; the last two are attributed but never
-/// charged to execution time (see VirtualMachine::LiveStats). The
-/// order of the report's overhead.components array.
+/// The overhead.* components in the order of the report's
+/// overhead.components array: the overhead rows of CBSVM_VM_METRICS
+/// (see vm/VMStats.h).
 inline constexpr const char *OverheadComponentNames[] = {
-    "overhead.entry_check", "overhead.counter_update",
-    "overhead.listener",    "overhead.stack_walk",
-    "overhead.buffer_flush", "overhead.snapshot",
-    "overhead.yieldpoint_taken", "overhead.shard_wait"};
+#define CBSVM_OVERHEAD_NAME(Field, Name, Kind) Name,
+    CBSVM_VM_OVERHEAD_METRICS(CBSVM_OVERHEAD_NAME)
+#undef CBSVM_OVERHEAD_NAME
+};
 
 /// Profile-repository interaction of the run (`--profile-repo`): did a
 /// persisted entry load, was one rejected (and why), and what the

@@ -6,16 +6,16 @@
 ///
 /// \file
 /// The VM-wide metrics registry: components register Counters, Gauges,
-/// and Histograms by dotted name ("vm.cycles", "aos.recompilations")
-/// and update them through plain references, so a hot-path increment
-/// costs exactly what a struct-field increment costs. The registry owns
-/// the storage (std::map nodes are address-stable), enumerates metrics
-/// in sorted-name order for deterministic output, and renders itself as
-/// text or JSON.
+/// and Histograms by dotted name (dcg.quality.windows,
+/// vm.sample_stack_depth) and update them through plain references.
+/// The registry owns that storage (std::map nodes are address-stable),
+/// enumerates metrics in sorted-name order for deterministic output, and
+/// renders itself as text or JSON.
 ///
-/// `vm::VMStats` remains the stable façade the experiment harness
-/// consumes; the VirtualMachine populates it from this registry on
-/// demand (see VirtualMachine::stats()).
+/// For the VM's counters and the adaptive system's statistics the
+/// registry is a view, not the storage: they live in plain struct fields
+/// (vm::VMStats, aos::AOSStats), and VirtualMachine::metrics() and the
+/// adaptive system write them in under their names.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -34,55 +34,11 @@ const char *vm::runStateName(RunState S) {
 
 VMClient::~VMClient() = default;
 
-VirtualMachine::LiveStats::LiveStats(tel::MetricRegistry &R)
-    : Cycles(R.counter("vm.cycles")),
-      Instructions(R.counter("vm.instructions")),
-      CallsExecuted(R.counter("vm.calls_executed")),
-      VirtualCallsExecuted(R.counter("vm.virtual_calls_executed")),
-      TimerTicks(R.counter("vm.timer_ticks")),
-      YieldpointsTaken(R.counter("vm.yieldpoints_taken")),
-      SamplesTaken(R.counter("vm.samples_taken")),
-      ProfilingCycles(R.counter("vm.profiling_cycles")),
-      CompileCycles(R.counter("vm.compile_cycles")),
-      GCCount(R.counter("vm.gc_count")),
-      ThreadSwitches(R.counter("vm.thread_switches")),
-      ThreadsSpawned(R.counter("vm.threads_spawned")),
-      Deopts(R.counter("vm.deopts")),
-      FramesDeopted(R.counter("vm.frames_deopted")),
-      OsrEntries(R.counter("vm.osr_entries")),
-      OsrExits(R.counter("vm.osr_exits")),
-      DCGFlushes(R.counter("dcg.flushes")),
-      DCGDropped(R.counter("dcg.dropped_samples")),
-      MaxStackDepth(R.gauge("vm.max_stack_depth")),
-      SampleStackDepth(R.histogram("vm.sample_stack_depth")),
-      CompileCostCycles(R.histogram("vm.compile_cost_cycles")),
-      OvEntryCheck(R.counter("overhead.entry_check")),
-      OvCounterUpdate(R.counter("overhead.counter_update")),
-      OvListener(R.counter("overhead.listener")),
-      OvStackWalk(R.counter("overhead.stack_walk")),
-      OvBufferFlush(R.counter("overhead.buffer_flush")),
-      OvSnapshot(R.counter("overhead.snapshot")),
-      OvYieldpoint(R.counter("overhead.yieldpoint_taken")),
-      OvShardWait(R.counter("overhead.shard_wait")) {}
-
-const VMStats &VirtualMachine::stats() const {
-  Facade.Cycles = Stats.Cycles;
-  Facade.Instructions = Stats.Instructions;
-  Facade.CallsExecuted = Stats.CallsExecuted;
-  Facade.VirtualCallsExecuted = Stats.VirtualCallsExecuted;
-  Facade.TimerTicks = Stats.TimerTicks;
-  Facade.YieldpointsTaken = Stats.YieldpointsTaken;
-  Facade.SamplesTaken = Stats.SamplesTaken;
-  Facade.ProfilingCycles = Stats.ProfilingCycles;
-  Facade.CompileCycles = Stats.CompileCycles;
-  Facade.GCCount = Stats.GCCount;
-  Facade.ThreadSwitches = Stats.ThreadSwitches;
-  Facade.ThreadsSpawned = Stats.ThreadsSpawned;
-  Facade.MaxStackDepth = Stats.MaxStackDepth;
-  return Facade;
-}
-
 const tel::MetricRegistry &VirtualMachine::metrics() {
+#define CBSVM_VM_PUBLISH(Field, Name, Kind)                                    \
+  Registry.Kind(Name).Value = Stats.Field;
+  CBSVM_VM_METRICS(CBSVM_VM_PUBLISH)
+#undef CBSVM_VM_PUBLISH
   Registry.gauge("heap.bytes_allocated") = TheHeap.bytesAllocated();
   Registry.gauge("heap.objects") = TheHeap.numObjects();
   Registry.gauge("code.compiles") = Cache.numCompiles();
@@ -105,7 +61,9 @@ const tel::MetricRegistry &VirtualMachine::metrics() {
 }
 
 VirtualMachine::VirtualMachine(const bc::Program &P, VMConfig Config)
-    : P(P), Config(std::move(Config)), Stats(Registry),
+    : P(P), Config(std::move(Config)),
+      SampleStackDepth(Registry.histogram("vm.sample_stack_depth")),
+      CompileCostCycles(Registry.histogram("vm.compile_cost_cycles")),
       Trace(this->Config.Trace), Recorder(this->Config.Recorder),
       Cache(P), RNG(this->Config.Seed),
       DCG(this->Config.Profiler.DCGShards),
@@ -166,7 +124,7 @@ const CompiledMethod *VirtualMachine::ensureCompiled(bc::MethodId Id) {
           : CodeCache::compileBaseline(P, Id, Config.JITLevel, Config.Costs);
   assert(CM.Id == Id && "compile hook returned code for the wrong method");
   Stats.CompileCycles += CM.CompileCostCycles;
-  Stats.CompileCostCycles.record(CM.CompileCostCycles);
+  CompileCostCycles.record(CM.CompileCostCycles);
   if (Trace)
     Trace->event(tel::TraceEvent::compileFinish(
         Stats.Cycles, Thr, Id, CM.Level, CM.CompileCostCycles));
@@ -263,7 +221,7 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
 
 void VirtualMachine::installCompiled(CompiledMethod CM) {
   Stats.CompileCycles += CM.CompileCostCycles;
-  Stats.CompileCostCycles.record(CM.CompileCostCycles);
+  CompileCostCycles.record(CM.CompileCostCycles);
   if (Trace) {
     uint32_t Thr = Threads.empty() ? 0 : Threads[Current]->Id;
     Trace->event(tel::TraceEvent::compileStart(Stats.Cycles, Thr, CM.Id,
@@ -389,16 +347,15 @@ void VirtualMachine::closeQualityWindow() {
     RW.Tick = W.Tick;
     RW.Cycles = W.Cycles;
     RW.DeltaCycles = Stats.Cycles - WinBase.Cycles;
-    RW.DeltaSamples = Stats.SamplesTaken - WinBase.Samples;
-    RW.DeltaDrops = Stats.DCGDropped - WinBase.Drops;
-    RW.DeltaFlushes = Stats.DCGFlushes - WinBase.Flushes;
+    RW.DeltaSamples = Stats.SamplesTaken - WinBase.SamplesTaken;
+    RW.DeltaDrops = Stats.DCGDropped - WinBase.DCGDropped;
+    RW.DeltaFlushes = Stats.DCGFlushes - WinBase.DCGFlushes;
     RW.DeltaProfilingCycles = Stats.ProfilingCycles - WinBase.ProfilingCycles;
     RW.OverlapBp = static_cast<uint64_t>(W.OverlapPct * 100.0 + 0.5);
     RW.OverheadBp =
         Stats.Cycles == 0 ? 0 : 10'000 * overheadCycles() / Stats.Cycles;
     Recorder->noteWindow(RW);
-    WinBase = {Stats.Cycles, Stats.SamplesTaken, Stats.DCGDropped,
-               Stats.DCGFlushes, Stats.ProfilingCycles};
+    WinBase = Stats;
   }
 
   // Emit after the window note so a dump triggered by this event
@@ -437,7 +394,7 @@ void VirtualMachine::maybeSwitch() {
 
 void VirtualMachine::recordEdgeSample(Thread &T) {
   ++Stats.SamplesTaken;
-  Stats.SampleStackDepth.record(T.Frames.size());
+  SampleStackDepth.record(T.Frames.size());
   chargeProf(Config.Costs.StackSampleBase, Stats.OvStackWalk);
   std::optional<prof::CallEdge> Edge = topEdge(T);
   if (Trace)

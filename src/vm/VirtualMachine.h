@@ -86,10 +86,9 @@ public:
   RunState run(uint64_t CycleBudget = UINT64_MAX);
 
   RunState state() const { return State; }
-  /// The stable statistics façade. Populated on demand from the metrics
-  /// registry (the registry is the source of truth); callers must not
-  /// hold the reference across further execution.
-  const VMStats &stats() const;
+  /// The VM's counters and gauges: the storage the interpreter updates,
+  /// so the reference stays live across further execution.
+  const VMStats &stats() const { return Stats; }
   const std::vector<int64_t> &output() const { return Output; }
   const std::string &trapMessage() const { return TrapMsg; }
   const bc::Program &program() const { return P; }
@@ -138,20 +137,23 @@ public:
     return Quality.get();
   }
 
-  /// Modelled cycles attributed to profiling machinery across every
-  /// overhead.* component (includes the attribute-only components —
+  /// Modelled cycles attributed to profiling machinery: the sum of the
+  /// overhead.* rows (includes the attribute-only components —
   /// yieldpoint servicing and shard waits — that are not part of
   /// vm.profiling_cycles).
   uint64_t overheadCycles() const {
-    return Stats.OvEntryCheck + Stats.OvCounterUpdate + Stats.OvListener +
-           Stats.OvStackWalk + Stats.OvBufferFlush + Stats.OvSnapshot +
-           Stats.OvYieldpoint + Stats.OvShardWait;
+    uint64_t Sum = 0;
+#define CBSVM_VM_OVERHEAD_ADD(Field, Name, Kind) Sum += Stats.Field;
+    CBSVM_VM_OVERHEAD_METRICS(CBSVM_VM_OVERHEAD_ADD)
+#undef CBSVM_VM_OVERHEAD_ADD
+    return Sum;
   }
 
-  /// The full metrics registry, with derived gauges (heap, code cache,
-  /// methods executed, overhead.total_fraction_bp) refreshed to the
-  /// current run state. Supersets stats(): every VMStats field is a
-  /// "vm.*" entry here.
+  /// The full metrics registry, brought up to the current run state:
+  /// every CBSVM_VM_METRICS row of stats() is written under its name,
+  /// then the derived gauges (heap, code cache, methods executed,
+  /// overhead.total_fraction_bp) are refreshed. Registry entries of the
+  /// VM's rows are a view; read them only through this call.
   const tel::MetricRegistry &metrics();
   /// Mutable registry access for cooperating components (the adaptive
   /// system registers its "aos.*" metrics here).
@@ -180,50 +182,6 @@ public:
 private:
   enum class Where : uint8_t { Prologue, Epilogue, Backedge };
 
-  /// Hot-path views into the registry-owned counters. Field names
-  /// mirror VMStats so the interpreter updates read identically to the
-  /// plain-struct era; each access costs one extra (loop-invariant)
-  /// pointer load over a direct member.
-  struct LiveStats {
-    explicit LiveStats(tel::MetricRegistry &R);
-
-    tel::Counter &Cycles;
-    tel::Counter &Instructions;
-    tel::Counter &CallsExecuted;
-    tel::Counter &VirtualCallsExecuted;
-    tel::Counter &TimerTicks;
-    tel::Counter &YieldpointsTaken;
-    tel::Counter &SamplesTaken;
-    tel::Counter &ProfilingCycles;
-    tel::Counter &CompileCycles;
-    tel::Counter &GCCount;
-    tel::Counter &ThreadSwitches;
-    tel::Counter &ThreadsSpawned;
-    tel::Counter &Deopts;         // vm.deopts
-    tel::Counter &FramesDeopted;  // vm.frames_deopted
-    tel::Counter &OsrEntries;     // vm.osr_entries (promotion transfers)
-    tel::Counter &OsrExits;       // vm.osr_exits (deopt-frame transfers)
-    tel::Counter &DCGFlushes;
-    tel::Counter &DCGDropped;
-    tel::Gauge &MaxStackDepth;
-    tel::Histogram &SampleStackDepth;
-    tel::Histogram &CompileCostCycles;
-
-    /// Per-component overhead attribution (the online Figure 4). The
-    /// first six partition vm.profiling_cycles exactly; the last two
-    /// are attributed but never charged to execution time (yieldpoint
-    /// tick servicing is a base runtime service, and shard waits are
-    /// host-side contention, always 0 in the single-OS-thread VM).
-    tel::Counter &OvEntryCheck;    // overhead.entry_check
-    tel::Counter &OvCounterUpdate; // overhead.counter_update
-    tel::Counter &OvListener;      // overhead.listener
-    tel::Counter &OvStackWalk;     // overhead.stack_walk
-    tel::Counter &OvBufferFlush;   // overhead.buffer_flush
-    tel::Counter &OvSnapshot;      // overhead.snapshot
-    tel::Counter &OvYieldpoint;    // overhead.yieldpoint_taken
-    tel::Counter &OvShardWait;     // overhead.shard_wait
-  };
-
   void fireTimer();
   /// \p BackedgeTarget is the taken backward branch's target when
   /// W == Backedge (the candidate OSR point); unused otherwise.
@@ -236,8 +194,8 @@ private:
   void flushThreadBuffer(Thread &T);
   void flushAllBuffers();
   /// Charges \p Cost to execution time, the profiling total, and the
-  /// named overhead.* component.
-  void chargeProf(uint32_t Cost, tel::Counter &Component) {
+  /// overhead.* component field \p Component of Stats.
+  void chargeProf(uint32_t Cost, uint64_t &Component) {
     Stats.Cycles += Cost;
     Stats.ProfilingCycles += Cost;
     Component += Cost;
@@ -269,7 +227,10 @@ private:
   const bc::Program &P;
   VMConfig Config;
   tel::MetricRegistry Registry;
-  LiveStats Stats; ///< must follow Registry (references into it)
+  VMStats Stats;
+  /// The two registry-owned metrics (must follow Registry).
+  tel::Histogram &SampleStackDepth;  // vm.sample_stack_depth
+  tel::Histogram &CompileCostCycles; // vm.compile_cost_cycles
   tel::TraceSink *Trace = nullptr;
   tel::FlightRecorder *Recorder = nullptr;
   /// True when this configuration's profiling work is *charged* (CBS /
@@ -277,7 +238,6 @@ private:
   /// flush and snapshot costs so the free-exhaustive reference runs
   /// stay cost-free.
   bool ChargedProfiling = false;
-  mutable VMStats Facade;
   CodeCache Cache;
   Heap TheHeap;
   RandomEngine RNG;
@@ -298,14 +258,8 @@ private:
   prof::AllocationProfile AllocProfile;
   std::unique_ptr<prof::CodePatchingProfiler> Patching;
   std::unique_ptr<prof::ProfileQualityMonitor> Quality;
-  /// Counter values at the last recorder window note (delta baseline).
-  struct WindowBaseline {
-    uint64_t Cycles = 0;
-    uint64_t Samples = 0;
-    uint64_t Drops = 0;
-    uint64_t Flushes = 0;
-    uint64_t ProfilingCycles = 0;
-  } WinBase;
+  /// Stats at the last recorder window note (the delta baseline).
+  VMStats WinBase;
 
   std::vector<uint64_t> InvocationCounts;
   std::vector<uint32_t> TickSamples;

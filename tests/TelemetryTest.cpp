@@ -7,13 +7,14 @@
 // The JSON layer (writer/parser round trips, error rejection), the
 // metric registry (histogram bucket boundaries, address stability,
 // deterministic rendering), the trace sinks (event counts cross-checked
-// against VMStats, Chrome trace_event well-formedness), and the
-// determinism guarantee: identical runs produce byte-identical trace
-// and metrics JSON.
+// against VMStats, Chrome trace_event well-formedness), the
+// determinism guarantee (identical runs produce byte-identical trace
+// and metrics JSON), and the exact catalogue of metrics a run publishes.
 //
 //===----------------------------------------------------------------------===//
 
 #include "experiments/Experiments.h"
+#include "experiments/RunDriver.h"
 #include "opt/InlineOracle.h"
 #include "support/Json.h"
 #include "telemetry/MetricRegistry.h"
@@ -21,7 +22,9 @@
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <gtest/gtest.h>
 
 using namespace cbs;
@@ -401,11 +404,19 @@ TEST(Telemetry, StatsFacadeMatchesRegistry) {
 
   const vm::VMStats &Stats = VM.stats();
   const MetricRegistry &R = VM.metrics();
-  EXPECT_EQ(Stats.Cycles, R.findCounter("vm.cycles")->Value);
-  EXPECT_EQ(Stats.Instructions, R.findCounter("vm.instructions")->Value);
-  EXPECT_EQ(Stats.SamplesTaken, R.findCounter("vm.samples_taken")->Value);
-  EXPECT_EQ(Stats.TimerTicks, R.findCounter("vm.timer_ticks")->Value);
-  EXPECT_EQ(Stats.MaxStackDepth, R.findGauge("vm.max_stack_depth")->Value);
+  // Every row of the VM's metric list is published under its name and
+  // kind with its field's value.
+  auto Published = [&R](const char *Name, std::string_view Kind) {
+    const Counter *C = R.findCounter(Name);
+    const Gauge *G = R.findGauge(Name);
+    EXPECT_TRUE(Kind == "counter" ? C && !G : G && !C) << Name;
+    return C ? C->Value : G ? G->Value : UINT64_MAX;
+  };
+#define CHECK_ROW(Field, Name, Kind)                                           \
+  EXPECT_EQ(Stats.Field, Published(Name, #Kind)) << Name;
+  CBSVM_VM_METRICS(CHECK_ROW)
+#undef CHECK_ROW
+  EXPECT_GT(Stats.SamplesTaken, 0u);
   // Sample-depth histogram saw exactly the samples.
   EXPECT_EQ(R.findHistogram("vm.sample_stack_depth")->count(),
             Stats.SamplesTaken);
@@ -507,4 +518,135 @@ TEST(Telemetry, AOSGaugesPublished) {
   EXPECT_EQ(R.findGauge("aos.plans_computed")->Value,
             AOS.stats().PlansComputed);
   EXPECT_GT(AOS.stats().Ticks, 0u);
+}
+
+//===----------------------------------------------------------------------===//
+// Metric catalogue
+//===----------------------------------------------------------------------===//
+
+using Catalogue = std::vector<std::pair<std::string, std::string>>;
+
+/// Every (name, kind) \p R holds, sorted by name; kind is "counter",
+/// "gauge" or "histogram".
+static Catalogue catalogueOf(const MetricRegistry &R) {
+  json::JsonParseResult Doc = json::parseJson(R.toJson());
+  EXPECT_TRUE(Doc.ok()) << Doc.Error;
+  Catalogue C;
+  if (!Doc.ok())
+    return C;
+  for (const auto &[Section, Metrics] : Doc.Value->Members)
+    for (const auto &[Name, Value] : Metrics.Members)
+      C.emplace_back(Name, Section.substr(0, Section.size() - 1));
+  std::sort(C.begin(), C.end());
+  return C;
+}
+
+/// Runs `cbsvm run <Argv>` through the driver's wiring and returns the
+/// catalogue of VM.metrics() afterwards.
+static Catalogue runCatalogue(const std::vector<std::string> &Argv) {
+  support::ArgParser Args(Argv);
+  exp::RunSetup S = exp::parseRunSetup(Args);
+  Args.finish();
+  exp::DriverRun Run(S);
+  EXPECT_EQ(Run.run(), vm::RunState::Finished);
+  return catalogueOf(Run.vm().metrics());
+}
+
+/// What a plain run publishes: the VM's counters and gauges, its derived
+/// gauges and its two histograms.
+static const Catalogue PlainCatalogue = {
+    {"code.active_instructions", "gauge"},
+    {"code.compiles", "gauge"},
+    {"code.graveyard_instructions", "gauge"},
+    {"code.graveyard_reclaimed_instructions", "gauge"},
+    {"code.graveyard_reclaims", "gauge"},
+    {"code.invalidations", "gauge"},
+    {"code.recompiles", "gauge"},
+    {"dcg.dropped_samples", "counter"},
+    {"dcg.flushes", "counter"},
+    {"dcg.shard_contention", "gauge"},
+    {"heap.bytes_allocated", "gauge"},
+    {"heap.objects", "gauge"},
+    {"overhead.buffer_flush", "counter"},
+    {"overhead.counter_update", "counter"},
+    {"overhead.entry_check", "counter"},
+    {"overhead.listener", "counter"},
+    {"overhead.shard_wait", "counter"},
+    {"overhead.snapshot", "counter"},
+    {"overhead.stack_walk", "counter"},
+    {"overhead.total_fraction_bp", "gauge"},
+    {"overhead.yieldpoint_taken", "counter"},
+    {"vm.calls_executed", "counter"},
+    {"vm.compile_cost_cycles", "histogram"},
+    {"vm.compile_cycles", "counter"},
+    {"vm.cycles", "counter"},
+    {"vm.deopts", "counter"},
+    {"vm.frames_deopted", "counter"},
+    {"vm.gc_count", "counter"},
+    {"vm.instructions", "counter"},
+    {"vm.max_stack_depth", "gauge"},
+    {"vm.methods_executed", "gauge"},
+    {"vm.osr_entries", "counter"},
+    {"vm.osr_exits", "counter"},
+    {"vm.profiling_cycles", "counter"},
+    {"vm.sample_stack_depth", "histogram"},
+    {"vm.samples_taken", "counter"},
+    {"vm.thread_switches", "counter"},
+    {"vm.threads_live", "gauge"},
+    {"vm.threads_spawned", "counter"},
+    {"vm.timer_ticks", "counter"},
+    {"vm.virtual_calls_executed", "counter"},
+    {"vm.yieldpoints_taken", "counter"},
+};
+
+/// What an adaptive, warm-started run publishes on top: the AOS gauges
+/// (aos.warm.* and aos.deopt.* included) and the repository gauges.
+static const Catalogue AdaptiveExtras = {
+    {"aos.deopt.conservative_pins", "gauge"},
+    {"aos.deopt.count", "gauge"},
+    {"aos.deopt.guard_checks", "gauge"},
+    {"aos.deopt.guard_failures", "gauge"},
+    {"aos.deopt.phase_shift", "gauge"},
+    {"aos.deopt.recompiles", "gauge"},
+    {"aos.deopt.stale_requests_dropped", "gauge"},
+    {"aos.phase_shift_replans", "gauge"},
+    {"aos.plan_overlap_bp", "gauge"},
+    {"aos.plans_computed", "gauge"},
+    {"aos.promotions_l1", "gauge"},
+    {"aos.promotions_l2", "gauge"},
+    {"aos.queue.coalesced", "gauge"},
+    {"aos.queue.depth", "gauge"},
+    {"aos.queue.dropped", "gauge"},
+    {"aos.queue.enqueued", "gauge"},
+    {"aos.queue.first_install_cycle", "gauge"},
+    {"aos.queue.installs", "gauge"},
+    {"aos.queue.stale_drops", "gauge"},
+    {"aos.recompilations", "gauge"},
+    {"aos.reoptimizations", "gauge"},
+    {"aos.ticks", "gauge"},
+    {"aos.warm.enqueued", "gauge"},
+    {"aos.warm.installs", "gauge"},
+    {"repo.committed", "gauge"},
+    {"repo.loaded", "gauge"},
+    {"repo.rejected", "gauge"},
+    {"repo.runs", "gauge"},
+};
+
+TEST(MetricCatalogue, PlainRunWithoutProfiler) {
+  EXPECT_EQ(runCatalogue({"jess", "--profiler", "none"}), PlainCatalogue);
+}
+
+TEST(MetricCatalogue, WarmStartedAdaptiveRun) {
+  std::filesystem::path Repo =
+      std::filesystem::path(testing::TempDir()) / "cbsvm-metric-catalogue";
+  std::filesystem::remove_all(Repo);
+  const std::vector<std::string> Argv = {
+      "phased", "--profiler", "cbs", "--aos", "--osr", "--deopt-threshold",
+      "60", "--profile-repo", Repo.string()};
+  runCatalogue(Argv); // cold: commits the entry the second run loads
+  Catalogue Expected = PlainCatalogue;
+  Expected.insert(Expected.end(), AdaptiveExtras.begin(), AdaptiveExtras.end());
+  std::sort(Expected.begin(), Expected.end());
+  EXPECT_EQ(runCatalogue(Argv), Expected);
+  std::filesystem::remove_all(Repo);
 }
