@@ -41,12 +41,11 @@ struct ScaleResult {
   uint64_t Installs = 0;
 };
 
-ScaleResult measureAtScale(const bc::Program &P, const opt::InlineOracle *O,
-                           double Scale) {
+ScaleResult measureAtScale(const bc::Program &P, double Scale) {
   tel::CollectorSink Sink;
   exp::SpeedupOptions Options;
   Options.Pers = vm::Personality::JikesRVM;
-  Options.Oracle = O;
+  Options.Oracle = &exp::newJikesOracle();
   Options.Prof = exp::chosenCBS(vm::Personality::JikesRVM);
   Options.CompileLatencyScale = Scale;
   Options.Trace = &Sink;
@@ -77,7 +76,6 @@ int main(int Argc, char **Argv) {
   Report.printHeader(
       "Compile-latency sweep: install timing vs steady-state speedup");
 
-  opt::NewJikesOracle NewInliner;
   const std::vector<wl::WorkloadInfo> &Suite = wl::suite();
 
   struct WorkloadResult {
@@ -103,12 +101,12 @@ int main(int Argc, char **Argv) {
         bc::Program P = Suite[Ctx.Index].Build(wl::InputSize::Steady, 1);
         exp::SpeedupOptions Base;
         Base.Pers = vm::Personality::JikesRVM;
-        Base.Oracle = &NewInliner; // Static decisions from an empty DCG.
+        // Static decisions from an empty DCG.
+        Base.Oracle = &exp::newJikesOracle();
         Base.Prof.Kind = vm::ProfilerKind::None;
         Results[Ctx.Index].Base = exp::measureThroughput(P, Base);
         for (size_t SI = 0; SI != NumScales; ++SI)
-          Results[Ctx.Index].AtScale[SI] =
-              measureAtScale(P, &NewInliner, Scales[SI]);
+          Results[Ctx.Index].AtScale[SI] = measureAtScale(P, Scales[SI]);
         Ctx.Metrics.counter("exp.vm_runs") += 1 + NumScales;
       },
       [&](exp::ParallelRunner::TaskContext &Ctx) {

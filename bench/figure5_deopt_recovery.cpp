@@ -21,7 +21,6 @@
 
 #include "BenchUtil.h"
 
-#include "opt/InlineOracle.h"
 #include "workloads/Patterns.h"
 
 using namespace cbs;
@@ -113,39 +112,35 @@ vm::VMConfig phasedConfig(const bc::Program &P, uint64_t Seed) {
   return Config;
 }
 
-ArmResult runInterpreter(const bc::Program &P, uint64_t Seed) {
-  vm::VMConfig Config = phasedConfig(P, Seed);
-  vm::VirtualMachine VM(P, Config);
-  if (VM.run() != vm::RunState::Finished)
-    std::fprintf(stderr, "warning: interpreter arm did not finish\n");
-  return {VM.stats().Cycles, {}, 0};
-}
+/// The four arms of a row: no AOS, AOS without policing (stale),
+/// policing alone (deopt), and policing plus on-stack replacement (osr).
+enum class Arm { Interp, Stale, Deopt, Osr };
 
-ArmResult runAdaptive(const bc::Program &P, bool DeoptOn, bool OsrOn,
-                      double LatencyScale, uint64_t Seed) {
-  vm::VMConfig Config = phasedConfig(P, Seed);
-  Config.Costs.CompileLatencyScale = LatencyScale;
-  Config.EnableOSR = OsrOn;
-
-  aos::AOSConfig AC;
-  // Isolate the mechanism under test: with same-level reoptimization
-  // off, nothing but the deopt path can replace phase-A code.
-  AC.MaxReoptsPerMethod = 0;
-  AC.Deopt.Enabled = DeoptOn;
-  AC.Deopt.DominanceThresholdPct = 40.0;
-
-  static opt::NewJikesOracle Oracle;
-  aos::AdaptiveSystem AOS(&Oracle, AC);
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-  if (VM.run() != vm::RunState::Finished)
-    std::fprintf(stderr, "warning: adaptive arm did not finish\n");
+ArmResult runArm(const bc::Program &P, Arm A, double LatencyScale,
+                 uint64_t Seed) {
+  exp::RunSpec Spec{.P = &P, .Config = phasedConfig(P, Seed)};
+  if (A != Arm::Interp) {
+    Spec.Config.Costs.CompileLatencyScale = LatencyScale;
+    Spec.Config.EnableOSR = A == Arm::Osr;
+    // Isolate the mechanism under test: with same-level reoptimization
+    // off, nothing but the deopt path can replace phase-A code.
+    Spec.AOS.emplace();
+    Spec.AOS->MaxReoptsPerMethod = 0;
+    Spec.AOS->Deopt.Enabled = A != Arm::Stale;
+    Spec.AOS->Deopt.DominanceThresholdPct = 40.0;
+  }
+  exp::Run Run(std::move(Spec));
+  if (Run.run() != vm::RunState::Finished)
+    std::fprintf(stderr, "warning: %s arm did not finish\n",
+                 A == Arm::Interp ? "interpreter" : "adaptive");
 
   ArmResult R;
-  R.Cycles = VM.stats().Cycles;
-  R.Recompilations = AOS.stats().Recompilations;
-  if (AOS.deoptController())
-    R.Deopt = AOS.deoptController()->stats();
+  R.Cycles = Run.vm().stats().Cycles;
+  if (const aos::AdaptiveSystem *AOS = Run.adaptive()) {
+    R.Recompilations = AOS->stats().Recompilations;
+    if (AOS->deoptController())
+      R.Deopt = AOS->deoptController()->stats();
+  }
   return R;
 }
 
@@ -164,19 +159,15 @@ int main(int Argc, char **Argv) {
       "osr Mcyc",      "recovery %",  "osr rec %",   "deopts",
       "guard fails",   "recompiles"};
 
-  // Four arms per row: no AOS, AOS without policing (stale), policing
-  // alone (deopt), and policing plus on-stack replacement (osr). The
-  // recovery columns are the cycle saving of the deopt and osr arms
-  // relative to running phase B through phase-A speculation.
+  // Each row runs all four arms. The recovery columns are the cycle
+  // saving of the deopt and osr arms relative to running phase B through
+  // phase-A speculation.
   auto emitRow = [&](const char *Label, const bc::Program &P,
                      double Latency) {
-    ArmResult Interp = runInterpreter(P, Seed);
-    ArmResult Stale =
-        runAdaptive(P, /*DeoptOn=*/false, /*OsrOn=*/false, Latency, Seed);
-    ArmResult Deopt =
-        runAdaptive(P, /*DeoptOn=*/true, /*OsrOn=*/false, Latency, Seed);
-    ArmResult Osr =
-        runAdaptive(P, /*DeoptOn=*/true, /*OsrOn=*/true, Latency, Seed);
+    ArmResult Interp = runArm(P, Arm::Interp, Latency, Seed);
+    ArmResult Stale = runArm(P, Arm::Stale, Latency, Seed);
+    ArmResult Deopt = runArm(P, Arm::Deopt, Latency, Seed);
+    ArmResult Osr = runArm(P, Arm::Osr, Latency, Seed);
     auto RecoveryPct = [&Stale](uint64_t ArmCycles) {
       return Stale.Cycles ? 100.0 *
                                 (static_cast<double>(Stale.Cycles) -

@@ -35,7 +35,6 @@ int main(int Argc, char **Argv) {
   Args.finish();
   Report.printHeader("Speedup of profile-directed inlining: timer-only vs cbs");
 
-  opt::NewJikesOracle NewInliner;
   opt::J9Oracle J9Dynamic;
   opt::J9Oracle::Params StaticParams;
   StaticParams.UseDynamic = false;
@@ -69,7 +68,8 @@ int main(int Argc, char **Argv) {
 
           exp::SpeedupOptions Base;
           Base.Pers = vm::Personality::JikesRVM;
-          Base.Oracle = &NewInliner; // Static decisions from an empty DCG.
+          // Static decisions from an empty DCG.
+          Base.Oracle = &exp::newJikesOracle();
           Base.Prof.Kind = vm::ProfilerKind::None;
 
           exp::SpeedupOptions Timer = Base;

@@ -44,7 +44,6 @@ int main(int Argc, char **Argv) {
   Report.printHeader(
       "Profile-repository warm start: time to first optimized install");
 
-  opt::NewJikesOracle NewInliner;
   const std::vector<wl::WorkloadInfo> &Suite = wl::suite();
   std::vector<WorkloadResult> Results(Suite.size());
 
@@ -63,14 +62,14 @@ int main(int Argc, char **Argv) {
       [&](exp::ParallelRunner::TaskContext &Ctx) {
         bc::Program P = Suite[Ctx.Index].Build(wl::InputSize::Small, Seed);
         WorkloadResult &R = Results[Ctx.Index];
-        R.Cold = exp::runWarmStart(P, vm::Personality::JikesRVM, &NewInliner,
+        R.Cold = exp::runWarmStart(P, vm::Personality::JikesRVM,
                                    /*Warm=*/nullptr, Seed);
         // The warm run consumes exactly the snapshot the cold run would
         // have committed to a fresh repository entry.
         auto Persisted =
             std::make_shared<const prof::DCGSnapshot>(R.Cold.Profile);
-        R.Warm = exp::runWarmStart(P, vm::Personality::JikesRVM, &NewInliner,
-                                   Persisted, Seed);
+        R.Warm =
+            exp::runWarmStart(P, vm::Personality::JikesRVM, Persisted, Seed);
         Ctx.Metrics.counter("exp.vm_runs") += 2;
       },
       [&](exp::ParallelRunner::TaskContext &Ctx) {

@@ -14,12 +14,9 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aos/AdaptiveSystem.h"
+#include "BenchUtil.h"
+
 #include "aos/CompileQueue.h"
-#include "opt/InlineOracle.h"
-#include "support/ArgParser.h"
-#include "vm/VirtualMachine.h"
-#include "workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
 
@@ -119,28 +116,10 @@ namespace {
 // throughput must match within noise (workers only overlap the
 // compileMethod calls).
 void runWithAOS(benchmark::State &State, uint32_t CompileJobs) {
-  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
-  vm::VMConfig Config;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.CBS.Stride = 3;
-  Config.Profiler.CBS.SamplesPerTick = 16;
-  static opt::NewJikesOracle Oracle;
-  aos::AOSConfig AC;
-  AC.CompileJobs = CompileJobs;
-  aos::AdaptiveSystem AOS(&Oracle, AC);
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-  VM.run(1'000'000); // Warm the code cache.
-  for (auto _ : State) {
-    uint64_t Before = VM.stats().Instructions;
-    VM.run(1'000'000);
-    benchmark::DoNotOptimize(VM.stats().Instructions - Before);
-  }
-  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
-  // second.
-  State.counters["vcycles"] =
-      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
-                         benchmark::Counter::kIsRate);
+  exp::RunSpec Spec{.AOS = aos::AOSConfig()};
+  Spec.Config.Profiler = exp::chosenCBS(vm::Personality::JikesRVM);
+  Spec.AOS->CompileJobs = CompileJobs;
+  bench::timeJessSlices(State, std::move(Spec));
 }
 
 } // namespace

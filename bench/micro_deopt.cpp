@@ -12,13 +12,10 @@
 //
 //===----------------------------------------------------------------------===//
 
-#include "aos/AdaptiveSystem.h"
+#include "BenchUtil.h"
+
 #include "bytecode/Builder.h"
-#include "opt/InlineOracle.h"
-#include "support/ArgParser.h"
 #include "vm/CodeCache.h"
-#include "vm/VirtualMachine.h"
-#include "workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
 
@@ -82,29 +79,11 @@ namespace {
 // Whole-VM host throughput with the adaptive system attached and the
 // requested deopt configuration.
 void runWithDeopt(benchmark::State &State, bool Enabled, bool Storm) {
-  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
-  vm::VMConfig Config;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.CBS.Stride = 3;
-  Config.Profiler.CBS.SamplesPerTick = 16;
-  static opt::NewJikesOracle Oracle;
-  aos::AOSConfig AC;
-  AC.Deopt.Enabled = Enabled;
-  AC.Deopt.ForceStormForTesting = Storm;
-  aos::AdaptiveSystem AOS(&Oracle, AC);
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-  VM.run(1'000'000); // Warm the code cache.
-  for (auto _ : State) {
-    uint64_t Before = VM.stats().Instructions;
-    VM.run(1'000'000);
-    benchmark::DoNotOptimize(VM.stats().Instructions - Before);
-  }
-  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
-  // second.
-  State.counters["vcycles"] =
-      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
-                         benchmark::Counter::kIsRate);
+  exp::RunSpec Spec{.AOS = aos::AOSConfig()};
+  Spec.Config.Profiler = exp::chosenCBS(vm::Personality::JikesRVM);
+  Spec.AOS->Deopt.Enabled = Enabled;
+  Spec.AOS->Deopt.ForceStormForTesting = Storm;
+  bench::timeJessSlices(State, std::move(Spec));
 }
 
 } // namespace

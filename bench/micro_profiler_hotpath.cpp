@@ -11,16 +11,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
+
 #include "profiling/CounterBasedSampler.h"
 #include "profiling/DynamicCallGraph.h"
 #include "profiling/OverlapMetric.h"
 #include "profiling/SampleBuffer.h"
-#include "support/ArgParser.h"
 #include "telemetry/MetricRegistry.h"
 #include "telemetry/TraceSink.h"
 #include "vm/StackWalker.h"
-#include "vm/VirtualMachine.h"
-#include "workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
 
@@ -152,41 +151,14 @@ static void BM_OverlapMetric(benchmark::State &State) {
 BENCHMARK(BM_OverlapMetric);
 
 static void BM_InterpreterThroughput(benchmark::State &State) {
-  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
-  vm::VMConfig Config;
-  vm::VirtualMachine VM(P, Config);
-  VM.run(1'000'000); // Warm the code cache.
-  for (auto _ : State) {
-    uint64_t Before = VM.stats().Instructions;
-    VM.run(1'000'000);
-    benchmark::DoNotOptimize(VM.stats().Instructions - Before);
-  }
-  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
-  // second.
-  State.counters["vcycles"] =
-      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
-                         benchmark::Counter::kIsRate);
+  bench::timeJessSlices(State, {});
 }
 BENCHMARK(BM_InterpreterThroughput);
 
 static void BM_InterpreterWithCBS(benchmark::State &State) {
-  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
-  vm::VMConfig Config;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.CBS.Stride = 3;
-  Config.Profiler.CBS.SamplesPerTick = 16;
-  vm::VirtualMachine VM(P, Config);
-  VM.run(1'000'000);
-  for (auto _ : State) {
-    uint64_t Before = VM.stats().Instructions;
-    VM.run(1'000'000);
-    benchmark::DoNotOptimize(VM.stats().Instructions - Before);
-  }
-  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
-  // second.
-  State.counters["vcycles"] =
-      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
-                         benchmark::Counter::kIsRate);
+  exp::RunSpec Spec;
+  Spec.Config.Profiler = exp::chosenCBS(vm::Personality::JikesRVM);
+  bench::timeJessSlices(State, std::move(Spec));
 }
 BENCHMARK(BM_InterpreterWithCBS);
 
@@ -195,25 +167,11 @@ BENCHMARK(BM_InterpreterWithCBS);
 // the no-sink case — the telemetry rework must keep them identical
 // (the only added work is one null check on already-slow paths).
 static void BM_InterpreterWithRingSink(benchmark::State &State) {
-  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
   tel::RingBufferSink Sink;
-  vm::VMConfig Config;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.CBS.Stride = 3;
-  Config.Profiler.CBS.SamplesPerTick = 16;
-  Config.Trace = &Sink;
-  vm::VirtualMachine VM(P, Config);
-  VM.run(1'000'000);
-  for (auto _ : State) {
-    uint64_t Before = VM.stats().Instructions;
-    VM.run(1'000'000);
-    benchmark::DoNotOptimize(VM.stats().Instructions - Before);
-  }
-  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
-  // second.
-  State.counters["vcycles"] =
-      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
-                         benchmark::Counter::kIsRate);
+  exp::RunSpec Spec;
+  Spec.Config.Profiler = exp::chosenCBS(vm::Personality::JikesRVM);
+  Spec.Config.Trace = &Sink;
+  bench::timeJessSlices(State, std::move(Spec));
 }
 BENCHMARK(BM_InterpreterWithRingSink);
 

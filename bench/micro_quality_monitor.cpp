@@ -13,13 +13,12 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "BenchUtil.h"
+
 #include "profiling/DynamicCallGraph.h"
 #include "profiling/QualityMonitor.h"
-#include "support/ArgParser.h"
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/MetricRegistry.h"
-#include "vm/VirtualMachine.h"
-#include "workloads/Workloads.h"
 
 #include <benchmark/benchmark.h>
 
@@ -78,29 +77,11 @@ namespace {
 
 // The BM_InterpreterWithCBS configuration from micro_profiler_hotpath,
 // with the monitor armed every EveryTicks ticks (0 = disarmed).
-vm::VMConfig cbsConfig(uint32_t MonitorEveryTicks) {
-  vm::VMConfig Config;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.CBS.Stride = 3;
-  Config.Profiler.CBS.SamplesPerTick = 16;
-  Config.Profiler.Quality.EveryTicks = MonitorEveryTicks;
-  return Config;
-}
-
 void runInterpreter(benchmark::State &State, uint32_t MonitorEveryTicks) {
-  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
-  vm::VirtualMachine VM(P, cbsConfig(MonitorEveryTicks));
-  VM.run(1'000'000); // Warm the code cache.
-  for (auto _ : State) {
-    uint64_t Before = VM.stats().Instructions;
-    VM.run(1'000'000);
-    benchmark::DoNotOptimize(VM.stats().Instructions - Before);
-  }
-  // One iteration is a 1M-virtual-cycle slice: virtual cycles per host
-  // second.
-  State.counters["vcycles"] =
-      benchmark::Counter(static_cast<double>(State.iterations()) * 1e6,
-                         benchmark::Counter::kIsRate);
+  exp::RunSpec Spec;
+  Spec.Config.Profiler = exp::chosenCBS(vm::Personality::JikesRVM);
+  Spec.Config.Profiler.Quality.EveryTicks = MonitorEveryTicks;
+  bench::timeJessSlices(State, std::move(Spec));
 }
 
 } // namespace

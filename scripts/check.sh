@@ -393,11 +393,13 @@ echo "== address + undefined-behaviour sanitizers: code cache reclamation, count
 # a missed pin is a use-after-free. Run the suites and a fuzz campaign
 # that recompile, deoptimize and transfer frames under ASan + UBSan, the
 # suites that drive the VM counters, the report and the flight recorder,
-# and the determinism matrix, which drives every run feature at once.
+# the determinism matrix, which drives every run feature at once, and
+# the experiment and repository suites, which drive exp::Run through
+# measureThroughput, runWarmStart and the --profile-repo driver path.
 ASAN_BUILD="${BUILD}-asan"
 ASAN_TESTS=(CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest
             TelemetryTest ReportSchemaTest QualityMonitorTest
-            DeterminismMatrixTest)
+            DeterminismMatrixTest ExperimentTest ProfileRepositoryTest)
 cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD" -j --target "${ASAN_TESTS[@]}" cbsvm
 for T in "${ASAN_TESTS[@]}"; do

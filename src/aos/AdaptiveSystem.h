@@ -131,8 +131,9 @@ struct AOSStats {
   uint64_t WarmInstalls = 0; ///< warm requests that reached install
 };
 
-/// Attach with VirtualMachine::setClient. \p Oracle must outlive the
-/// system and may be null (no profile-directed inlining: methods are
+/// Attach with VirtualMachine::setClient; outside tests and the perf
+/// ledger, exp::Run (experiments/Run.h) is the one place that does.
+/// \p Oracle must outlive the system and may be null (no profile-directed inlining: methods are
 /// recompiled with the trivial plan only).
 class AdaptiveSystem : public vm::VMClient {
 public:

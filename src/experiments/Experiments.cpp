@@ -10,7 +10,6 @@
 #include "opt/InlineOracle.h"
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfilerRegistry.h"
-#include "support/ErrorHandling.h"
 #include "support/Statistics.h"
 
 #include <cstdlib>
@@ -54,14 +53,13 @@ vm::VMConfig exp::jitOnlyConfig(const bc::Program &P, vm::Personality Pers,
 
 PerfectProfile exp::runPerfect(const bc::Program &P, vm::Personality Pers,
                                uint64_t Seed) {
-  vm::VMConfig Config = jitOnlyConfig(P, Pers, Seed);
-  prof::ProfilerRegistry::instance().configure("exhaustive", Config.Profiler);
+  RunSpec Spec{.P = &P, .Config = jitOnlyConfig(P, Pers, Seed)};
+  prof::ProfilerRegistry::instance().configure("exhaustive",
+                                               Spec.Config.Profiler);
+  Run R(std::move(Spec));
+  R.runToEnd("perfect run");
 
-  vm::VirtualMachine VM(P, Config);
-  vm::RunState State = VM.run();
-  if (State == vm::RunState::Trapped)
-    reportFatalError("perfect run trapped: " + VM.trapMessage());
-
+  vm::VirtualMachine &VM = R.vm();
   PerfectProfile Perfect;
   Perfect.DCG = VM.profile();
   Perfect.BaseCycles = VM.stats().Cycles;
@@ -76,14 +74,12 @@ AccuracyCell exp::measureAccuracy(const bc::Program &P, vm::Personality Pers,
                                   const vm::ProfilerOptions &Prof,
                                   const PerfectProfile &Perfect,
                                   uint64_t Seed) {
-  vm::VMConfig Config = jitOnlyConfig(P, Pers, Seed);
-  Config.Profiler = Prof;
+  RunSpec Spec{.P = &P, .Config = jitOnlyConfig(P, Pers, Seed)};
+  Spec.Config.Profiler = Prof;
+  Run R(std::move(Spec));
+  R.runToEnd("profiled run");
 
-  vm::VirtualMachine VM(P, Config);
-  vm::RunState State = VM.run();
-  if (State == vm::RunState::Trapped)
-    reportFatalError("profiled run trapped: " + VM.trapMessage());
-
+  vm::VirtualMachine &VM = R.vm();
   AccuracyCell Cell;
   Cell.OverheadPct =
       100.0 *
@@ -237,25 +233,21 @@ vm::ProfilerOptions exp::baseProfiler(vm::Personality Pers) {
 
 ThroughputResult exp::measureThroughput(const bc::Program &P,
                                         const SpeedupOptions &Options) {
-  vm::VMConfig Config = jitOnlyConfig(P, Options.Pers, Options.Seed);
-  Config.Profiler = Options.Prof;
-  Config.MaxCycles = UINT64_MAX;
-  Config.Trace = Options.Trace;
-  Config.Costs.CompileLatencyScale = Options.CompileLatencyScale;
+  RunSpec Spec{.P = &P,
+               .Config = jitOnlyConfig(P, Options.Pers, Options.Seed),
+               .AOS = Options.AOS,
+               .Oracle = Options.Oracle};
+  Spec.Config.Profiler = Options.Prof;
+  Spec.Config.MaxCycles = UINT64_MAX;
+  Spec.Config.Trace = Options.Trace;
+  Spec.Config.Costs.CompileLatencyScale = Options.CompileLatencyScale;
+  Run R(std::move(Spec));
+  vm::VirtualMachine &VM = R.vm();
 
-  vm::VirtualMachine VM(P, Config);
-  aos::AdaptiveSystem AOS(Options.Oracle, Options.AOS);
-  VM.setClient(&AOS);
-
-  vm::RunState State = VM.run(Options.WarmupCycles);
-  if (State == vm::RunState::Trapped)
-    reportFatalError("throughput warmup trapped: " + VM.trapMessage());
-
+  R.runToEnd("throughput warmup", Options.WarmupCycles);
   uint64_t CyclesBefore = VM.stats().Cycles;
   uint64_t InstrBefore = VM.stats().Instructions;
-  State = VM.run(Options.MeasureCycles);
-  if (State == vm::RunState::Trapped)
-    reportFatalError("throughput measure trapped: " + VM.trapMessage());
+  R.runToEnd("throughput measure", Options.MeasureCycles);
 
   ThroughputResult Result;
   uint64_t DeltaCycles = VM.stats().Cycles - CyclesBefore;
@@ -265,7 +257,7 @@ ThroughputResult exp::measureThroughput(const bc::Program &P,
                           : static_cast<double>(DeltaInstr) /
                                 static_cast<double>(DeltaCycles);
   Result.CompileCycles = VM.stats().CompileCycles;
-  Result.Recompilations = AOS.stats().Recompilations;
+  Result.Recompilations = R.adaptive()->stats().Recompilations;
   Result.Stats = VM.stats();
   return Result;
 }
@@ -277,31 +269,26 @@ double exp::speedupPercent(const ThroughputResult &Test,
   return 100.0 * (Test.Throughput / Base.Throughput - 1.0);
 }
 
-exp::WarmStartRun exp::runWarmStart(
-    const bc::Program &P, vm::Personality Pers,
-    const opt::InlineOracle *Oracle,
-    std::shared_ptr<const prof::DCGSnapshot> Warm, uint64_t Seed,
-    uint32_t CompileJobs) {
-  vm::VMConfig Config = jitOnlyConfig(P, Pers, Seed);
-  Config.Profiler = chosenCBS(Pers);
+exp::WarmStartRun
+exp::runWarmStart(const bc::Program &P, vm::Personality Pers,
+                  std::shared_ptr<const prof::DCGSnapshot> Warm, uint64_t Seed,
+                  uint32_t CompileJobs) {
+  RunSpec Spec{.P = &P,
+               .Config = jitOnlyConfig(P, Pers, Seed),
+               .AOS = aos::AOSConfig()};
+  Spec.Config.Profiler = chosenCBS(Pers);
+  Spec.AOS->CompileJobs = CompileJobs;
+  Spec.AOS->WarmStart.Profile = std::move(Warm);
+  Run R(std::move(Spec));
+  R.runToEnd("warm-start run");
 
-  aos::AOSConfig AC;
-  AC.CompileJobs = CompileJobs;
-  AC.WarmStart.Profile = std::move(Warm);
-  aos::AdaptiveSystem AOS(Oracle, AC);
-
-  vm::VirtualMachine VM(P, Config);
-  VM.setClient(&AOS);
-  vm::RunState State = VM.run();
-  if (State == vm::RunState::Trapped)
-    reportFatalError("warm-start run trapped: " + VM.trapMessage());
-
-  WarmStartRun R;
-  R.Cycles = VM.cycles();
-  R.FirstInstallCycle = AOS.stats().FirstInstallCycle;
-  R.Installs = AOS.stats().QueueInstalls;
-  R.WarmEnqueued = AOS.stats().WarmEnqueued;
-  R.WarmInstalls = AOS.stats().WarmInstalls;
-  R.Profile = VM.profile();
-  return R;
+  const aos::AOSStats &Stats = R.adaptive()->stats();
+  WarmStartRun W;
+  W.Cycles = R.vm().cycles();
+  W.FirstInstallCycle = Stats.FirstInstallCycle;
+  W.Installs = Stats.QueueInstalls;
+  W.WarmEnqueued = Stats.WarmEnqueued;
+  W.WarmInstalls = Stats.WarmInstalls;
+  W.Profile = R.vm().profile();
+  return W;
 }

@@ -25,9 +25,8 @@
 #ifndef CBSVM_EXPERIMENTS_EXPERIMENTS_H
 #define CBSVM_EXPERIMENTS_EXPERIMENTS_H
 
-#include "aos/AdaptiveSystem.h"
 #include "experiments/ParallelRunner.h"
-#include "vm/VirtualMachine.h"
+#include "experiments/Run.h"
 #include "workloads/Workloads.h"
 
 #include <memory>
@@ -169,12 +168,12 @@ struct WarmStartRun {
   prof::DCGSnapshot Profile;
 };
 
-/// Runs \p P to completion under the adaptive system with the chosen
-/// CBS profiler for \p Pers. A null \p Warm is a cold start; a non-null
-/// snapshot takes the repository warm-start path (pre-enqueued hot
-/// methods at cycle 0). Byte-identical at any \p CompileJobs value.
+/// Runs \p P to completion under the adaptive system (NewJikes oracle)
+/// with the chosen CBS profiler for \p Pers. A null \p Warm is a cold
+/// start; a non-null snapshot takes the repository warm-start path
+/// (pre-enqueued hot methods at cycle 0). Byte-identical at any
+/// \p CompileJobs value.
 WarmStartRun runWarmStart(const bc::Program &P, vm::Personality Pers,
-                          const opt::InlineOracle *Oracle,
                           std::shared_ptr<const prof::DCGSnapshot> Warm,
                           uint64_t Seed, uint32_t CompileJobs = 0);
 

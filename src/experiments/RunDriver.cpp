@@ -45,18 +45,14 @@ RunSetup parseRunSetup(support::ArgParser &Args) {
   AOSOpts.parse(Args);
   S.RepoDir = Args.option("--profile-repo", "");
 
-  S.Pers = S.Config.Pers;
-  S.Seed = S.Config.Seed;
-
-  S.P = W ? W->Build(S.Size, S.Seed) : wl::buildPhased(S.Size, S.Seed);
+  S.P = W ? W->Build(S.Size, S.Config.Seed)
+          : wl::buildPhased(S.Size, S.Config.Seed);
   applyJitOnly(S.P, S.Config);
 
   AOSOpts.finalize(S.Config);
-  S.UseAOS = AOSOpts.UseAOS;
-  S.AOS = AOSOpts.Config;
   // Warm start is an AOS feature, so the repository implies --aos.
-  if (!S.RepoDir.empty())
-    S.UseAOS = true;
+  if (AOSOpts.UseAOS || !S.RepoDir.empty())
+    S.AOS = AOSOpts.Config;
   return S;
 }
 
@@ -83,10 +79,11 @@ DriverRun::DriverRun(RunSetup &S) : S(S) {
     Repo = std::make_unique<prof::ProfileRepository>(S.RepoDir);
     Key.Workload = S.Name;
     Key.ProgramHash = S.P.contentHash();
-    Key.Personality = S.Pers == vm::Personality::JikesRVM ? "jikes" : "j9";
+    Key.Personality =
+        S.Config.Pers == vm::Personality::JikesRVM ? "jikes" : "j9";
     Load = Repo->load(Key);
     if (Load.ok())
-      S.AOS.WarmStart.Profile =
+      S.AOS->WarmStart.Profile =
           std::make_shared<const prof::DCGSnapshot>(Load.Entry->Graph);
     else if (Load.Rejected)
       std::fprintf(stderr, "cbsvm: profile-repo: %s\n",
@@ -111,11 +108,7 @@ DriverRun::DriverRun(RunSetup &S) : S(S) {
       Metrics.gauge("repo.committed") = R.Committed;
     };
   }
-  if (S.UseAOS)
-    AOS = std::make_unique<aos::AdaptiveSystem>(&Oracle, S.AOS);
-  VM = std::make_unique<vm::VirtualMachine>(S.P, S.Config);
-  if (AOS)
-    VM->setClient(AOS.get());
+  R.emplace(RunSpec{.P = &S.P, .Config = S.Config, .AOS = S.AOS});
 }
 
 aos::RepoReport DriverRun::repoReport() const {
@@ -131,9 +124,9 @@ aos::RepoReport DriverRun::repoReport() const {
 }
 
 vm::RunState DriverRun::run() {
-  State = VM->run();
+  State = R->run();
   if (S.Config.Recorder)
-    S.Config.Recorder->requestDump("end_of_run", VM->cycles());
+    S.Config.Recorder->requestDump("end_of_run", R->vm().cycles());
   return State;
 }
 
@@ -141,10 +134,10 @@ aos::ReportInputs DriverRun::reportInputs() {
   aos::ReportInputs In;
   In.Workload = S.Name;
   In.Size = wl::inputSizeName(S.Size);
-  In.Seed = S.Seed;
+  In.Seed = S.Config.Seed;
   In.State = vm::runStateName(State);
-  In.VM = VM.get();
-  In.AOS = AOS.get();
+  In.VM = &R->vm();
+  In.AOS = R->adaptive();
   In.Recorder = S.Config.Recorder;
   In.Repo = repoReport();
   return In;

@@ -6,7 +6,7 @@
 ///
 /// \file
 /// How `cbsvm run`, `stats` and `report` turn their arguments into one
-/// wired run: the workload and VM configuration, the profile
+/// exp::Run (Run.h): the workload and VM configuration, the profile
 /// repository's warm start and shutdown commit, the adaptive system,
 /// and the report document's inputs. The determinism matrix
 /// (tests/DeterminismMatrixTest.cpp) runs through this same unit, so it
@@ -17,16 +17,15 @@
 #ifndef CBSVM_EXPERIMENTS_RUNDRIVER_H
 #define CBSVM_EXPERIMENTS_RUNDRIVER_H
 
-#include "aos/AdaptiveSystem.h"
 #include "aos/ReportJson.h"
-#include "opt/InlineOracle.h"
+#include "experiments/Run.h"
 #include "profiling/ProfileRepository.h"
 #include "support/ArgParser.h"
 #include "telemetry/FlightRecorder.h"
-#include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 
 namespace cbs::exp {
@@ -38,14 +37,12 @@ wl::InputSize parseSizeOption(support::ArgParser &Args);
 struct RunSetup {
   std::string Name;
   wl::InputSize Size = wl::InputSize::Small;
-  vm::Personality Pers = vm::Personality::JikesRVM;
-  uint64_t Seed = 1;
   bc::Program P;
   vm::VMConfig Config;
-  /// --aos (or an option implying it): attach the adaptive system so
-  /// hot methods recompile through the background compile queue.
-  bool UseAOS = false;
-  aos::AOSConfig AOS;
+  /// Set by --aos (or an option implying it): attach the adaptive
+  /// system so hot methods recompile through the background compile
+  /// queue.
+  std::optional<aos::AOSConfig> AOS;
   /// --profile-repo DIR: warm-start from (and commit to) the
   /// cross-run profile repository. Empty = disabled.
   std::string RepoDir;
@@ -66,20 +63,18 @@ tel::FlightRecorderConfig parseReportOptions(support::ArgParser &Args,
 /// One run of \p S wired as the driver wires it. Construction loads the
 /// repository entry (warm-starting the AOS on a hit, printing the
 /// diagnostic on a rejection), plants the shutdown hook that commits a
-/// finished run's profile and publishes the repo.* gauges, builds the
-/// VM and attaches the adaptive system when S.UseAOS. \p S must outlive
-/// the run. A flight recorder set in S.Config.Recorder before
-/// construction is dumped at the end of run() and feeds the report.
+/// finished run's profile and publishes the repo.* gauges, and builds
+/// the exp::Run. \p S must outlive the run. A flight recorder set in
+/// S.Config.Recorder before construction is dumped at the end of run()
+/// and feeds the report.
 class DriverRun {
 public:
   explicit DriverRun(RunSetup &S);
-  DriverRun(const DriverRun &) = delete;
-  DriverRun &operator=(const DriverRun &) = delete;
 
   vm::RunState run();
 
-  vm::VirtualMachine &vm() { return *VM; }
-  const aos::AdaptiveSystem *adaptiveSystem() const { return AOS.get(); }
+  vm::VirtualMachine &vm() { return R->vm(); }
+  const aos::AdaptiveSystem *adaptive() const { return R->adaptive(); }
 
   /// The report document's inputs after run().
   aos::ReportInputs reportInputs();
@@ -93,10 +88,7 @@ private:
   prof::RepoKey Key;
   prof::RepoLoadResult Load;
   prof::RepoCommitResult Commit;
-  /// The oracle must outlive the system and the system the VM run.
-  opt::NewJikesOracle Oracle;
-  std::unique_ptr<aos::AdaptiveSystem> AOS;
-  std::unique_ptr<vm::VirtualMachine> VM;
+  std::optional<Run> R;
   vm::RunState State = vm::RunState::Running;
 };
 

@@ -6,7 +6,6 @@
 
 #include "fuzz/Oracle.h"
 
-#include "aos/AdaptiveSystem.h"
 #include "experiments/Experiments.h"
 #include "experiments/ParallelRunner.h"
 #include "opt/Compiler.h"
@@ -14,7 +13,6 @@
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfileCodec.h"
 #include "profiling/ProfilerRegistry.h"
-#include "vm/VirtualMachine.h"
 
 #include <algorithm>
 #include <optional>
@@ -59,17 +57,12 @@ struct RunResult {
 /// system (NewJikes inlining oracle) is attached, so hot methods
 /// recompile through the background compile queue while it runs.
 RunResult runProgram(const bc::Program &P, vm::VMConfig Config,
-                     const aos::AOSConfig *AOS = nullptr) {
+                     std::optional<aos::AOSConfig> AOS = std::nullopt) {
   Config.MaxCycles = std::min(Config.MaxCycles, OracleMaxCycles);
-  opt::NewJikesOracle InlineOracle;
-  std::optional<aos::AdaptiveSystem> Adaptive;
-  if (AOS)
-    Adaptive.emplace(&InlineOracle, *AOS);
-  vm::VirtualMachine VM(P, Config);
-  if (Adaptive)
-    VM.setClient(&*Adaptive);
+  exp::Run Wired({.P = &P, .Config = std::move(Config), .AOS = std::move(AOS)});
+  vm::VirtualMachine &VM = Wired.vm();
   RunResult R;
-  R.State = VM.run();
+  R.State = Wired.run();
   R.Trap = VM.trapMessage();
   R.Output = VM.output();
   R.HeapObjects = VM.heap().numObjects();
@@ -176,7 +169,7 @@ public:
                                                  ExConfig.Profiler);
     RunResult Exhaustive = runProgram(In.P, ExConfig);
     auto Plan = std::make_shared<opt::InlinePlan>(
-        opt::NewJikesOracle().plan(In.P, Exhaustive.Profile));
+        exp::newJikesOracle().plan(In.P, Exhaustive.Profile));
     vm::VMConfig Pgo = plainConfig(In.Seed);
     Pgo.Profiler.Kind = vm::ProfilerKind::CBS;
     Pgo.CompileHook =
@@ -443,13 +436,12 @@ public:
       }
       if (Row.Warm) {
         // The cold run collects the profile a repository would persist.
-        aos::AOSConfig Cold;
         AC.WarmStart.Profile = std::make_shared<const prof::DCGSnapshot>(
-            runProgram(In.P, Config, &Cold).Profile);
+            runProgram(In.P, Config, aos::AOSConfig()).Profile);
       }
 
       AC.CompileJobs = 0;
-      RunResult Jobs0 = runProgram(In.P, Config, &AC);
+      RunResult Jobs0 = runProgram(In.P, Config, AC);
       if (std::string D = compareRuns("no-aos", Base, Row.Label, Jobs0);
           !D.empty())
         return D;
@@ -457,7 +449,7 @@ public:
         continue;
 
       AC.CompileJobs = 2;
-      RunResult Jobs2 = runProgram(In.P, Config, &AC);
+      RunResult Jobs2 = runProgram(In.P, Config, AC);
       std::string Label = Row.Label;
       if (std::string D = compareRuns(Label + " compile-jobs=0", Jobs0,
                                       Label + " compile-jobs=2", Jobs2);

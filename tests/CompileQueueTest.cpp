@@ -16,6 +16,7 @@
 
 #include "aos/AdaptiveSystem.h"
 #include "aos/CompileQueue.h"
+#include "experiments/Experiments.h"
 #include "experiments/RunDriver.h"
 #include "telemetry/TraceSink.h"
 
@@ -161,11 +162,26 @@ QueueCounts runWorkload(const char *Name, const char *LatencyScale,
   S.Config.Trace = Trace;
   exp::DriverRun Run(S);
   EXPECT_EQ(Run.run(), vm::RunState::Finished) << Run.vm().trapMessage();
-  const AOSStats &Stats = Run.adaptiveSystem()->stats();
+  const AOSStats &Stats = Run.adaptive()->stats();
   return {Stats.QueueInstalls, Stats.QueueStaleDrops};
 }
 
 } // namespace
+
+TEST(CompileQueue, RunDestroyedWithCompilesInFlight) {
+  // exp::Run's lifetime rule under a worker pool: stopping mid-run
+  // leaves compiles in flight, and destroying the run (VM first, then
+  // the adaptive system, which joins its workers) must neither leak nor
+  // touch freed state. The ASan and TSan builds run this too.
+  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
+  exp::RunSpec Spec{.P = &P, .AOS = AOSConfig()};
+  Spec.Config.Profiler = exp::chosenCBS(vm::Personality::JikesRVM);
+  Spec.AOS->CompileJobs = 2;
+  exp::Run Run(std::move(Spec));
+  // At 3M cycles one request is pending (at 2M none is yet).
+  EXPECT_EQ(Run.run(3'000'000), vm::RunState::Running);
+  EXPECT_GT(Run.adaptive()->queueDepth(), 0u);
+}
 
 TEST(CompileQueue, StalePlansAreReValidatedAtInstall) {
   // With a long modelled latency on the phase-shift program, plans

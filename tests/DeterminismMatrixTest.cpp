@@ -77,8 +77,8 @@ const std::vector<Axis> Axes = {
 };
 
 void forceDeoptStorm(exp::RunSetup &S) {
-  S.AOS.Deopt.Enabled = true;
-  S.AOS.Deopt.ForceStormForTesting = true;
+  S.AOS->Deopt.Enabled = true;
+  S.AOS->Deopt.ForceStormForTesting = true;
 }
 
 const std::vector<std::string> OsrArgs = {
@@ -221,8 +221,8 @@ TEST(DeterminismMatrix, EveryCellIsByteIdenticalToItsRowBaseline) {
   std::vector<fs::path> Seeds(Rows.size());
   for (size_t R = 0; R != Rows.size(); ++R) {
     support::ArgParser Args({Rows[R].Args.begin() + 1, Rows[R].Args.end()});
-    bool UsesAOS =
-        exp::parseRunSetup(Args).UseAOS || Rows[R].Repo != RepoUse::None;
+    bool UsesAOS = exp::parseRunSetup(Args).AOS.has_value() ||
+                   Rows[R].Repo != RepoUse::None;
     for (size_t A = 0; A != Axes.size(); ++A)
       if (UsesAOS || !Axes[A].NeedsAOS)
         Cells.push_back({R, A});

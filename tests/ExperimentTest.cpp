@@ -12,6 +12,7 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "bytecode/Builder.h"
 #include "experiments/Experiments.h"
 
 #include <gtest/gtest.h>
@@ -226,4 +227,16 @@ TEST(Harness, EnvRunsDefaultsWhenUnset) {
   setenv("CBSVM_RUNS", "garbage", 1);
   EXPECT_EQ(envRuns(5), 5u);
   unsetenv("CBSVM_RUNS");
+}
+
+TEST(Harness, RunToEndAbortsOnTrapWithTheCallersLabel) {
+  bc::ProgramBuilder PB;
+  bc::MethodId Main = PB.declareStatic("main");
+  {
+    bc::MethodBuilder MB = PB.defineMethod(Main);
+    MB.iconst(1).iconst(0).idiv().print();
+    MB.finish();
+  }
+  bc::Program P = PB.finish(Main);
+  EXPECT_DEATH(exp::Run(RunSpec{.P = &P}).runToEnd("probe"), "probe trapped: ");
 }

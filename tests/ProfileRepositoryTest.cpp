@@ -266,7 +266,7 @@ TEST(ProfileRepository, WarmStartKeepsOutputAndInstallsEarlier) {
     exp::DriverRun R(S);
     EXPECT_EQ(R.run(), vm::RunState::Finished);
     Output = R.vm().output();
-    return R.adaptiveSystem()->stats();
+    return R.adaptive()->stats();
   };
   std::vector<int64_t> ColdOutput, WarmOutput;
   aos::AOSStats Cold = Run(ColdOutput);

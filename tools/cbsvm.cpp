@@ -305,7 +305,8 @@ int cmdRun(ArgParser &Args) {
   std::printf("\n%s", DCG.str(S.P, Edges).c_str());
 
   if (WantAccuracy) {
-    exp::PerfectProfile Perfect = exp::runPerfect(S.P, S.Pers, S.Seed);
+    exp::PerfectProfile Perfect =
+        exp::runPerfect(S.P, S.Config.Pers, S.Config.Seed);
     double Overhead =
         100.0 *
         (static_cast<double>(VM.stats().Cycles) -
