@@ -73,25 +73,6 @@ inline const char *personalityName(vm::Personality Pers) {
   return Pers == vm::Personality::JikesRVM ? "Jikes RVM" : "J9";
 }
 
-/// The body of the VM-slice micros: runs jess (steady input, seed 1)
-/// under \p Spec, whose program it sets, for one warm-up slice, then one
-/// 1M-virtual-cycle slice per iteration of \p State (a
-/// benchmark::State), reported as the `vcycles` rate counter (virtual
-/// cycles per host second). A template, so that this header needs no
-/// google-benchmark include.
-template <typename BenchState>
-void timeJessSlices(BenchState &State, exp::RunSpec Spec) {
-  using Counter = typename decltype(State.counters)::mapped_type;
-  bc::Program P = wl::buildJess(wl::InputSize::Steady, 1);
-  Spec.P = &P;
-  exp::Run Run(std::move(Spec));
-  Run.run(1'000'000); // Warm the code cache.
-  for (auto _ : State)
-    Run.run(1'000'000);
-  State.counters["vcycles"] =
-      Counter(static_cast<double>(State.iterations()) * 1e6, Counter::kIsRate);
-}
-
 /// The one table model of a bench binary. The binary hands it each
 /// table's header and rows; print() renders the current table as text
 /// through TablePrinter, and when the command line carries `--json FILE`

@@ -57,7 +57,7 @@ int main(int Argc, char **Argv) {
       prof::DCGSnapshot DCG = VM.profile();
       // The old inliner's hot set: edges above 1% of total weight.
       size_t NumHot = 0;
-      Perfect.DCG.forEachEdge([&](prof::CallEdge E, uint64_t W) {
+      Perfect.DCG.forEachEdge([&](prof::CallEdge E, uint64_t) {
         if (Perfect.DCG.fraction(E) > 0.01)
           ++NumHot;
       });

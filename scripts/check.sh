@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 verification of CBSVM. Stages, in order:
-#  - configure, build, ctest fast tier, full suite (its
-#    DeterminismMatrixTest is the one home of byte-identity across
-#    --dcg-shards, --compile-jobs and ParallelRunner jobs)
+#  - configure, build (warnings are errors), ctest fast tier, full
+#    suite (its DeterminismMatrixTest is the one home of byte-identity
+#    across --dcg-shards, --compile-jobs and ParallelRunner jobs)
 #  - observability smoke: trace and metrics agree
 #  - fuzz smoke: jobs 1 vs 8, broken-oracle artifact replay
 #  - parallel determinism: table2a sweep at --jobs 1 vs 8
@@ -34,7 +34,8 @@ if [[ -n "${CBSVM_SANITIZE:-}" ]]; then
 fi
 
 echo "== configure =="
-cmake -B "$BUILD" -S . "${CMAKE_ARGS[@]}"
+# The build stays warning-free: any compiler warning fails the stage.
+cmake -B "$BUILD" -S . -DCMAKE_COMPILE_WARNING_AS_ERROR=ON "${CMAKE_ARGS[@]}"
 
 echo "== build =="
 cmake --build "$BUILD" -j

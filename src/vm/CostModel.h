@@ -42,8 +42,6 @@ struct CostModel {
   uint32_t StackSampleBase = 8;
   /// One allocation-profile sample: histogram bump only, no walk.
   uint32_t AllocSampleCost = 3;
-  /// Extra per walked frame when full-context sampling is on.
-  uint32_t StackSamplePerFrame = 1;
   /// Per-call counter update of the exhaustive (Vortex-style PIC
   /// counter) profiler. 8 cycles on a ~40-cycle average call gives the
   /// 15-50% overhead range §3.1 reports.

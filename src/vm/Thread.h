@@ -20,11 +20,13 @@
 #ifndef CBSVM_VM_THREAD_H
 #define CBSVM_VM_THREAD_H
 
+#include "profiling/CallEdge.h"
 #include "profiling/CounterBasedSampler.h"
 #include "profiling/SampleBuffer.h"
 #include "profiling/TimerSampler.h"
 #include "vm/CompiledMethod.h"
 
+#include <optional>
 #include <vector>
 
 namespace cbs::vm {
@@ -84,6 +86,19 @@ struct Thread {
   Frame &top() { return Frames.back(); }
   const Frame &top() const { return Frames.back(); }
   size_t depth() const { return Frames.size(); }
+
+  /// The top caller→callee edge, or nullopt when the thread is at its
+  /// entry frame (no caller) or its caller is suspended at a non-call
+  /// instruction. This is what a DCG stack sample records.
+  std::optional<prof::CallEdge> topEdge() const {
+    if (Frames.size() < 2)
+      return std::nullopt;
+    const Frame &Caller = Frames[Frames.size() - 2];
+    const bc::Instruction &CI = Caller.CM->Code[Caller.PC];
+    if (!bc::isCall(CI.Op))
+      return std::nullopt;
+    return prof::CallEdge{CI.Site, Frames.back().CM->Id};
+  }
 };
 
 } // namespace cbs::vm

@@ -67,10 +67,6 @@ struct ProfilerOptions {
   uint64_t PromoteAfterInvocations = 1000;
   /// Charge CostModel::ExhaustiveCounter per call in Exhaustive mode.
   bool ChargeExhaustiveCounters = true;
-  /// Additionally record full stack walks into a CallingContextTree
-  /// (the context-sensitive extension, §1/§8). Costs
-  /// StackSamplePerFrame extra per walked frame.
-  bool ContextSensitive = false;
 
   /// §8 generalization: also run a CounterBasedSampler over
   /// *allocation* events, building a per-class allocation histogram

@@ -8,7 +8,6 @@
 
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/TraceSink.h"
-#include "vm/StackWalker.h"
 
 #include <cassert>
 #include <sstream>
@@ -396,7 +395,7 @@ void VirtualMachine::recordEdgeSample(Thread &T) {
   ++Stats.SamplesTaken;
   SampleStackDepth.record(T.Frames.size());
   chargeProf(Config.Costs.StackSampleBase, Stats.OvStackWalk);
-  std::optional<prof::CallEdge> Edge = topEdge(T);
+  std::optional<prof::CallEdge> Edge = T.topEdge();
   if (Trace)
     Trace->event(tel::TraceEvent::sample(
         Stats.Cycles, T.Id, Edge ? Edge->Callee : bc::InvalidMethodId,
@@ -407,12 +406,6 @@ void VirtualMachine::recordEdgeSample(Thread &T) {
   // runs drops further samples (surfaced as sample_drop events).
   if (Edge)
     T.Buffer.append(*Edge);
-  if (Config.Profiler.ContextSensitive) {
-    chargeProf(Config.Costs.StackSamplePerFrame *
-                   static_cast<uint32_t>(T.Frames.size()),
-               Stats.OvStackWalk);
-    CCT.addPath(walkStack(T));
-  }
 }
 
 void VirtualMachine::processTaken(Thread &T, Where W,

@@ -28,7 +28,7 @@
 
 #include "bytecode/Program.h"
 #include "profiling/AllocationProfile.h"
-#include "profiling/CallingContextTree.h"
+#include "profiling/DynamicCallGraph.h"
 #include "profiling/SampleBuffer.h"
 #include "telemetry/MetricRegistry.h"
 #include "vm/CodeCache.h"
@@ -100,10 +100,6 @@ public:
   /// flushes incomplete code-patching windows. Cheap to copy and stays
   /// valid after further execution or VM destruction.
   prof::DCGSnapshot profile();
-
-  /// The context-sensitive profile (populated when
-  /// ProfilerOptions::ContextSensitive is set).
-  const prof::CallingContextTree &contextTree() const { return CCT; }
 
   /// The sampled per-class allocation histogram (populated when
   /// ProfilerOptions::ProfileAllocations is set — the §8
@@ -254,7 +250,6 @@ private:
   uint64_t DeoptEpoch = 0;
 
   prof::DynamicCallGraph DCG;
-  prof::CallingContextTree CCT;
   prof::AllocationProfile AllocProfile;
   std::unique_ptr<prof::CodePatchingProfiler> Patching;
   std::unique_ptr<prof::ProfileQualityMonitor> Quality;

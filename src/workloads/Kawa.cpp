@@ -8,9 +8,7 @@
 // population in Table 1 (1794 executed on small), deep recursive
 // evaluation over expression-node classes, and a hot apply/eval
 // dispatch whose receiver set is wide but has a clear head (literals
-// and variable references dominate real Scheme ASTs). Deep stacks make
-// the stack walker's per-frame cost visible and give the calling
-// context tree extension something real to record.
+// and variable references dominate real Scheme ASTs).
 //
 //===----------------------------------------------------------------------===//
 

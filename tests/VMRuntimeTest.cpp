@@ -5,14 +5,13 @@
 //===----------------------------------------------------------------------===//
 //
 // Timer ticks, yieldpoints, the two VM personalities, GC servicing,
-// green-thread scheduling, the stack walker, and the profiler wiring
-// inside the runtime services.
+// green-thread scheduling, and the profiler wiring inside the runtime
+// services.
 //
 //===----------------------------------------------------------------------===//
 
 #include "bytecode/Builder.h"
 #include "bytecode/Verifier.h"
-#include "vm/StackWalker.h"
 #include "vm/VirtualMachine.h"
 #include "workloads/Workloads.h"
 
@@ -232,53 +231,6 @@ TEST(Runtime, PersonalitiesDifferInEpilogueEvents) {
   uint64_t Jikes = Samples(vm::Personality::JikesRVM);
   uint64_t J9 = Samples(vm::Personality::J9);
   EXPECT_GT(Jikes, J9 + J9 / 2);
-}
-
-TEST(Runtime, StackWalkerReportsFullContext) {
-  // Build main -> a -> b and sample inside b via the walker helpers.
-  ProgramBuilder PB;
-  MethodId B = PB.declareStatic("b", {ValKind::Int}, true);
-  {
-    MethodBuilder MB = PB.defineMethod(B);
-    MB.iload(0).iret();
-    MB.finish();
-  }
-  MethodId A = PB.declareStatic("a", {ValKind::Int}, true);
-  {
-    MethodBuilder MB = PB.defineMethod(A);
-    MB.iload(0).invokeStatic(B).iret();
-    MB.finish();
-  }
-  MethodId Main = PB.declareStatic("main");
-  {
-    MethodBuilder MB = PB.defineMethod(Main);
-    MB.iconst(1).invokeStatic(A).print();
-    MB.finish();
-  }
-  Program P = PB.finish(Main);
-  // Context-sensitive CBS sampling records full paths into the CCT.
-  vm::VMConfig Config;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.ContextSensitive = true;
-  vm::VirtualMachine VM(P, Config);
-  VM.run();
-  EXPECT_EQ(VM.state(), vm::RunState::Finished);
-}
-
-TEST(Runtime, ContextSensitiveCCTAgreesWithDCG) {
-  bc::Program P = wl::buildJess(wl::InputSize::Small, 3);
-  vm::VMConfig Config;
-  Config.Profiler.Kind = vm::ProfilerKind::CBS;
-  Config.Profiler.CBS.Stride = 3;
-  Config.Profiler.CBS.SamplesPerTick = 16;
-  Config.Profiler.ContextSensitive = true;
-  vm::VirtualMachine VM(P, Config);
-  VM.run();
-  EXPECT_EQ(VM.contextTree().totalWeight(), VM.stats().SamplesTaken);
-  // Projecting leaf edges recovers (a superset of weights of) the flat
-  // DCG: every flat sample that had a caller appears.
-  prof::DCGSnapshot Flat = VM.contextTree().projectLeafEdges();
-  EXPECT_EQ(Flat.totalWeight(), VM.profile().totalWeight());
 }
 
 TEST(Runtime, CompileCyclesAccountedOnFirstTouch) {

@@ -14,7 +14,7 @@
 #include "vm/CodeCache.h"
 #include "vm/CostModel.h"
 #include "vm/Heap.h"
-#include "vm/StackWalker.h"
+#include "vm/Thread.h"
 
 #include <gtest/gtest.h>
 
@@ -303,7 +303,7 @@ TEST(SampleBuffer, AccountingAtTheExactCapacityBoundary) {
 }
 
 //===----------------------------------------------------------------------===//
-// StackWalker (depth-0/1 stacks and non-call suspension points)
+// Thread::topEdge (depth-0/1 stacks and non-call suspension points)
 //===----------------------------------------------------------------------===//
 
 namespace {
@@ -320,8 +320,7 @@ vm::CompiledMethod madeMethod(bc::MethodId Id,
 
 TEST(StackWalker, EmptyStackHasNoEdgeAndNoPath) {
   vm::Thread T;
-  EXPECT_EQ(vm::topEdge(T), std::nullopt);
-  EXPECT_TRUE(vm::walkStack(T).empty());
+  EXPECT_EQ(T.topEdge(), std::nullopt);
 }
 
 TEST(StackWalker, EntryFrameAloneYieldsNoEdge) {
@@ -330,12 +329,8 @@ TEST(StackWalker, EntryFrameAloneYieldsNoEdge) {
   vm::Thread T;
   T.Frames.push_back({&Entry, 0, 0});
 
-  EXPECT_EQ(vm::topEdge(T), std::nullopt)
+  EXPECT_EQ(T.topEdge(), std::nullopt)
       << "a depth-1 stack has no caller to attribute a sample to";
-  std::vector<prof::PathStep> Path = vm::walkStack(T);
-  ASSERT_EQ(Path.size(), 1u);
-  EXPECT_EQ(Path[0].Site, bc::InvalidSiteId) << "thread entry has no site";
-  EXPECT_EQ(Path[0].Method, 7u);
 }
 
 TEST(StackWalker, TopEdgeReadsTheCallersSuspendedSite) {
@@ -347,16 +342,10 @@ TEST(StackWalker, TopEdgeReadsTheCallersSuspendedSite) {
   T.Frames.push_back({&Caller, 0, 0});
   T.Frames.push_back({&Callee, 0, 0});
 
-  std::optional<prof::CallEdge> Edge = vm::topEdge(T);
+  std::optional<prof::CallEdge> Edge = T.topEdge();
   ASSERT_TRUE(Edge.has_value());
   EXPECT_EQ(Edge->Site, 11u);
   EXPECT_EQ(Edge->Callee, 4u);
-
-  std::vector<prof::PathStep> Path = vm::walkStack(T);
-  ASSERT_EQ(Path.size(), 2u);
-  EXPECT_EQ(Path[0].Site, bc::InvalidSiteId);
-  EXPECT_EQ(Path[1].Site, 11u);
-  EXPECT_EQ(Path[1].Method, 4u);
 }
 
 TEST(StackWalker, NonCallSuspensionYieldsNoEdge) {
@@ -369,8 +358,5 @@ TEST(StackWalker, NonCallSuspensionYieldsNoEdge) {
   vm::Thread T;
   T.Frames.push_back({&Caller, 0, 0});
   T.Frames.push_back({&Callee, 0, 0});
-  EXPECT_EQ(vm::topEdge(T), std::nullopt);
-  std::vector<prof::PathStep> Path = vm::walkStack(T);
-  ASSERT_EQ(Path.size(), 2u);
-  EXPECT_EQ(Path[1].Site, bc::InvalidSiteId);
+  EXPECT_EQ(T.topEdge(), std::nullopt);
 }
