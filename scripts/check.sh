@@ -394,13 +394,16 @@ echo "== address + undefined-behaviour sanitizers: code cache reclamation, count
 # a missed pin is a use-after-free. Run the suites and a fuzz campaign
 # that recompile, deoptimize and transfer frames under ASan + UBSan, the
 # suites that drive the VM counters, the report and the flight recorder,
-# the determinism matrix, which drives every run feature at once, and
-# the experiment and repository suites, which drive exp::Run through
-# measureThroughput, runWarmStart and the --profile-repo driver path.
+# the determinism matrix, which drives every run feature at once, the
+# experiment and repository suites, which drive exp::Run through
+# measureThroughput, runWarmStart and the --profile-repo driver path,
+# and the interpreter's own suites, whose operand stack is raw pointers
+# into a growable arena.
 ASAN_BUILD="${BUILD}-asan"
 ASAN_TESTS=(CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest
             TelemetryTest ReportSchemaTest QualityMonitorTest
-            DeterminismMatrixTest ExperimentTest ProfileRepositoryTest)
+            DeterminismMatrixTest ExperimentTest ProfileRepositoryTest
+            InterpreterTest VMRuntimeTest VMUnitTest)
 cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD" -j --target "${ASAN_TESTS[@]}" cbsvm
 for T in "${ASAN_TESTS[@]}"; do

@@ -41,6 +41,7 @@ const CompiledMethod *CodeCache::install(CompiledMethod CM) {
     reclaimIfUnpinned(Graveyard.back().get());
   }
   ActiveInstructions += CM.Code.size();
+  CM.bakeCosts();
   Active[CM.Id] = std::make_unique<CompiledMethod>(std::move(CM));
   return Active[CM.Id].get();
 }

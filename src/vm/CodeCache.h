@@ -64,7 +64,9 @@ public:
   }
 
   /// Installs a new version; the previous one (if any) is retired but
-  /// kept alive. Returns the installed version. Fatal error when the
+  /// kept alive. Every version reaches the interpreter through here, so
+  /// this is where its per-PC cost tables are baked
+  /// (CompiledMethod::bakeCosts). Returns the installed version. Fatal error when the
   /// new version matches the active one's (level, plan generation) —
   /// see the file comment.
   const CompiledMethod *install(CompiledMethod CM);

@@ -56,6 +56,14 @@ struct OsrPoint {
   uint32_t CodePC = 0;
 };
 
+/// What executing one instruction charges: virtual cycles, and its
+/// count toward VMStats::Instructions (1, or `work`'s operand, which is
+/// added sign-extended, as the operand itself would be).
+struct PcCost {
+  uint64_t Cycles = 0;
+  int32_t Instructions = 0;
+};
+
 struct CompiledMethod {
   bc::MethodId Id = bc::InvalidMethodId;
   /// Optimization level 0..2.
@@ -78,6 +86,13 @@ struct CompiledMethod {
   /// outside the adaptive system).
   uint64_t PlanGeneration = 0;
   uint64_t ProfileEpoch = 0;
+  /// Per-PC charges, baked by bakeCosts() when the code cache installs
+  /// the version: CostTable at this version's ScaleQ8, BaselineCostTable
+  /// unscaled (what a deopted frame pays; empty when ScaleQ8 is 1.0,
+  /// since CostTable is then the same). A frame points at the one that
+  /// applies to it (Frame::Costs).
+  std::vector<PcCost> CostTable;
+  std::vector<PcCost> BaselineCostTable;
   /// Set by CodeCache::invalidate when the version is retired by a
   /// deoptimization; frames still pinning it fall back to baseline
   /// execution speed at their next taken yieldpoint (and, with OSR
@@ -93,6 +108,28 @@ struct CompiledMethod {
 
   uint64_t scaledCost(uint32_t BaseCost) const {
     return (static_cast<uint64_t>(BaseCost) * ScaleQ8) >> 8;
+  }
+
+  /// Fills CostTable and BaselineCostTable from Code. An instruction
+  /// charges its cycles (bc::instructionCycles, scaled or not) and
+  /// counts as one instruction, except `work`, which counts its operand.
+  void bakeCosts() {
+    CostTable.resize(Code.size());
+    BaselineCostTable.resize(ScaleQ8 == 256 ? 0 : Code.size());
+    for (size_t PC = 0; PC != Code.size(); ++PC) {
+      const bc::Instruction &I = Code[PC];
+      uint32_t Cycles = bc::instructionCycles(I);
+      int32_t Count = I.Op == bc::Opcode::Work ? I.A : 1;
+      CostTable[PC] = {scaledCost(Cycles), Count};
+      if (!BaselineCostTable.empty())
+        BaselineCostTable[PC] = {Cycles, Count};
+    }
+  }
+
+  /// The unscaled per-PC charges a deopted frame pays.
+  const PcCost *baselineCosts() const {
+    return BaselineCostTable.empty() ? CostTable.data()
+                                     : BaselineCostTable.data();
   }
 
   /// The OSR point whose code-space PC is \p CodePC, or nullptr.

@@ -7,8 +7,12 @@
 /// \file
 /// Green (VM-scheduled) threads. Each thread owns one contiguous value
 /// arena: a frame's locals occupy [LocalBase, LocalBase + NumLocals) and
-/// its operand stack is everything beyond, so pushes/pops are vector
-/// back operations and frame pop is a resize.
+/// its operand stack is everything beyond, up to the stack pointer Sp.
+/// A push stores at Sp and bumps it, a pop bumps it back, and a frame
+/// pop resets it to the frame's LocalBase. The arena is allocated
+/// larger than its live part; a push that finds Sp == End doubles it
+/// (growValues), so a frame addresses its locals by index, never by a
+/// pointer kept across a push.
 ///
 /// Per the paper (§5.2, "thread-local variables are used for the
 /// counters to avoid potential scalability issues or race conditions"),
@@ -26,6 +30,8 @@
 #include "profiling/TimerSampler.h"
 #include "vm/CompiledMethod.h"
 
+#include <algorithm>
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -45,6 +51,9 @@ struct Frame {
   /// yieldpoint (deopt OSR), clearing this flag; without OSR it limps
   /// on its pinned code until it returns.
   bool Deopted = false;
+  /// The per-PC charges this frame pays: CM->CostTable, or
+  /// CM->baselineCosts() once Deopted.
+  const PcCost *Costs = nullptr;
 };
 
 /// The Jikes RVM yieldpoint control word states (§5.1): prologue and
@@ -59,7 +68,13 @@ enum class YieldWord : int8_t {
 struct Thread {
   uint32_t Id = 0;
   std::vector<Frame> Frames;
-  std::vector<int64_t> Values;
+  /// The value arena: [Base, Sp) is live, [Sp, End) is free. One
+  /// guard slot, zero, sits below Base, so that Sp[-1] is in bounds
+  /// even when nothing is live.
+  std::unique_ptr<int64_t[]> Arena;
+  int64_t *Base = nullptr;
+  int64_t *Sp = nullptr;
+  int64_t *End = nullptr;
   bool Finished = false;
 
   /// The single overloadable check word (paper Figures 3-4 / §5.1).
@@ -82,6 +97,45 @@ struct Thread {
   /// shared repository as one batch when it fills, at thread switches,
   /// and at shutdown/snapshot points.
   prof::SampleBuffer Buffer;
+
+  /// Slots a fresh arena gets: small, since most threads stay shallow.
+  static constexpr size_t InitialArenaSlots = 64;
+
+  size_t numValues() const { return static_cast<size_t>(Sp - Base); }
+
+  /// Reallocates the arena to hold at least \p MinSlots values, at
+  /// least doubling it and keeping the live ones. Base, Sp and End move
+  /// with it.
+  void growValues(size_t MinSlots) {
+    size_t Live = numValues();
+    size_t Cap = static_cast<size_t>(End - Base);
+    size_t NewCap = Cap == 0 ? InitialArenaSlots : 2 * Cap;
+    while (NewCap < MinSlots)
+      NewCap *= 2;
+    std::unique_ptr<int64_t[]> Grown(new int64_t[NewCap + 1]);
+    Grown[0] = 0;
+    std::copy(Base, Sp, Grown.get() + 1);
+    Arena = std::move(Grown);
+    Base = Arena.get() + 1;
+    Sp = Base + Live;
+    End = Base + NewCap;
+  }
+
+  /// Sets the number of live values to \p N; slots it adds read zero.
+  void resizeValues(size_t N) {
+    if (N > static_cast<size_t>(End - Base))
+      growValues(N);
+    int64_t *NewSp = Base + N;
+    if (NewSp > Sp)
+      std::fill(Sp, NewSp, 0);
+    Sp = NewSp;
+  }
+
+  void push(int64_t V) {
+    if (Sp == End)
+      growValues(numValues() + 1);
+    *Sp++ = V;
+  }
 
   Frame &top() { return Frames.back(); }
   const Frame &top() const { return Frames.back(); }

@@ -101,8 +101,8 @@ Thread &VirtualMachine::spawnThread(bc::MethodId Entry) {
   T->CBS = prof::CounterBasedSampler(Config.Profiler.CBS);
   T->Alloc = prof::CounterBasedSampler(Config.Profiler.AllocCBS);
   T->Buffer = prof::SampleBuffer(Config.Profiler.SampleBufferCapacity);
-  T->Values.resize(CM->NumLocals, 0);
-  T->Frames.push_back({CM, 0, 0});
+  T->resizeValues(CM->NumLocals);
+  T->Frames.push_back({CM, 0, 0, false, CM->CostTable.data()});
   Cache.pinFrame(CM);
   ++InvocationCounts[Entry];
   Threads.push_back(std::move(T));
@@ -156,6 +156,7 @@ void VirtualMachine::reconcileDeoptFrames(Thread &T) {
     if (F.Deopted || !F.CM->Invalidated)
       continue;
     F.Deopted = true;
+    F.Costs = F.CM->baselineCosts();
     ++Stats.FramesDeopted;
     // Frame-state reconstruction for the baseline fallback: a base
     // runtime service, not profiling work.
@@ -193,19 +194,20 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
   // Transfer is a pure locals remap only when the operand stack is
   // empty. At a loop header of structured code it always is; checked,
   // not assumed, because generated programs are only verifier-clean.
-  if (T.Values.size() != F.LocalBase + From->NumLocals)
+  if (T.numValues() != F.LocalBase + From->NumLocals)
     return;
 
   // Root locals occupy the same leading slots in every version;
   // inlined-callee temps beyond them are dead at a root loop header
   // (each spliced region spills its values before reading them), so
   // grow-with-zeros / shrink is safe.
-  T.Values.resize(F.LocalBase + To->NumLocals, 0);
+  T.resizeValues(F.LocalBase + To->NumLocals);
   Cache.unpinFrame(From); // may reclaim From's graveyard slot
   Cache.pinFrame(To);
   F.CM = To;
   F.PC = ToPt->CodePC;
   F.Deopted = false;
+  F.Costs = To->CostTable.data();
 
   // Frame-state extraction + rebuild for the other version's code.
   Stats.Cycles += Config.Costs.OsrCost;
@@ -535,13 +537,14 @@ void VirtualMachine::invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
     }
   }
 
-  // The arguments on the operand stack become the callee's first locals.
-  assert(T.Values.size() >= T.top().LocalBase + T.top().CM->NumLocals +
-                                ArgCount &&
+  // The arguments on the operand stack become the callee's first locals;
+  // only the slots past them are zeroed.
+  assert(T.numValues() >= T.top().LocalBase + T.top().CM->NumLocals +
+                              ArgCount &&
          "operand stack underflow at call");
-  uint32_t LocalBase = static_cast<uint32_t>(T.Values.size() - ArgCount);
-  T.Values.resize(LocalBase + CM->NumLocals, 0);
-  T.Frames.push_back({CM, 0, LocalBase});
+  uint32_t LocalBase = static_cast<uint32_t>(T.numValues() - ArgCount);
+  T.resizeValues(LocalBase + CM->NumLocals);
+  T.Frames.push_back({CM, 0, LocalBase, false, CM->CostTable.data()});
   Cache.pinFrame(CM);
   ++Stats.CallsExecuted;
   Stats.MaxStackDepth = std::max<uint64_t>(Stats.MaxStackDepth,
@@ -609,6 +612,77 @@ prof::DCGSnapshot VirtualMachine::profile() {
   return Snap;
 }
 
+Ref VirtualMachine::newObject(Thread &T, bc::ClassId Class) {
+  if (TheHeap.bytesAllocated() >= NextGCAt) {
+    GCRequested = true;
+    if (T.Word == YieldWord::Clear)
+      T.Word = YieldWord::TakeAll;
+  }
+  // §8 generalization: the allocation sampler's armed check overloads
+  // the allocator's heap-frontier test.
+  if (Config.Profiler.ProfileAllocations && T.Alloc.armed()) {
+    chargeProf(Config.Costs.ArmedEventCost, Stats.OvEntryCheck);
+    if (T.Alloc.onInvocationEvent()) {
+      // A histogram bump, no walk: counter-update work.
+      chargeProf(Config.Costs.AllocSampleCost, Stats.OvCounterUpdate);
+      AllocProfile.addSample(Class);
+      ++Stats.SamplesTaken;
+      // Allocation samples have no walked call edge; the invariant
+      // "one sample event per SamplesTaken increment" still holds.
+      if (Trace)
+        Trace->event(tel::TraceEvent::sample(Stats.Cycles, T.Id,
+                                             bc::InvalidMethodId,
+                                             bc::InvalidSiteId));
+    }
+  }
+  return TheHeap.allocate(P.hierarchy().classOf(Class));
+}
+
+void VirtualMachine::returnFrom(Thread &T, bool HasResult) {
+  // Epilogue yieldpoint: Jikes RVM only (§5.1); J9's mechanism is the
+  // method-entry check and has no epilogue event. The return completes
+  // on T even if the yieldpoint switches threads.
+  if (Config.Pers == Personality::JikesRVM && T.Word != YieldWord::Clear)
+    processTaken(T, Where::Epilogue);
+
+  int64_t Result = HasResult ? *--T.Sp : 0;
+  uint32_t LocalBase = T.top().LocalBase;
+  // The pop may reclaim a retired version this frame was the last to
+  // pin; nothing of it may be touched afterwards.
+  Cache.unpinFrame(T.top().CM);
+  T.Frames.pop_back();
+  T.Sp = T.Base + LocalBase;
+  if (T.Frames.empty()) {
+    T.Finished = true;
+    // Shutdown flush: a finished thread's staged samples must not sit
+    // in a dead buffer.
+    flushThreadBuffer(T);
+    if (countRunnable() == 0) {
+      State = RunState::Finished;
+    } else {
+      SwitchPending = true;
+      maybeSwitch();
+    }
+    return;
+  }
+  if (HasResult)
+    T.push(Result);
+  ++T.top().PC;
+}
+
+RunState VirtualMachine::leaveRun() {
+  // Shutdown notification: once, when the run first reaches a terminal
+  // state (a budget break leaves State == Running and does not fire).
+  // The VM is still fully alive here, so the hook can snapshot the
+  // profile for persistence.
+  if (State != RunState::Running && !ShutdownNotified) {
+    ShutdownNotified = true;
+    if (Config.OnShutdown)
+      Config.OnShutdown(*this);
+  }
+  return State;
+}
+
 RunState VirtualMachine::run(uint64_t CycleBudget) {
   if (State != RunState::Running)
     return State;
@@ -624,37 +698,147 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
                        ? UINT64_MAX
                        : Stats.Cycles + CycleBudget;
 
-  const CostModel &Costs = Config.Costs;
+  // The loop's working state lives in these locals between events, so
+  // that nothing the loop computes per instruction reaches memory.
+  // sync() writes it back to Stats, the thread and its top frame before
+  // anything out of line runs; reload() reads it back afterwards and
+  // re-derives the thread and frame, since such a call may switch
+  // threads, push or pop a frame, grow the value arena, or move or
+  // deopt the frame. Every exit from the loop is synced.
+  //
+  // Tos caches the top of the operand stack, Sp[-1]. The arena stays
+  // the only store (every push writes through), so sync() has nothing
+  // to flush for it; after any write to the arena that may land on
+  // Sp[-1] other than a push, Tos is read back.
+  uint64_t Cycles = 0;
+  uint64_t Instrs = 0;
+  Thread *T = nullptr;
+  Frame *F = nullptr;
+  const bc::Instruction *Code = nullptr;
+  const PcCost *PcCosts = nullptr;
+  uint32_t PC = 0;
+  int64_t *Sp = nullptr;
+  int64_t *End = nullptr;
+  int64_t *Locals = nullptr;
+  int64_t Tos = 0;
 
-  while (State == RunState::Running) {
-    if (Stats.Cycles >= Limit)
-      break;
-    if (Stats.Cycles >= Config.MaxCycles) {
-      State = RunState::CycleLimit;
-      break;
+  auto sync = [&]() __attribute__((always_inline)) {
+    Stats.Cycles = Cycles;
+    Stats.Instructions = Instrs;
+    F->PC = PC;
+    T->Sp = Sp;
+  };
+  auto reload = [&]() __attribute__((always_inline)) {
+    Cycles = Stats.Cycles;
+    Instrs = Stats.Instructions;
+    T = Threads[Current].get();
+    Sp = T->Sp;
+    Tos = Sp[-1];
+    End = T->End;
+    F = &T->top();
+    PC = F->PC;
+    Code = F->CM->Code.data();
+    PcCosts = F->Costs;
+    Locals = T->Base + F->LocalBase;
+  };
+  auto push = [&](int64_t V) __attribute__((always_inline)) {
+    if (Sp == End) [[unlikely]] {
+      sync();
+      T->growValues(T->numValues() + 1);
+      reload();
     }
-    if (Stats.Cycles >= NextTimerAt)
-      fireTimer();
+    *Sp++ = V;
+    Tos = V;
+  };
+  auto pop = [&]() __attribute__((always_inline)) {
+    int64_t V = Tos;
+    --Sp;
+    Tos = Sp[-1];
+    return V;
+  };
+  // Pops two operands and pushes Op's result on them; false, with
+  // nothing pushed, when Op traps on them.
+  auto binop = [&](bc::Opcode Op) __attribute__((always_inline)) {
+    int64_t R = Tos, L = Sp[-2];
+    if (R == 0 && bc::trapsOnZero(Op)) {
+      Sp -= 2;
+      return false;
+    }
+    --Sp;
+    Sp[-1] = Tos = bc::evalBinop(Op, L, R);
+    return true;
+  };
+  // A taken branch to Target. Backedge yieldpoint: taken only when the
+  // word is positive (the Jikes 3-state encoding; the J9 personality
+  // services switch/GC requests here too).
+  auto branch = [&](int32_t A) __attribute__((always_inline)) {
+    uint32_t Target = static_cast<uint32_t>(A);
+    if (Target > PC || T->Word != YieldWord::TakeAll) [[likely]] {
+      PC = Target;
+      return;
+    }
+    Frame *Branching = F;
+    const CompiledMethod *Before = F->CM;
+    sync();
+    processTaken(*T, Where::Backedge, Target);
+    // An OSR transfer redirected the frame into another version and
+    // already set its PC; Target is a PC of the old code. (The old
+    // version may even have been reclaimed — I must not be touched past
+    // this point.) The branch completes on its own thread even if the
+    // yieldpoint switched threads.
+    if (Branching->CM == Before)
+      Branching->PC = Target;
+    reload();
+  };
+  // A conditional branch on one or two popped values: takes it and
+  // returns true, or returns false to fall through.
+  auto unaryBranch = [&](bc::Opcode Op, int32_t A) __attribute__((always_inline)) {
+    if (!bc::branchTaken(Op, pop(), 0))
+      return false;
+    branch(A);
+    return true;
+  };
+  auto binaryBranch = [&](bc::Opcode Op, int32_t A) __attribute__((always_inline)) {
+    int64_t R = Tos, L = Sp[-2];
+    Sp -= 2;
+    Tos = Sp[-1];
+    if (!bc::branchTaken(Op, L, R))
+      return false;
+    branch(A);
+    return true;
+  };
+  // One threshold stands for the budget, MaxCycles and the timer.
+  auto nextEventAt = [&] {
+    return std::min({Limit, Config.MaxCycles, NextTimerAt});
+  };
 
-    Thread &T = *Threads[Current];
-    Frame &F = T.top();
-    const bc::Instruction &I = F.CM->Code[F.PC];
+  reload();
+  uint64_t NextEventAt = nextEventAt();
+  for (;;) {
+    if (Cycles >= NextEventAt) [[unlikely]] {
+      // The three checks behind the threshold, in their fixed order.
+      if (Cycles >= Limit) {
+        sync();
+        return leaveRun();
+      }
+      if (Cycles >= Config.MaxCycles) {
+        sync();
+        State = RunState::CycleLimit;
+        return leaveRun();
+      }
+      if (Cycles >= NextTimerAt) {
+        sync();
+        fireTimer();
+        reload();
+        NextEventAt = nextEventAt();
+      }
+    }
 
-    // A deopted frame runs its pinned code at baseline (unscaled)
-    // speed: the modelled interpreter fallback.
-    uint32_t Cycles = bc::instructionCycles(I);
-    Stats.Cycles += F.Deopted ? Cycles : F.CM->scaledCost(Cycles);
-    Stats.Instructions += I.Op == bc::Opcode::Work
-                              ? static_cast<uint64_t>(I.A)
-                              : 1;
-
-    int64_t *Locals = T.Values.data() + F.LocalBase;
-    auto push = [&T](int64_t V) { T.Values.push_back(V); };
-    auto pop = [&T]() {
-      int64_t V = T.Values.back();
-      T.Values.pop_back();
-      return V;
-    };
+    const bc::Instruction &I = Code[PC];
+    // A deopted frame's table is the unscaled one: the modelled
+    // interpreter fallback.
+    Cycles += PcCosts[PC].Cycles;
+    Instrs += static_cast<uint64_t>(PcCosts[PC].Instructions);
 
     using bc::Opcode;
     switch (I.Op) {
@@ -669,119 +853,140 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       break;
     case Opcode::IStore:
     case Opcode::AStore:
-      Locals[I.A] = pop();
+      Locals[I.A] = Tos;
+      --Sp;
+      Tos = Sp[-1];
       break;
     case Opcode::IInc:
       Locals[I.A] = bc::evalBinop(Opcode::IAdd, Locals[I.A], I.B);
+      Tos = Sp[-1];
       break;
+    // Each operator and branch is its own case, so that its operation
+    // is a constant and dispatch is the one switch.
     case Opcode::IAdd:
-    case Opcode::ISub:
-    case Opcode::IMul:
-    case Opcode::IDiv:
-    case Opcode::IRem:
-    case Opcode::IAnd:
-    case Opcode::IOr:
-    case Opcode::IXor:
-    case Opcode::IShl:
-    case Opcode::IShr: {
-      int64_t R = pop(), L = pop();
-      if (R == 0 && bc::trapsOnZero(I.Op)) {
-        trap(I.Op == Opcode::IDiv ? "division by zero"
-                                  : "remainder by zero");
-        continue;
-      }
-      push(bc::evalBinop(I.Op, L, R));
+      binop(Opcode::IAdd);
       break;
-    }
+    case Opcode::ISub:
+      binop(Opcode::ISub);
+      break;
+    case Opcode::IMul:
+      binop(Opcode::IMul);
+      break;
+    case Opcode::IDiv:
+      if (!binop(Opcode::IDiv)) {
+        sync();
+        trap("division by zero");
+        return leaveRun();
+      }
+      break;
+    case Opcode::IRem:
+      if (!binop(Opcode::IRem)) {
+        sync();
+        trap("remainder by zero");
+        return leaveRun();
+      }
+      break;
+    case Opcode::IAnd:
+      binop(Opcode::IAnd);
+      break;
+    case Opcode::IOr:
+      binop(Opcode::IOr);
+      break;
+    case Opcode::IXor:
+      binop(Opcode::IXor);
+      break;
+    case Opcode::IShl:
+      binop(Opcode::IShl);
+      break;
+    case Opcode::IShr:
+      binop(Opcode::IShr);
+      break;
     case Opcode::INeg:
-      push(bc::evalNeg(pop()));
+      Sp[-1] = Tos = bc::evalNeg(Tos);
       break;
 
     case Opcode::Goto:
+      branch(I.A);
+      continue;
     case Opcode::IfEq:
-    case Opcode::IfNe:
-    case Opcode::IfLt:
-    case Opcode::IfLe:
-    case Opcode::IfGt:
-    case Opcode::IfGe:
-    case Opcode::IfICmpEq:
-    case Opcode::IfICmpNe:
-    case Opcode::IfICmpLt:
-    case Opcode::IfICmpGe: {
-      bc::FlowKind Flow = bc::flowKind(I.Op);
-      int64_t R = Flow == bc::FlowKind::BinaryCond ? pop() : 0;
-      int64_t L = Flow == bc::FlowKind::Goto ? 0 : pop();
-      if (bc::branchTaken(I.Op, L, R)) {
-        uint32_t Target = static_cast<uint32_t>(I.A);
-        // Backedge yieldpoint: taken only when the word is positive
-        // (the Jikes 3-state encoding; the J9 personality services
-        // switch/GC requests here too).
-        if (Target <= F.PC && T.Word == YieldWord::TakeAll) {
-          const CompiledMethod *Before = F.CM;
-          processTaken(T, Where::Backedge, Target);
-          // An OSR transfer redirected the frame into another version
-          // and already set its PC; Target is a PC of the old code.
-          // (The old version may even have been reclaimed — I must not
-          // be touched past this point.)
-          if (F.CM != Before)
-            continue;
-        }
-        F.PC = Target;
+      if (unaryBranch(Opcode::IfEq, I.A))
         continue;
-      }
       break;
-    }
+    case Opcode::IfNe:
+      if (unaryBranch(Opcode::IfNe, I.A))
+        continue;
+      break;
+    case Opcode::IfLt:
+      if (unaryBranch(Opcode::IfLt, I.A))
+        continue;
+      break;
+    case Opcode::IfLe:
+      if (unaryBranch(Opcode::IfLe, I.A))
+        continue;
+      break;
+    case Opcode::IfGt:
+      if (unaryBranch(Opcode::IfGt, I.A))
+        continue;
+      break;
+    case Opcode::IfGe:
+      if (unaryBranch(Opcode::IfGe, I.A))
+        continue;
+      break;
+    case Opcode::IfICmpEq:
+      if (binaryBranch(Opcode::IfICmpEq, I.A))
+        continue;
+      break;
+    case Opcode::IfICmpNe:
+      if (binaryBranch(Opcode::IfICmpNe, I.A))
+        continue;
+      break;
+    case Opcode::IfICmpLt:
+      if (binaryBranch(Opcode::IfICmpLt, I.A))
+        continue;
+      break;
+    case Opcode::IfICmpGe:
+      if (binaryBranch(Opcode::IfICmpGe, I.A))
+        continue;
+      break;
 
     case Opcode::New: {
-      if (TheHeap.bytesAllocated() >= NextGCAt) {
-        GCRequested = true;
-        if (T.Word == YieldWord::Clear)
-          T.Word = YieldWord::TakeAll;
-      }
-      // §8 generalization: the allocation sampler's armed check
-      // overloads the allocator's heap-frontier test.
-      if (Config.Profiler.ProfileAllocations && T.Alloc.armed()) {
-        chargeProf(Costs.ArmedEventCost, Stats.OvEntryCheck);
-        if (T.Alloc.onInvocationEvent()) {
-          // A histogram bump, no walk: counter-update work.
-          chargeProf(Costs.AllocSampleCost, Stats.OvCounterUpdate);
-          AllocProfile.addSample(static_cast<bc::ClassId>(I.A));
-          ++Stats.SamplesTaken;
-          // Allocation samples have no walked call edge; the invariant
-          // "one sample event per SamplesTaken increment" still holds.
-          if (Trace)
-            Trace->event(tel::TraceEvent::sample(Stats.Cycles, T.Id,
-                                                 bc::InvalidMethodId,
-                                                 bc::InvalidSiteId));
-        }
-      }
-      push(TheHeap.allocate(
-          P.hierarchy().classOf(static_cast<bc::ClassId>(I.A))));
+      sync();
+      Ref R = newObject(*T, static_cast<bc::ClassId>(I.A));
+      reload();
+      push(R);
       break;
     }
     case Opcode::GetField: {
-      Ref R = static_cast<Ref>(pop());
+      Ref R = static_cast<Ref>(Tos);
       if (!TheHeap.validRef(R)) {
+        --Sp;
+        sync();
         trap("getfield on null or invalid reference");
-        continue;
+        return leaveRun();
       }
       if (static_cast<uint32_t>(I.A) >= TheHeap.numFields(R)) {
+        --Sp;
+        sync();
         trap("getfield index out of range");
-        continue;
+        return leaveRun();
       }
-      push(TheHeap.getField(R, static_cast<uint32_t>(I.A)));
+      Sp[-1] = Tos = TheHeap.getField(R, static_cast<uint32_t>(I.A));
       break;
     }
     case Opcode::PutField: {
-      int64_t V = pop();
-      Ref R = static_cast<Ref>(pop());
+      int64_t V = Tos;
+      Ref R = static_cast<Ref>(Sp[-2]);
+      Sp -= 2;
+      Tos = Sp[-1];
       if (!TheHeap.validRef(R)) {
+        sync();
         trap("putfield on null or invalid reference");
-        continue;
+        return leaveRun();
       }
       if (static_cast<uint32_t>(I.A) >= TheHeap.numFields(R)) {
+        sync();
         trap("putfield index out of range");
-        continue;
+        return leaveRun();
       }
       TheHeap.putField(R, static_cast<uint32_t>(I.A), V);
       break;
@@ -790,24 +995,26 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       push(0);
       break;
     case Opcode::ClassEq: {
-      Ref R = static_cast<Ref>(pop());
-      push(R != 0 && TheHeap.validRef(R) &&
-           TheHeap.classOf(R) == static_cast<bc::ClassId>(I.A));
+      Ref R = static_cast<Ref>(Tos);
+      Sp[-1] = Tos = R != 0 && TheHeap.validRef(R) &&
+                     TheHeap.classOf(R) == static_cast<bc::ClassId>(I.A);
       break;
     }
 
     case Opcode::InvokeStatic:
-      invoke(T, static_cast<bc::MethodId>(I.A),
+      sync();
+      invoke(*T, static_cast<bc::MethodId>(I.A),
              static_cast<uint32_t>(I.B), I.Site);
+      reload();
       continue;
 
     case Opcode::InvokeVirtual: {
+      sync();
       uint32_t ArgCount = static_cast<uint32_t>(I.B);
-      Ref Receiver =
-          static_cast<Ref>(T.Values[T.Values.size() - ArgCount]);
+      Ref Receiver = static_cast<Ref>(T->Sp[-static_cast<ptrdiff_t>(ArgCount)]);
       if (!TheHeap.validRef(Receiver)) {
         trap("virtual call on null receiver");
-        continue;
+        return leaveRun();
       }
       bc::MethodId Target = P.hierarchy().lookup(
           TheHeap.classOf(Receiver), static_cast<bc::SelectorId>(I.A));
@@ -815,48 +1022,23 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
         trap("receiver does not understand selector '" +
              P.hierarchy().selectorName(static_cast<bc::SelectorId>(I.A)) +
              "'");
-        continue;
+        return leaveRun();
       }
       ++Stats.VirtualCallsExecuted;
-      invoke(T, Target, ArgCount, I.Site);
+      invoke(*T, Target, ArgCount, I.Site);
+      reload();
       continue;
     }
 
     case Opcode::Return:
     case Opcode::IReturn:
-    case Opcode::AReturn: {
-      // Epilogue yieldpoint: Jikes RVM only (§5.1); J9's mechanism is
-      // the method-entry check and has no epilogue event.
-      if (Config.Pers == Personality::JikesRVM &&
-          T.Word != YieldWord::Clear)
-        processTaken(T, Where::Epilogue);
-
-      bool HasResult = I.Op != Opcode::Return;
-      int64_t Result = HasResult ? pop() : 0;
-      uint32_t LocalBase = F.LocalBase;
-      // The pop may reclaim a retired version this frame was the last
-      // to pin; I and F must not be touched afterwards.
-      Cache.unpinFrame(F.CM);
-      T.Frames.pop_back();
-      T.Values.resize(LocalBase);
-      if (T.Frames.empty()) {
-        T.Finished = true;
-        // Shutdown flush: a finished thread's staged samples must not
-        // sit in a dead buffer.
-        flushThreadBuffer(T);
-        if (countRunnable() == 0) {
-          State = RunState::Finished;
-        } else {
-          SwitchPending = true;
-          maybeSwitch();
-        }
-        continue;
-      }
-      if (HasResult)
-        push(Result);
-      ++T.top().PC;
+    case Opcode::AReturn:
+      sync();
+      returnFrom(*T, I.Op != Opcode::Return);
+      if (State != RunState::Running)
+        return leaveRun();
+      reload();
       continue;
-    }
 
     case Opcode::Work:
       break;
@@ -864,23 +1046,16 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       Output.push_back(pop());
       break;
     case Opcode::Halt:
+      sync();
       State = RunState::Halted;
-      continue;
+      return leaveRun();
     case Opcode::Spawn:
+      sync();
       spawnThread(static_cast<bc::MethodId>(I.A));
+      reload();
       break;
     }
 
-    ++F.PC;
+    ++PC;
   }
-  // Shutdown notification: once, when the run first reaches a terminal
-  // state (a budget break leaves State == Running and does not fire).
-  // The VM is still fully alive here, so the hook can snapshot the
-  // profile for persistence.
-  if (State != RunState::Running && !ShutdownNotified) {
-    ShutdownNotified = true;
-    if (Config.OnShutdown)
-      Config.OnShutdown(*this);
-  }
-  return State;
 }

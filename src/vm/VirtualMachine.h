@@ -217,6 +217,16 @@ private:
   /// current operand stack; runs entry profiling hooks.
   void invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
               bc::SiteId Site);
+  /// Pops \p T's top frame (after the Jikes epilogue yieldpoint),
+  /// moving the result, if \p HasResult, onto the caller's operand
+  /// stack. Ends the thread, and the run with the last thread.
+  void returnFrom(Thread &T, bool HasResult);
+  /// The `new` instruction's runtime part: GC request, allocation
+  /// sampling, and the allocation itself.
+  Ref newObject(Thread &T, bc::ClassId Class);
+  /// run()'s one way out: fires VMConfig::OnShutdown on the first
+  /// terminal state and returns State.
+  RunState leaveRun();
   Thread &spawnThread(bc::MethodId Entry);
   void trap(const std::string &Message);
 

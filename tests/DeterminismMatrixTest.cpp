@@ -28,6 +28,8 @@
 #include <iterator>
 #include <optional>
 
+#include <unistd.h>
+
 using namespace cbs;
 
 namespace fs = std::filesystem;
@@ -204,8 +206,11 @@ double featureValue(const json::JsonValue &Report,
   return Sum;
 }
 
+/// A scratch directory under the test temp root, private to this
+/// process: two builds' matrices may run at once.
 fs::path scratchRoot(const char *Name) {
-  fs::path Root = fs::path(testing::TempDir()) / Name;
+  fs::path Root = fs::path(testing::TempDir()) /
+                  (std::string(Name) + "-" + std::to_string(getpid()));
   fs::remove_all(Root);
   return Root;
 }
@@ -268,6 +273,7 @@ TEST(DeterminismMatrix, EveryCellIsByteIdenticalToItsRowBaseline) {
     EXPECT_EQ(compareBundles(R.Name, Axis + " at jobs 8", Jobs1[I], Jobs8[I]),
               "");
   }
+  fs::remove_all(Root);
 }
 
 TEST(DeterminismMatrix, CanaryCellIsReportedAsAMismatch) {
@@ -284,4 +290,5 @@ TEST(DeterminismMatrix, CanaryCellIsReportedAsAMismatch) {
   EXPECT_EQ(compareBundles(R.Name, "repeat", Seed1,
                            runCell(R, {}, Root / "repeat")),
             "");
+  fs::remove_all(Root);
 }

@@ -6,12 +6,17 @@
 
 #include "bytecode/Builder.h"
 #include "bytecode/Verifier.h"
+#include "experiments/Experiments.h"
+#include "experiments/Run.h"
+#include "experiments/RunDriver.h"
 #include "opt/Passes.h"
+#include "support/ArgParser.h"
 #include "vm/VirtualMachine.h"
 
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string_view>
 
 using namespace cbs;
 using namespace cbs::bc;
@@ -517,4 +522,263 @@ TEST(Interpreter, DeterministicAcrossRuns) {
   auto B = Run();
   EXPECT_EQ(A.first, B.first);
   EXPECT_EQ(A.second, B.second);
+}
+
+//===----------------------------------------------------------------------===//
+// The loop's event boundaries: budget slices, arena growth, cost tables
+//===----------------------------------------------------------------------===//
+
+namespace {
+
+/// Everything a run leaves behind that virtual time decides.
+struct SlicedRun {
+  vm::RunState State = vm::RunState::Running;
+  std::vector<std::pair<const char *, uint64_t>> Stats;
+  std::vector<int64_t> Output;
+  std::vector<prof::DCGSnapshot::Edge> Profile;
+};
+
+/// Runs \p Spec to its end in run() calls of \p Slice cycles each.
+SlicedRun runInSlices(const exp::RunSpec &Spec, uint64_t Slice) {
+  exp::Run R(Spec);
+  SlicedRun Out;
+  while ((Out.State = R.run(Slice)) == vm::RunState::Running)
+    ;
+  const vm::VMStats &S = R.vm().stats();
+  Out.Stats = {
+#define CBSVM_STAT_ROW(Field, Name, Kind) {Name, S.Field},
+      CBSVM_VM_METRICS(CBSVM_STAT_ROW)
+#undef CBSVM_STAT_ROW
+  };
+  Out.Output = R.vm().output();
+  Out.Profile = R.vm().profile().sortedEdges();
+  return Out;
+}
+
+void expectSameRun(const SlicedRun &Whole, const SlicedRun &Sliced) {
+  EXPECT_EQ(Whole.State, Sliced.State);
+  ASSERT_EQ(Whole.Stats.size(), Sliced.Stats.size());
+  for (size_t I = 0; I != Whole.Stats.size(); ++I)
+    EXPECT_EQ(Whole.Stats[I].second, Sliced.Stats[I].second)
+        << Whole.Stats[I].first;
+  EXPECT_EQ(Whole.Output, Sliced.Output);
+  EXPECT_TRUE(Whole.Profile == Sliced.Profile) << "profiles differ";
+}
+
+/// A short program with calls, a virtual call, allocation, fields and
+/// output: 3000 iterations of about 40 instructions.
+Program shortProgram() {
+  ProgramBuilder PB;
+  ClassId Base = PB.addClass("Base");
+  ClassId Sub = PB.addClass("Sub", Base, /*NumFields=*/1);
+  SelectorId Get = PB.addSelector("get", 1);
+  MethodId BaseGet = PB.declareVirtual(Base, Get, "get", {},
+                                       /*HasResult=*/true);
+  {
+    MethodBuilder MB = PB.defineMethod(BaseGet);
+    MB.iconst(3).iret();
+    MB.finish();
+  }
+  MethodId SubGet = PB.declareVirtual(Sub, Get, "get", {},
+                                      /*HasResult=*/true);
+  {
+    MethodBuilder MB = PB.defineMethod(SubGet);
+    MB.aload(0).getField(0).iret();
+    MB.finish();
+  }
+  MethodId Mix = PB.declareStatic("mix", {ValKind::Int, ValKind::Int},
+                                  /*HasResult=*/true);
+  {
+    MethodBuilder MB = PB.defineMethod(Mix);
+    MB.iload(0).iconst(31).imul().iload(1).ixor().work(5).iret();
+    MB.finish();
+  }
+  MethodId Main = PB.declareStatic("main");
+  {
+    MethodBuilder MB = PB.defineMethod(Main);
+    // locals: 0 count, 1 acc, 2 object
+    MB.iconst(3000).istore(0).iconst(0).istore(1);
+    Label Head = MB.newLabel(), Exit = MB.newLabel(), Odd = MB.newLabel(),
+          Call = MB.newLabel();
+    MB.bind(Head).iload(0).ifLe(Exit);
+    MB.iload(0).iconst(1).iand().ifNe(Odd);
+    MB.newObject(Base).astore(2).jump(Call);
+    MB.bind(Odd).newObject(Sub).astore(2);
+    MB.aload(2).iload(0).putField(0);
+    MB.bind(Call).iload(1).aload(2).invokeVirtual(Get).invokeStatic(Mix);
+    MB.istore(1).iinc(0, -1).jump(Head);
+    MB.bind(Exit).iload(1).print();
+    MB.finish();
+  }
+  return PB.finish(Main);
+}
+
+} // namespace
+
+TEST(Interpreter, BudgetSlicingIsInvisible) {
+  // Slices of 97 cycles, of the perf ledger's 2.5M, and of one cycle
+  // (short program only) stop the loop at arbitrary instructions, each
+  // stop writing the loop's state back and the next run() reloading it.
+  // None of that may show in any counter, the output or the profile.
+  const std::vector<std::vector<std::string>> Setups = {
+      {"jess", "--profiler", "none"},
+      {"jess", "--profiler", "cbs"},
+      {"phased", "--profiler", "cbs", "--aos", "--osr", "--deopt-threshold",
+       "60"},
+  };
+  Program Short = shortProgram();
+  ASSERT_TRUE(verifyProgram(Short).ok()) << verifyProgram(Short).str();
+  for (const std::vector<std::string> &Argv : Setups) {
+    SCOPED_TRACE(Argv[0] + " " + Argv[2] + (Argv.size() > 3 ? " aos" : ""));
+    support::ArgParser Args(Argv);
+    exp::RunSetup S = exp::parseRunSetup(Args);
+    exp::RunSpec Spec{&S.P, S.Config, S.AOS};
+    SlicedRun Whole = runInSlices(Spec, UINT64_MAX);
+    ASSERT_EQ(Whole.State, vm::RunState::Finished);
+    if (S.AOS) {
+      for (const auto &[Name, Value] : Whole.Stats) {
+        if (std::string_view(Name) == "vm.deopts" ||
+            std::string_view(Name) == "vm.osr_entries") {
+          EXPECT_GE(Value, 1u) << Name;
+        }
+      }
+    }
+    for (uint64_t Slice : {uint64_t{97}, uint64_t{2'500'000}}) {
+      SCOPED_TRACE("slice " + std::to_string(Slice));
+      expectSameRun(Whole, runInSlices(Spec, Slice));
+    }
+
+    exp::RunSpec ShortSpec = Spec;
+    ShortSpec.P = &Short;
+    exp::applyJitOnly(Short, ShortSpec.Config);
+    ShortSpec.Config.TimerPeriodCycles = 2'000;
+    SCOPED_TRACE("short program, 1-cycle slices");
+    SlicedRun ShortWhole = runInSlices(ShortSpec, UINT64_MAX);
+    ASSERT_EQ(ShortWhole.State, vm::RunState::Finished);
+    expectSameRun(ShortWhole, runInSlices(ShortSpec, 1));
+  }
+}
+
+TEST(Interpreter, DeepRecursionGrowsTheValueArena) {
+  // sum(n) = n == 0 ? 0 : n + sum(n - 1), with n live on the operand
+  // stack under every call: 10^5 frames of two values each grow the
+  // arena from its initial slots through nine doublings.
+  constexpr int32_t Depth = 100'000;
+  ProgramBuilder PB;
+  MethodId Sum = PB.declareStatic("sum", {ValKind::Int}, /*HasResult=*/true);
+  {
+    MethodBuilder MB = PB.defineMethod(Sum);
+    Label Base = MB.newLabel();
+    MB.iload(0).ifLe(Base);
+    MB.iload(0).iload(0).iconst(1).isub().invokeStatic(Sum).iadd().iret();
+    MB.bind(Base).iconst(0).iret();
+    MB.finish();
+  }
+  MethodId Main = PB.declareStatic("main");
+  {
+    MethodBuilder MB = PB.defineMethod(Main);
+    MB.iconst(7).iconst(Depth).invokeStatic(Sum).print().print();
+    MB.finish();
+  }
+  Program P = PB.finish(Main);
+  ASSERT_TRUE(verifyProgram(P).ok());
+  const int64_t Expected = int64_t{Depth} * (Depth + 1) / 2;
+  // main, then sum(Depth) down to sum(0).
+  const uint64_t Frames = Depth + 2;
+
+  vm::VMConfig Config;
+  vm::VirtualMachine Whole(P, Config);
+  EXPECT_EQ(Whole.run(), vm::RunState::Finished) << Whole.trapMessage();
+  EXPECT_EQ(Whole.output(), (std::vector<int64_t>{Expected, 7}));
+  EXPECT_EQ(Whole.stats().MaxStackDepth, Frames);
+
+  // The same run stopped by budgets, once part-way down the recursion.
+  vm::VirtualMachine Sliced(P, Config);
+  EXPECT_EQ(Sliced.run(Whole.stats().Cycles / 4), vm::RunState::Running);
+  EXPECT_GT(Sliced.stats().MaxStackDepth, 1000u);
+  EXPECT_LT(Sliced.stats().MaxStackDepth, Frames);
+  while (Sliced.run(10'007) == vm::RunState::Running)
+    ;
+  EXPECT_EQ(Sliced.state(), vm::RunState::Finished);
+  EXPECT_EQ(Sliced.output(), Whole.output());
+  EXPECT_EQ(Sliced.stats().MaxStackDepth, Frames);
+  EXPECT_EQ(Sliced.stats().Cycles, Whole.stats().Cycles);
+  EXPECT_EQ(Sliced.stats().Instructions, Whole.stats().Instructions);
+}
+
+TEST(Interpreter, DeoptedFrameChargesUnscaledCycles) {
+  // main runs at level 2 and charges ScaleQ8-scaled cycles. After
+  // deoptimize() it keeps that speed until its next taken yieldpoint
+  // (here f's prologue, taken for a timer tick), then charges exactly
+  // the unscaled cycles.
+  ProgramBuilder PB;
+  MethodId F = PB.declareStatic("f");
+  {
+    MethodBuilder MB = PB.defineMethod(F);
+    MB.ret();
+    MB.finish();
+  }
+  MethodId Main = PB.declareStatic("main");
+  {
+    MethodBuilder MB = PB.defineMethod(Main);
+    MB.work(1000).work(1000).invokeStatic(F).work(1000).work(1000);
+    MB.finish();
+  }
+  Program P = PB.finish(Main);
+  ASSERT_TRUE(verifyProgram(P).ok());
+
+  vm::VMConfig Config;
+  Config.JITLevel = 2;
+  Config.TimerJitterPct = 0;
+  vm::CompiledMethod Level2; // main's level-2 speed, from a probe VM
+  {
+    vm::VirtualMachine Probe(P, Config);
+    ASSERT_NE(Probe.codeCache().active(Main), nullptr);
+    Level2.ScaleQ8 = Probe.codeCache().active(Main)->ScaleQ8;
+  }
+  ASSERT_LT(Level2.ScaleQ8, 256u);
+  const uint64_t Scaled = Level2.scaledCost(1000);
+  // The first tick falls just before the call.
+  Config.TimerPeriodCycles = 2 * Scaled;
+  vm::VirtualMachine VM(P, Config);
+  const vm::VMStats &S = VM.stats();
+  const vm::CostModel &Costs = Config.Costs;
+
+  // run(1) executes exactly one instruction when nothing else is due.
+  EXPECT_EQ(VM.run(1), vm::RunState::Running);
+  EXPECT_EQ(S.Cycles, Scaled);
+  EXPECT_EQ(S.Instructions, 1000u);
+
+  ASSERT_TRUE(VM.deoptimize(Main));
+  EXPECT_EQ(VM.run(1), vm::RunState::Running);
+  EXPECT_EQ(S.Cycles, 2 * Scaled) << "deopt is lazy: still scaled";
+  EXPECT_EQ(S.FramesDeopted, 0u);
+
+  // The tick, the call (still scaled), then f's prologue yieldpoint:
+  // the deopt transition and the tick service.
+  uint64_t Before = S.Cycles;
+  EXPECT_EQ(VM.run(1), vm::RunState::Running);
+  EXPECT_EQ(S.TimerTicks, 1u);
+  EXPECT_EQ(S.FramesDeopted, 1u);
+  const vm::CompiledMethod *FCode = VM.codeCache().active(F);
+  ASSERT_NE(FCode, nullptr);
+  uint64_t InvokeCost =
+      Level2.scaledCost(bc::opcodeInfo(Opcode::InvokeStatic).Cycles);
+  EXPECT_EQ(S.Cycles - Before, Costs.TimerInterrupt + InvokeCost +
+                                   Costs.DeoptCost + Costs.TickService);
+
+  // f's return, at f's own (level 2) speed.
+  Before = S.Cycles;
+  EXPECT_EQ(VM.run(1), vm::RunState::Running);
+  EXPECT_EQ(S.Cycles - Before,
+            FCode->scaledCost(bc::opcodeInfo(Opcode::Return).Cycles));
+
+  // Back in the deopted main: unscaled.
+  Before = S.Cycles;
+  EXPECT_EQ(VM.run(1), vm::RunState::Running);
+  EXPECT_EQ(S.Cycles - Before, 1000u);
+  Before = S.Cycles;
+  EXPECT_EQ(VM.run(1), vm::RunState::Running);
+  EXPECT_EQ(S.Cycles - Before, 1000u);
+  EXPECT_EQ(VM.run(), vm::RunState::Finished);
 }

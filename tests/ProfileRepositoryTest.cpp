@@ -13,6 +13,8 @@
 #include <filesystem>
 #include <fstream>
 
+#include <unistd.h>
+
 using namespace cbs;
 using namespace cbs::prof;
 
@@ -21,10 +23,19 @@ namespace fs = std::filesystem;
 namespace {
 
 /// Fresh empty directory under the test temp root, wiped on entry so
-/// reruns are hermetic.
+/// reruns are hermetic. All of them sit in one directory private to this
+/// process, so that two builds' suites may run at once, and removed when
+/// the process exits.
 std::string freshDir(const char *Name) {
-  fs::path P = fs::path(testing::TempDir()) /
-               (std::string("cbsvm-repo-") + Name);
+  static const struct ProcessRoot {
+    fs::path Path = fs::path(testing::TempDir()) /
+                    ("cbsvm-repo-" + std::to_string(getpid()));
+    ~ProcessRoot() {
+      std::error_code Ignored;
+      fs::remove_all(Path, Ignored);
+    }
+  } Root;
+  fs::path P = Root.Path / Name;
   fs::remove_all(P);
   fs::create_directories(P);
   return P.string();

@@ -27,6 +27,8 @@
 #include <filesystem>
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 using namespace cbs;
 using namespace cbs::tel;
 
@@ -637,8 +639,10 @@ TEST(MetricCatalogue, PlainRunWithoutProfiler) {
 }
 
 TEST(MetricCatalogue, WarmStartedAdaptiveRun) {
+  // Private to this process: two builds' suites may run at once.
   std::filesystem::path Repo =
-      std::filesystem::path(testing::TempDir()) / "cbsvm-metric-catalogue";
+      std::filesystem::path(testing::TempDir()) /
+      ("cbsvm-metric-catalogue-" + std::to_string(getpid()));
   std::filesystem::remove_all(Repo);
   const std::vector<std::string> Argv = {
       "phased", "--profiler", "cbs", "--aos", "--osr", "--deopt-threshold",
