@@ -2,11 +2,11 @@
 # Tier-1 verification of CBSVM. Stages, in order:
 #  - configure, build (warnings are errors), ctest fast tier, full
 #    suite (its DeterminismMatrixTest is the one home of byte-identity
-#    across --dcg-shards, --compile-jobs and ParallelRunner jobs)
+#    across --compile-jobs and ParallelRunner jobs)
 #  - observability smoke: trace and metrics agree
 #  - fuzz smoke: jobs 1 vs 8, broken-oracle artifact replay
 #  - parallel determinism: table2a sweep at --jobs 1 vs 8
-#  - CLI determinism: warm start at baseline vs shards 8 + compile-jobs 4
+#  - CLI determinism: warm start at baseline vs compile-jobs 4
 #  - compile queue, deoptimization, on-stack replacement
 #  - self-observability report, profile repository warm start
 #  - text/JSON agreement (cbsvm report/stats, then the fast bench
@@ -107,20 +107,19 @@ echo "== CLI determinism =="
 # DeterminismMatrixTest checks every row and axis in-process; this pair
 # keeps the cbsvm front end covered end to end on its warm-start row. A
 # warm start from one seeded repository entry, at baseline and at
-# --dcg-shards 8 --compile-jobs 4, must write the same profile (.dcg),
-# metrics (.json) and repository entry (/jess.dcg).
+# --compile-jobs 4, must write the same profile (.dcg), metrics (.json)
+# and repository entry (/jess.dcg).
 "$CBSVM" run jess --profile-repo "$WORK/cli-seed" >/dev/null
 cp -r "$WORK/cli-seed" "$WORK/cli-base"
-cp -r "$WORK/cli-seed" "$WORK/cli-allup"
+cp -r "$WORK/cli-seed" "$WORK/cli-jobs4"
 "$CBSVM" run jess --profile-repo "$WORK/cli-base" \
   --save "$WORK/cli-base.dcg" --metrics-json "$WORK/cli-base.json" >/dev/null
-"$CBSVM" run jess --profile-repo "$WORK/cli-allup" \
-  --dcg-shards 8 --compile-jobs 4 \
-  --save "$WORK/cli-allup.dcg" --metrics-json "$WORK/cli-allup.json" >/dev/null
+"$CBSVM" run jess --profile-repo "$WORK/cli-jobs4" --compile-jobs 4 \
+  --save "$WORK/cli-jobs4.dcg" --metrics-json "$WORK/cli-jobs4.json" >/dev/null
 for F in .dcg .json /jess.dcg; do
-  cmp "$WORK/cli-base$F" "$WORK/cli-allup$F"
+  cmp "$WORK/cli-base$F" "$WORK/cli-jobs4$F"
 done
-echo "baseline and dcg-shards=8 + compile-jobs=4 runs are byte-identical"
+echo "baseline and compile-jobs=4 runs are byte-identical"
 
 echo "== compile queue =="
 # Install-point re-validation: a long modelled latency on the phased
@@ -397,13 +396,14 @@ echo "== address + undefined-behaviour sanitizers: code cache reclamation, count
 # the determinism matrix, which drives every run feature at once, the
 # experiment and repository suites, which drive exp::Run through
 # measureThroughput, runWarmStart and the --profile-repo driver path,
-# and the interpreter's own suites, whose operand stack is raw pointers
-# into a growable arena.
+# the interpreter's own suites, whose operand stack is raw pointers
+# into a growable arena, and the profile repository's map code (self-merge
+# doubling in place, decay erasing while it iterates).
 ASAN_BUILD="${BUILD}-asan"
 ASAN_TESTS=(CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest
             TelemetryTest ReportSchemaTest QualityMonitorTest
             DeterminismMatrixTest ExperimentTest ProfileRepositoryTest
-            InterpreterTest VMRuntimeTest VMUnitTest)
+            InterpreterTest VMRuntimeTest VMUnitTest DCGTest)
 cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD" -j --target "${ASAN_TESTS[@]}" cbsvm
 for T in "${ASAN_TESTS[@]}"; do
@@ -414,15 +414,15 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   "$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
 
 if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
-  echo "== thread sanitizer: parallel engine + sharded DCG + compile queue + OSR + repository + determinism matrix =="
+  echo "== thread sanitizer: parallel engine + compile queue + OSR + repository + determinism matrix =="
   TSAN_BUILD="${BUILD}-tsan"
   cmake -B "$TSAN_BUILD" -S . -DCBSVM_SANITIZE=thread
   cmake --build "$TSAN_BUILD" -j \
-    --target ParallelRunnerTest DCGConcurrencyTest CompileQueueTest OSRTest \
+    --target ParallelRunnerTest CompileQueueTest OSRTest \
              ProfileRepositoryTest DeterminismMatrixTest
   (cd "$TSAN_BUILD" && CBSVM_JOBS=8 \
     ctest --output-on-failure \
-      -R '^(ParallelRunner|DCGConcurrency|CompileQueue|Osr|ProfileRepository|DeterminismMatrix)')
+      -R '^(ParallelRunner|CompileQueue|Osr|ProfileRepository|DeterminismMatrix)')
 fi
 
 echo "== all checks passed =="

@@ -29,8 +29,10 @@
 ///    exhaustive profile, with overlap above a seed-stable floor.
 ///  - profile-roundtrip: serialize → parse → serialize of any sampled
 ///    profile is byte-identical and validates against the program.
-///  - shard-determinism: DCG snapshots are bitwise equal across
-///    --dcg-shards 1/8 and across ParallelRunner --jobs 1/4.
+///  - shard-determinism: a grid of profiled runs commits bitwise-equal
+///    profiles through ParallelRunner at --jobs 1 and 4. (The id
+///    predates the one-thread profile repository and is kept:
+///    per-oracle fuzz timings are keyed by it.)
 ///  - async-compile-stability, deopt-storm-stability, osr-stability,
 ///    warm-start-stability: one table-driven AOS stability oracle each.
 ///    Every row of an oracle's table is one adaptive configuration

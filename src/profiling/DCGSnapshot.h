@@ -6,13 +6,12 @@
 ///
 /// \file
 /// An immutable, order-canonicalized view of a DynamicCallGraph at a
-/// point in time. The live repository is a concurrent, sharded
-/// structure that samplers mutate while the program runs; every
-/// consumer (inline oracles, the overlap metric, serialization, bench
-/// tables) reads through a snapshot instead, so readers never observe
-/// torn mid-update state and two snapshots with equal content compare
-/// and serialize byte-identically regardless of shard count or flush
-/// interleaving.
+/// point in time. The live repository is a hash map that samplers
+/// mutate while the program runs; every consumer (inline oracles, the
+/// overlap metric, serialization, bench tables) reads through a
+/// snapshot instead, so a reader's view never changes under it and two
+/// snapshots with equal content compare and serialize byte-identically
+/// regardless of flush order.
 ///
 /// A snapshot is a shared_ptr to const data: copying one is O(1) and
 /// a snapshot stays valid after the live graph mutates, decays, or is

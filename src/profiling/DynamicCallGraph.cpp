@@ -1,4 +1,4 @@
-//===- profiling/DynamicCallGraph.cpp - Concurrent profile repo -----------===//
+//===- profiling/DynamicCallGraph.cpp - Live profile repository -----------===//
 //
 // Part of the CBSVM project.
 //
@@ -13,166 +13,34 @@
 using namespace cbs;
 using namespace cbs::prof;
 
-static unsigned clampShards(unsigned NumShards) {
-  if (NumShards < 1)
-    NumShards = 1;
-  if (NumShards > DynamicCallGraph::MaxShards)
-    NumShards = DynamicCallGraph::MaxShards;
-  // Round up to a power of two so shard selection is a mask of the
-  // edge hash.
-  unsigned Pow2 = 1;
-  while (Pow2 < NumShards)
-    Pow2 *= 2;
-  return Pow2;
-}
-
-DynamicCallGraph::DynamicCallGraph(unsigned NumShards) {
-  unsigned N = clampShards(NumShards);
-  Shards.reserve(N);
-  for (unsigned I = 0; I != N; ++I)
-    Shards.push_back(std::make_unique<Shard>());
-  ShardMask = N - 1;
-}
-
-DynamicCallGraph::DynamicCallGraph(const DynamicCallGraph &Other)
-    : DynamicCallGraph(Other.numShards()) {
-  for (size_t I = 0, E = Shards.size(); I != E; ++I) {
-    std::lock_guard<std::mutex> Lock(Other.Shards[I]->M);
-    Shards[I]->Weights = Other.Shards[I]->Weights;
-    Shards[I]->Total = Other.Shards[I]->Total;
-  }
-  Epoch.store(Other.epoch(), std::memory_order_relaxed);
-}
-
-DynamicCallGraph &DynamicCallGraph::operator=(const DynamicCallGraph &Other) {
-  if (&Other == this)
-    return *this;
-  DynamicCallGraph Copy(Other);
-  *this = std::move(Copy);
-  return *this;
-}
-
-DynamicCallGraph &
-DynamicCallGraph::operator=(DynamicCallGraph &&Other) noexcept {
-  if (&Other == this)
-    return *this;
-  Shards = std::move(Other.Shards);
-  ShardMask = Other.ShardMask;
-  Epoch.store(Other.epoch(), std::memory_order_relaxed);
-  Contention.store(Other.contentionCount(), std::memory_order_relaxed);
-  Cache = DCGSnapshot();
-  CacheEpoch = ~uint64_t(0);
-  Other.Shards.clear();
-  Other.Shards.push_back(std::make_unique<Shard>());
-  Other.ShardMask = 0;
-  Other.CacheEpoch = ~uint64_t(0);
-  return *this;
-}
-
-DynamicCallGraph::DynamicCallGraph(DynamicCallGraph &&Other) noexcept
-    : Shards(std::move(Other.Shards)), ShardMask(Other.ShardMask),
-      Epoch(Other.epoch()), Contention(Other.contentionCount()) {
-  // Leave the source valid (single empty shard) so destruction and
-  // reassignment stay well-defined.
-  Other.Shards.clear();
-  Other.Shards.push_back(std::make_unique<Shard>());
-  Other.ShardMask = 0;
-  Other.CacheEpoch = ~uint64_t(0);
-}
-
-void DynamicCallGraph::lockShard(Shard &S) const {
-  if (S.M.try_lock())
-    return;
-  Contention.fetch_add(1, std::memory_order_relaxed);
-  S.M.lock();
-}
-
-void DynamicCallGraph::lockAll() const {
-  for (const auto &S : Shards)
-    lockShard(*S);
-}
-
-void DynamicCallGraph::unlockAll() const {
-  for (size_t I = Shards.size(); I != 0; --I)
-    Shards[I - 1]->M.unlock();
-}
-
 void DynamicCallGraph::addSample(CallEdge Edge, uint64_t Count) {
   // A zero-count sample must not create a resident weight-0 entry: it
   // would survive until the next decay truncation and meanwhile bloat
   // every snapshot, serialized profile, and overlap computation.
   if (Count == 0)
     return;
-  Shard &S = shardFor(Edge);
-  lockShard(S);
-  S.Weights[Edge] += Count;
-  S.Total += Count;
-  bumpEpoch();
-  S.M.unlock();
+  Weights[Edge] += Count;
+  Total += Count;
+  ++Epoch;
 }
 
 void DynamicCallGraph::addBatch(const CallEdge *Edges, size_t N) {
   if (N == 0)
     return;
-  if (Shards.size() == 1) {
-    // Single-shard fast path: the common single-threaded configuration
-    // pays one lock acquisition per batch and nothing else.
-    Shard &S = *Shards[0];
-    lockShard(S);
-    for (size_t I = 0; I != N; ++I)
-      ++S.Weights[Edges[I]];
-    S.Total += N;
-    bumpEpoch();
-    S.M.unlock();
-    return;
-  }
-
-  // Lock every touched shard (ascending order: no deadlock against
-  // other batches or snapshot()) before applying anything, so the
-  // batch is atomic with respect to snapshots.
-  uint64_t Touched = 0;
   for (size_t I = 0; I != N; ++I)
-    Touched |= uint64_t(1) << (CallEdgeHash()(Edges[I]) & ShardMask);
-  for (size_t I = 0, E = Shards.size(); I != E; ++I)
-    if (Touched & (uint64_t(1) << I))
-      lockShard(*Shards[I]);
-  for (size_t I = 0; I != N; ++I) {
-    Shard &S = shardFor(Edges[I]);
-    ++S.Weights[Edges[I]];
-    ++S.Total;
-  }
-  bumpEpoch();
-  for (size_t I = Shards.size(); I != 0; --I)
-    if (Touched & (uint64_t(1) << (I - 1)))
-      Shards[I - 1]->M.unlock();
+    ++Weights[Edges[I]];
+  Total += N;
+  ++Epoch;
 }
 
 void DynamicCallGraph::merge(const DynamicCallGraph &Other) {
-  if (&Other == this) {
-    // Self-merge must not iterate the maps while inserting into them;
-    // doubling in place is the semantic equivalent.
-    lockAll();
-    for (const auto &S : Shards) {
-      for (auto &[Edge, Weight] : S->Weights)
-        Weight *= 2;
-      S->Total *= 2;
-    }
-    bumpEpoch();
-    unlockAll();
-    return;
-  }
-  // Snapshot the source first (its locks are released again before we
-  // take ours, so two cross-merging graphs cannot deadlock), then apply
-  // under all of our locks so the merge is atomic for our readers.
-  DCGSnapshot Src = Other.snapshot();
-  lockAll();
-  for (const auto &[Edge, Weight] : Src.sortedEdges()) {
-    Shard &S = shardFor(Edge);
-    S.Weights[Edge] += Weight;
-    S.Total += Weight;
-  }
-  bumpEpoch();
-  unlockAll();
+  // On self-merge every key is already present, so operator[] never
+  // inserts (or rehashes) while the loop iterates, and each weight is
+  // added to itself: doubling in place.
+  for (const auto &[Edge, Weight] : Other.Weights)
+    Weights[Edge] += Weight;
+  Total += Other.Total;
+  ++Epoch;
 }
 
 void DynamicCallGraph::decay(double Factor) {
@@ -182,83 +50,41 @@ void DynamicCallGraph::decay(double Factor) {
   if (!(Factor > 0 && Factor < 1))
     reportFatalError("DynamicCallGraph::decay factor must be in (0, 1), got " +
                      std::to_string(Factor));
-  lockAll();
-  for (const auto &S : Shards) {
-    S->Total = 0;
-    for (auto It = S->Weights.begin(); It != S->Weights.end();) {
-      uint64_t Decayed =
-          static_cast<uint64_t>(static_cast<double>(It->second) * Factor);
-      if (Decayed == 0) {
-        It = S->Weights.erase(It);
-        continue;
-      }
-      It->second = Decayed;
-      S->Total += Decayed;
-      ++It;
+  Total = 0;
+  for (auto It = Weights.begin(); It != Weights.end();) {
+    uint64_t Decayed =
+        static_cast<uint64_t>(static_cast<double>(It->second) * Factor);
+    if (Decayed == 0) {
+      It = Weights.erase(It);
+      continue;
     }
+    It->second = Decayed;
+    Total += Decayed;
+    ++It;
   }
-  bumpEpoch();
-  unlockAll();
+  ++Epoch;
 }
 
 void DynamicCallGraph::clear() {
-  lockAll();
-  for (const auto &S : Shards) {
-    S->Weights.clear();
-    S->Total = 0;
-  }
-  bumpEpoch();
-  unlockAll();
-}
-
-uint64_t DynamicCallGraph::totalWeight() const {
-  uint64_t Total = 0;
-  for (const auto &S : Shards) {
-    lockShard(*S);
-    Total += S->Total;
-    S->M.unlock();
-  }
-  return Total;
-}
-
-size_t DynamicCallGraph::numEdges() const {
-  size_t Edges = 0;
-  for (const auto &S : Shards) {
-    lockShard(*S);
-    Edges += S->Weights.size();
-    S->M.unlock();
-  }
-  return Edges;
+  Weights.clear();
+  Total = 0;
+  ++Epoch;
 }
 
 DCGSnapshot DynamicCallGraph::snapshot() const {
-  lockAll();
-  uint64_t Now = epoch();
-  if (CacheEpoch == Now) {
-    DCGSnapshot Result = Cache;
-    unlockAll();
-    return Result;
-  }
+  if (CacheEpoch == Epoch)
+    return Cache;
 
   auto D = std::make_shared<DCGSnapshot::Data>();
-  size_t Edges = 0;
-  for (const auto &S : Shards)
-    Edges += S->Weights.size();
-  D->Edges.reserve(Edges);
-  for (const auto &S : Shards) {
-    for (const auto &[Edge, Weight] : S->Weights)
-      D->Edges.emplace_back(Edge, Weight);
-    D->Total += S->Total;
-  }
+  D->Edges.assign(Weights.begin(), Weights.end());
   std::sort(D->Edges.begin(), D->Edges.end(),
             [](const DCGSnapshot::Edge &L, const DCGSnapshot::Edge &R) {
               return L.first < R.first;
             });
-  D->Epoch = Now;
+  D->Total = Total;
+  D->Epoch = Epoch;
 
   Cache = DCGSnapshot(std::move(D));
-  CacheEpoch = Now;
-  DCGSnapshot Result = Cache;
-  unlockAll();
-  return Result;
+  CacheEpoch = Epoch;
+  return Cache;
 }

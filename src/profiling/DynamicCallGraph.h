@@ -1,4 +1,4 @@
-//===- profiling/DynamicCallGraph.h - Concurrent profile repo ---*- C++ -*-===//
+//===- profiling/DynamicCallGraph.h - Live profile repository ---*- C++ -*-===//
 //
 // Part of the CBSVM project.
 //
@@ -6,24 +6,16 @@
 ///
 /// \file
 /// The dynamic call graph (DCG): the live, write-side profile
-/// repository. Call edges with observed weights, lock-striped across N
-/// shards keyed by the CallEdge hash so concurrently flushing sample
-/// buffers contend on different stripes instead of one global lock.
+/// repository. Call edges with observed weights in one hash map.
 ///
-/// Ownership rules:
-///  - Writers (samplers, SampleBuffer::flushInto, merge/decay/clear)
-///    mutate through the shard locks; addBatch applies a whole batch
-///    under all touched shard locks at once, so a batch is atomic with
-///    respect to snapshots.
-///  - Readers never touch the live map. The only read surface is
-///    snapshot(): an immutable DCGSnapshot in canonical edge order,
-///    cached per epoch so repeated snapshots of a quiescent repository
-///    are O(1).
+/// Writers are the samplers (through SampleBuffer::flushInto) and
+/// merge/decay/clear. The only read surface for profile content is
+/// snapshot(): an immutable DCGSnapshot in canonical edge order, cached
+/// per epoch so repeated snapshots of an unchanged repository are O(1).
 ///
 /// Weights are raw counts (samples or exhaustive executions) and sums
-/// are commutative, so any interleaving of flushes — and any shard
-/// count — materializes the same snapshot content. This is the same
-/// determinism discipline the parallel experiment engine follows.
+/// are commutative, so any order of flushes materializes the same
+/// snapshot content.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -33,39 +25,22 @@
 #include "profiling/CallEdge.h"
 #include "profiling/DCGSnapshot.h"
 
-#include <atomic>
-#include <memory>
-#include <mutex>
 #include <unordered_map>
-#include <vector>
 
 namespace cbs::prof {
 
+/// A DynamicCallGraph is owned and used by one OS thread only: its VM's
+/// (the VM runs all of its green threads on that one thread). Nothing
+/// in it is synchronised; threads exist only in CompileWorkerPool,
+/// whose workers read immutable plans, and ParallelRunner, which gives
+/// every task its own VM.
 class DynamicCallGraph {
 public:
-  /// Shard counts are clamped to [1, MaxShards]; a batch's touched-set
-  /// is tracked as a 64-bit mask.
-  static constexpr unsigned MaxShards = 64;
-
-  explicit DynamicCallGraph(unsigned NumShards = 1);
-
-  /// Copying and moving require the source (and destination) to be
-  /// quiescent — no concurrent writer or reader. They exist so tests
-  /// and projections can build graphs by value, not for handing a live
-  /// repository across threads.
-  DynamicCallGraph(const DynamicCallGraph &Other);
-  DynamicCallGraph &operator=(const DynamicCallGraph &Other);
-  DynamicCallGraph(DynamicCallGraph &&Other) noexcept;
-  DynamicCallGraph &operator=(DynamicCallGraph &&Other) noexcept;
-
-  /// Adds \p Count observations of \p Edge. One shard lock acquisition;
-  /// batch writers should prefer addBatch via SampleBuffer.
+  /// Adds \p Count observations of \p Edge.
   void addSample(CallEdge Edge, uint64_t Count = 1);
 
-  /// Adds one observation of every edge in [Edges, Edges + N). All
-  /// touched shards are locked (in ascending index order) before any
-  /// sample is applied, so the whole batch becomes visible to
-  /// snapshot() atomically.
+  /// Adds one observation of every edge in [Edges, Edges + N): one
+  /// epoch bump for the whole batch.
   void addBatch(const CallEdge *Edges, size_t N);
 
   /// Merges \p Other into this graph. Self-merge is well-defined and
@@ -84,61 +59,29 @@ public:
   /// Removes all edges and weights.
   void clear();
 
-  /// Sum of all edge weights. Exact when the repository is quiescent;
-  /// under concurrent writers it sums shard totals one lock at a time
-  /// and may straddle an in-flight batch.
-  uint64_t totalWeight() const;
+  /// Sum of all edge weights.
+  uint64_t totalWeight() const { return Total; }
 
-  /// Number of distinct edges observed (same caveat as totalWeight).
-  size_t numEdges() const;
+  /// Number of distinct edges observed.
+  size_t numEdges() const { return Weights.size(); }
 
   bool empty() const { return numEdges() == 0; }
 
-  unsigned numShards() const { return static_cast<unsigned>(Shards.size()); }
-
-  /// Times a writer or snapshot found a shard lock already held
-  /// (try_lock failed and it had to block). Feeds the
-  /// dcg.shard_contention metric.
-  uint64_t contentionCount() const {
-    return Contention.load(std::memory_order_relaxed);
-  }
-
   /// Mutation counter: bumped once per addSample/addBatch/merge/decay/
   /// clear. Snapshots carry the epoch they were taken at.
-  uint64_t epoch() const { return Epoch.load(std::memory_order_relaxed); }
+  uint64_t epoch() const { return Epoch; }
 
-  /// Materializes an immutable snapshot in canonical edge order. Takes
-  /// every shard lock, so the snapshot is a consistent cut: it can
-  /// never observe half of an addBatch. Cached per epoch — repeated
-  /// snapshots of an unchanged repository return the same O(1) handle.
+  /// Materializes an immutable snapshot in canonical edge order. Cached
+  /// per epoch — repeated snapshots of an unchanged repository return
+  /// the same O(1) handle.
   DCGSnapshot snapshot() const;
 
 private:
-  struct Shard {
-    std::mutex M;
-    std::unordered_map<CallEdge, uint64_t, CallEdgeHash> Weights;
-    uint64_t Total = 0;
-  };
+  std::unordered_map<CallEdge, uint64_t, CallEdgeHash> Weights;
+  uint64_t Total = 0;
+  uint64_t Epoch = 0;
 
-  Shard &shardFor(CallEdge Edge) const {
-    return *Shards[CallEdgeHash()(Edge) & ShardMask];
-  }
-
-  /// Locks \p S, counting into Contention when the lock was held.
-  void lockShard(Shard &S) const;
-  void lockAll() const;
-  void unlockAll() const;
-
-  void bumpEpoch() { Epoch.fetch_add(1, std::memory_order_relaxed); }
-
-  std::vector<std::unique_ptr<Shard>> Shards;
-  size_t ShardMask = 0; ///< Shards.size() - 1 (size is a power of two)
-  std::atomic<uint64_t> Epoch{0};
-  mutable std::atomic<uint64_t> Contention{0};
-
-  /// Epoch-keyed snapshot cache. Only read or written while all shard
-  /// locks are held (snapshot() is the sole accessor), so no separate
-  /// lock is needed.
+  /// Epoch-keyed snapshot cache, filled by snapshot().
   mutable DCGSnapshot Cache;
   mutable uint64_t CacheEpoch = ~uint64_t(0);
 };

@@ -46,7 +46,7 @@ struct ProfilerDescriptor {
   /// the stride / samples-per-tick / sample-buffer knobs apply to it.
   bool Sampling;
   /// Applies the kind and its kind-specific defaults to \p Options.
-  /// Never touches knobs shared across kinds (stride, shards, decay...):
+  /// Never touches knobs shared across kinds (stride, buffer, decay...):
   /// callers layer those on top.
   void (*Configure)(vm::ProfilerOptions &Options);
 };

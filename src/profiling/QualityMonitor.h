@@ -30,7 +30,7 @@
 /// metric publication (`dcg.quality.*`); it emits no trace events and
 /// charges no cycles itself — the VM owns both of those decisions.
 /// Determinism: outputs are a pure function of the snapshot sequence,
-/// so they are byte-identical at any shard or job count.
+/// so they are byte-identical at any compile-job or job count.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -12,9 +12,8 @@
 /// needing to know if the samples came from a listener that was
 /// responding to time-based or counter-based events"). This buffer
 /// reproduces that decoupling: the VM's sampling hook appends edges
-/// cheaply (no lock, no map probe); the organizer flushes them into the
-/// DynamicCallGraph as one batch — one set of shard lock acquisitions
-/// per Capacity samples, not per sample.
+/// cheaply (no map probe); the organizer flushes them into the
+/// DynamicCallGraph as one batch per Capacity samples, not per sample.
 ///
 /// Each VM thread owns one buffer. A buffer is strictly bounded: once
 /// full, further appends are *dropped and counted* (droppedCount feeds
@@ -58,8 +57,8 @@ public:
     return Pending.size() >= Capacity;
   }
 
-  /// Organizer: folds all pending samples into \p Repo as one atomic
-  /// batch and clears. A no-op (not counted as a flush) when empty.
+  /// Organizer: folds all pending samples into \p Repo as one batch
+  /// and clears. A no-op (not counted as a flush) when empty.
   void flushInto(DynamicCallGraph &Repo) {
     if (Pending.empty())
       return;

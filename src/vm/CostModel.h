@@ -58,11 +58,6 @@ struct CostModel {
   uint32_t BufferFlushBase = 8;
   /// ...plus this much per pending sample in the batch.
   uint32_t BufferFlushPerSample = 1;
-  /// Attributed (never executed) cost of one contended shard-lock
-  /// acquisition in the profile repository. The modelled VM is
-  /// single-threaded at the OS level, so this is 0 in practice; it
-  /// exists so the overhead.shard_wait attribution has a defined unit.
-  uint32_t ShardLockWait = 40;
   /// Per-edge cost of materializing a DCGSnapshot while the program
   /// runs (the organizer/AOS read path; post-run snapshots are
   /// measurement and stay free).

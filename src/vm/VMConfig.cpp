@@ -12,9 +12,10 @@
 
 #include "vm/VMConfig.h"
 
-#include "profiling/DynamicCallGraph.h"
 #include "profiling/ProfilerRegistry.h"
 #include "support/ArgParser.h"
+
+#include <limits>
 
 using namespace cbs;
 using namespace cbs::vm;
@@ -55,14 +56,19 @@ VMConfig VMConfig::fromArgs(support::ArgParser &Args) {
       static_cast<uint32_t>(Args.optionUInt("--stride", 3, 1, UINT32_MAX));
   Config.Profiler.CBS.SamplesPerTick = static_cast<uint32_t>(
       Args.optionUInt("--samples", 16, 1, UINT32_MAX));
-  Config.Profiler.DCGShards = static_cast<unsigned>(Args.optionUInt(
-      "--dcg-shards", 1, 1, prof::DynamicCallGraph::MaxShards));
   Config.Profiler.SampleBufferCapacity =
       Args.optionUInt("--buffer-capacity", 256, 1, 1 << 20);
   Config.Profiler.DecayEveryTicks = static_cast<uint32_t>(
       Args.optionUInt("--decay-ticks", 0, 0, UINT32_MAX));
-  Config.Profiler.DecayFactor =
-      Args.optionDouble("--decay-factor", 0.8, 0.0, 1.0);
+  // The open interval DynamicCallGraph::decay requires, checked here so
+  // a bad value is a diagnostic rather than an abort at the first decay.
+  double Factor = Args.optionDouble("--decay-factor", 0.8,
+                                    std::numeric_limits<double>::lowest(),
+                                    std::numeric_limits<double>::max());
+  if (!(Factor > 0 && Factor < 1))
+    Args.fail("--decay-factor must be in (0, 1): 0 wipes the profile and 1 "
+              "never decays it");
+  Config.Profiler.DecayFactor = Factor;
   Config.EnableOSR = Args.flag("--osr");
   return Config;
 }

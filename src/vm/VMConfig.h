@@ -81,18 +81,12 @@ struct ProfilerOptions {
   /// ticks (0 = never). Jikes RVM's organizers decay sample data so the
   /// DCG tracks recent behaviour across phase changes.
   uint32_t DecayEveryTicks = 0;
-  /// Multiplier applied at each decay.
+  /// Multiplier applied at each decay, in (0, 1).
   double DecayFactor = 0.8;
 
-  /// Lock stripes in the shared profile repository (rounded up to a
-  /// power of two, clamped to DynamicCallGraph::MaxShards). The default
-  /// of 1 keeps the single-threaded configuration on the repository's
-  /// one-shard fast path; any value produces the same profile content —
-  /// sharding only spreads writer contention.
-  unsigned DCGShards = 1;
   /// Capacity of each thread's SampleBuffer: raw samples are appended
-  /// lock-free and flushed into the repository as one atomic batch (one
-  /// set of shard lock acquisitions per batch, not per sample).
+  /// cheaply and flushed into the repository as one batch (one map
+  /// update pass and one epoch bump per batch, not per sample).
   size_t SampleBufferCapacity = 256;
 
   /// Self-observability: the online convergence/churn monitor
@@ -143,7 +137,7 @@ struct VMConfig {
   /// is byte-identical to previous releases, matching the paper's VMs,
   /// which never replace already-active frames. All OSR decisions
   /// happen on the VM thread in virtual time, so runs stay
-  /// byte-identical at any --compile-jobs/--dcg-shards count.
+  /// byte-identical at any --compile-jobs count.
   bool EnableOSR = false;
 
   uint64_t Seed = 1;
@@ -179,7 +173,7 @@ struct VMConfig {
 
   /// The validated builder every command-line surface shares: parses
   /// the common VM options (--personality, --seed, --profiler and its
-  /// per-kind knobs, --dcg-shards, --buffer-capacity, --decay-ticks,
+  /// per-kind knobs, --buffer-capacity, --decay-ticks,
   /// --decay-factor, --osr) from \p Args, resolving the profiler through
   /// prof::ProfilerRegistry. Invalid combinations are a single
   /// diagnostic here rather than a divergent per-caller check — e.g. a

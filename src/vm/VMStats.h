@@ -28,10 +28,9 @@ namespace cbs::vm {
 
 // The overhead.* rows: per-component attribution of profiling work (the
 // online Figure 4), in the order the report lists them. The first six
-// partition ProfilingCycles exactly; the last two are attributed but
-// never charged to execution time (yieldpoint tick servicing is a base
-// runtime service, and shard waits are host-side contention, always 0
-// in the single-OS-thread VM).
+// partition ProfilingCycles exactly; the last is attributed but never
+// charged to execution time (yieldpoint tick servicing is a base
+// runtime service).
 #define CBSVM_VM_OVERHEAD_METRICS(X)                                           \
   X(OvEntryCheck, "overhead.entry_check", counter)                             \
   X(OvCounterUpdate, "overhead.counter_update", counter)                       \
@@ -39,8 +38,7 @@ namespace cbs::vm {
   X(OvStackWalk, "overhead.stack_walk", counter)                               \
   X(OvBufferFlush, "overhead.buffer_flush", counter)                           \
   X(OvSnapshot, "overhead.snapshot", counter)                                  \
-  X(OvYieldpoint, "overhead.yieldpoint_taken", counter)                        \
-  X(OvShardWait, "overhead.shard_wait", counter)
+  X(OvYieldpoint, "overhead.yieldpoint_taken", counter)
 
 // Every VM counter and gauge, one row each:
 //   X(VMStats field, registry name, kind)

@@ -51,7 +51,6 @@ const tel::MetricRegistry &VirtualMachine::metrics() {
   Registry.gauge("code.graveyard_reclaims") = Cache.numReclaims();
   Registry.gauge("vm.methods_executed") = methodsExecuted();
   Registry.gauge("vm.threads_live") = countRunnable();
-  Registry.gauge("dcg.shard_contention") = DCG.contentionCount();
   // The online Figure 4: all attributed profiling cycles as a fraction
   // of the whole run, in basis points (300 = 3%).
   Registry.gauge("overhead.total_fraction_bp") =
@@ -65,7 +64,6 @@ VirtualMachine::VirtualMachine(const bc::Program &P, VMConfig Config)
       CompileCostCycles(Registry.histogram("vm.compile_cost_cycles")),
       Trace(this->Config.Trace), Recorder(this->Config.Recorder),
       Cache(P), RNG(this->Config.Seed),
-      DCG(this->Config.Profiler.DCGShards),
       InvocationCounts(P.numMethods(), 0), TickSamples(P.numMethods(), 0) {
   if (this->Config.Profiler.Kind == ProfilerKind::CodePatching)
     Patching = std::make_unique<prof::CodePatchingProfiler>(
@@ -294,8 +292,7 @@ void VirtualMachine::fireTimer() {
   Stats.Cycles += Config.Costs.TimerInterrupt;
 
   // Organizer activation: drain every listener buffer into the shared
-  // repository (one batch per thread, so one set of shard-lock
-  // acquisitions per activation rather than per sample).
+  // repository (one batch per thread per activation, not per sample).
   flushAllBuffers();
 
   if (Config.Profiler.DecayEveryTicks != 0 &&
@@ -583,13 +580,7 @@ void VirtualMachine::flushThreadBuffer(Thread &T) {
                    Config.Costs.BufferFlushPerSample *
                        static_cast<uint32_t>(Pending),
                Stats.OvBufferFlush);
-  uint64_t ContentionBefore = DCG.contentionCount();
   T.Buffer.flushInto(DCG);
-  // Shard waits are attributed (never charged to execution time):
-  // contention is a host-schedule artifact, structurally 0 in the
-  // single-OS-thread VM, and charging it would break determinism.
-  if (uint64_t Waits = DCG.contentionCount() - ContentionBefore)
-    Stats.OvShardWait += Waits * Config.Costs.ShardLockWait;
   ++Stats.DCGFlushes;
 }
 

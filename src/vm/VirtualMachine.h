@@ -134,9 +134,8 @@ public:
   }
 
   /// Modelled cycles attributed to profiling machinery: the sum of the
-  /// overhead.* rows (includes the attribute-only components —
-  /// yieldpoint servicing and shard waits — that are not part of
-  /// vm.profiling_cycles).
+  /// overhead.* rows (includes the attribute-only yieldpoint servicing,
+  /// which is not part of vm.profiling_cycles).
   uint64_t overheadCycles() const {
     uint64_t Sum = 0;
 #define CBSVM_VM_OVERHEAD_ADD(Field, Name, Kind) Sum += Stats.Field;

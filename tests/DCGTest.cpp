@@ -150,7 +150,7 @@ TEST(DCG, ZeroCountSampleLeavesNoResidentEdge) {
 
 TEST(DCG, DecayToZeroShrinksSnapshotEdgeCount) {
   // Long-run hygiene: edges whose weight truncates to zero must leave
-  // the shards entirely, so the snapshot edge count shrinks with every
+  // the map entirely, so the snapshot edge count shrinks with every
   // decay instead of accumulating dead entries.
   DynamicCallGraph DCG;
   for (uint32_t I = 0; I != 16; ++I)
@@ -223,66 +223,31 @@ TEST(DCG, ClearResets) {
   EXPECT_TRUE(DCG.snapshot().empty());
 }
 
-//===----------------------------------------------------------------------===//
-// Sharding
-//===----------------------------------------------------------------------===//
-
-TEST(DCG, ShardCountClampsToPowerOfTwo) {
-  EXPECT_EQ(DynamicCallGraph(0).numShards(), 1u);
-  EXPECT_EQ(DynamicCallGraph(1).numShards(), 1u);
-  EXPECT_EQ(DynamicCallGraph(2).numShards(), 2u);
-  EXPECT_EQ(DynamicCallGraph(3).numShards(), 4u);
-  EXPECT_EQ(DynamicCallGraph(8).numShards(), 8u);
-  EXPECT_EQ(DynamicCallGraph(33).numShards(), 64u);
-  EXPECT_EQ(DynamicCallGraph(100000).numShards(),
-            DynamicCallGraph::MaxShards);
-}
-
-TEST(DCG, ShardedSnapshotMatchesSerial) {
-  // The shard count is a concurrency knob, never a semantics knob: the
-  // same samples produce bitwise-identical snapshots at any count.
-  RandomEngine RNG(23);
-  std::vector<std::pair<CallEdge, uint64_t>> Samples;
-  for (int I = 0; I != 500; ++I)
-    Samples.push_back({edge(static_cast<uint32_t>(RNG.nextBelow(128)),
-                            static_cast<uint32_t>(RNG.nextBelow(32))),
-                       RNG.nextBelow(50) + 1});
-  DynamicCallGraph Serial(1), Sharded(8);
-  for (const auto &[E, W] : Samples) {
-    Serial.addSample(E, W);
-    Sharded.addSample(E, W);
-  }
-  EXPECT_EQ(Serial.snapshot().sortedEdges(), Sharded.snapshot().sortedEdges());
-  EXPECT_EQ(Serial.totalWeight(), Sharded.totalWeight());
-  EXPECT_EQ(Serial.numEdges(), Sharded.numEdges());
-}
-
 TEST(DCG, AddBatchMatchesPerSampleAdds) {
   std::vector<CallEdge> Batch;
   for (uint32_t I = 0; I != 300; ++I)
     Batch.push_back(edge(I % 17, I % 5));
-  for (unsigned Shards : {1u, 8u}) {
-    DynamicCallGraph ByBatch(Shards), BySample(Shards);
-    ByBatch.addBatch(Batch.data(), Batch.size());
-    for (CallEdge E : Batch)
-      BySample.addSample(E);
-    EXPECT_EQ(ByBatch.snapshot().sortedEdges(),
-              BySample.snapshot().sortedEdges());
-  }
+  DynamicCallGraph ByBatch, BySample;
+  ByBatch.addBatch(Batch.data(), Batch.size());
+  for (CallEdge E : Batch)
+    BySample.addSample(E);
+  EXPECT_EQ(ByBatch.snapshot().sortedEdges(), BySample.snapshot().sortedEdges());
+  EXPECT_EQ(ByBatch.totalWeight(), BySample.totalWeight());
 }
 
-TEST(DCG, CopyAndMergeAcrossShardCounts) {
-  DynamicCallGraph A(8);
+TEST(DCG, CopyAndMergeKeepEveryWeight) {
+  DynamicCallGraph A;
   for (uint32_t I = 0; I != 64; ++I)
     A.addSample(edge(I, I % 3), I + 1);
-  DynamicCallGraph B = A; // copy keeps shard count and weights
-  EXPECT_EQ(B.numShards(), 8u);
+  DynamicCallGraph B = A; // a copy has the same weights and epoch
   EXPECT_EQ(A.snapshot().sortedEdges(), B.snapshot().sortedEdges());
+  EXPECT_EQ(A.epoch(), B.epoch());
 
-  DynamicCallGraph C(2);
+  DynamicCallGraph C;
   C.addSample(edge(0, 0), 5);
-  C.merge(A); // merging across different shard counts
+  C.merge(A);
   EXPECT_EQ(C.totalWeight(), A.totalWeight() + 5);
+  EXPECT_EQ(C.snapshot().weight(edge(0, 0)), 6u);
 }
 
 //===----------------------------------------------------------------------===//

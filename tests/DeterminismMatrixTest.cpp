@@ -69,13 +69,9 @@ struct Axis {
 };
 
 const std::vector<Axis> Axes = {
-    {"baseline", {}}, // shards 1, compile-jobs 0
-    {"dcg-shards 8", {"--dcg-shards", "8"}},
+    {"baseline", {}}, // compile-jobs 0
     {"compile-jobs 1", {"--compile-jobs", "1"}, true},
     {"compile-jobs 4", {"--compile-jobs", "4"}, true},
-    {"dcg-shards 8 + compile-jobs 4",
-     {"--dcg-shards", "8", "--compile-jobs", "4"},
-     true},
 };
 
 void forceDeoptStorm(exp::RunSetup &S) {
@@ -108,6 +104,10 @@ const std::vector<Row> Rows = {
      {{"aos.deopt.count"}}, RepoUse::None, forceDeoptStorm},
     {"run phased --osr", concat({"run", "phased"}, OsrArgs),
      {{"osr.entries", "osr.exits"}}},
+    {"run phased --osr + forced deopt storm",
+     concat({"run", "phased"}, OsrArgs),
+     {{"aos.deopt.count"}, {"osr.entries", "osr.exits"}}, RepoUse::None,
+     forceDeoptStorm},
     {"report phased --decay-ticks", concat({"report", "phased"}, DecayArgs),
      {{"quality.phaseShifts"}}},
     {"report phased --aos --decay-ticks",
@@ -118,6 +118,10 @@ const std::vector<Row> Rows = {
     {"run jess --profile-repo (warm)", {"run", "jess"},
      {{"repo.loaded"}, {"aos.warm.enqueued"}, {"repo.committed"}},
      RepoUse::Warm},
+    // jess's warm start installs its hot code before any frame runs long
+    // enough to promote; db's main loop still transfers once.
+    {"run db --profile-repo (warm) --osr", concat({"run", "db"}, OsrArgs),
+     {{"repo.loaded"}, {"osr.entries", "osr.exits"}}, RepoUse::Warm},
     // mtrt is multithreaded: thread switches interleave with sampling,
     // compiles and frame transfers.
     {"run mtrt", {"run", "mtrt"}, {}},

@@ -9,7 +9,7 @@
 // per-component overhead attribution (the partition invariant over
 // vm.profiling_cycles), the flight recorder (ring retention, every
 // anomaly trigger, the MaxDumps cap), and sample_drop event payloads.
-// Monitor and recorder JSON byte-identity across shard counts and
+// Monitor and recorder JSON byte-identity across compile-job and
 // ParallelRunner job counts is DeterminismMatrixTest's.
 //
 //===----------------------------------------------------------------------===//
@@ -270,7 +270,7 @@ TEST(QualityMonitorVM, DisabledByDefault) {
 
 TEST(QualityMonitorVM, ProfilingCyclesPartitionInvariant) {
   // The first six overhead.* components partition vm.profiling_cycles
-  // exactly; yieldpoint servicing and shard waits are attribute-only.
+  // exactly; yieldpoint servicing is attribute-only.
   bc::Program P = wl::buildPhased(wl::InputSize::Small, 1);
   vm::VirtualMachine VM(P, monitoredConfig(P, 1));
   EXPECT_EQ(VM.run(), vm::RunState::Finished);
@@ -286,8 +286,7 @@ TEST(QualityMonitorVM, ProfilingCyclesPartitionInvariant) {
       C("overhead.buffer_flush") + C("overhead.snapshot");
   EXPECT_EQ(Partition, C("vm.profiling_cycles"));
   EXPECT_GT(Partition, 0u);
-  EXPECT_EQ(VM.overheadCycles(), Partition + C("overhead.yieldpoint_taken") +
-                                     C("overhead.shard_wait"));
+  EXPECT_EQ(VM.overheadCycles(), Partition + C("overhead.yieldpoint_taken"));
   ASSERT_NE(R.findGauge("overhead.total_fraction_bp"), nullptr);
   EXPECT_EQ(uint64_t(*R.findGauge("overhead.total_fraction_bp")),
             10'000 * VM.overheadCycles() / VM.cycles());

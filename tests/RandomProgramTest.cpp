@@ -61,7 +61,7 @@ TEST_P(RandomProgramTest, SameSeedSameProgram) {
 
 // The oracle registry is the productized form of the old hand-written
 // property tests (profilers don't perturb output; sampled ⊆ exhaustive;
-// profiles round-trip; shards don't matter) — every built-in invariant
+// profiles round-trip; job counts don't matter) — every built-in invariant
 // must hold on every seed.
 TEST_P(RandomProgramTest, BuiltinOraclesHold) {
   Program P = fuzz::generateRandomProgram(GetParam());

@@ -566,14 +566,12 @@ static const Catalogue PlainCatalogue = {
     {"code.recompiles", "gauge"},
     {"dcg.dropped_samples", "counter"},
     {"dcg.flushes", "counter"},
-    {"dcg.shard_contention", "gauge"},
     {"heap.bytes_allocated", "gauge"},
     {"heap.objects", "gauge"},
     {"overhead.buffer_flush", "counter"},
     {"overhead.counter_update", "counter"},
     {"overhead.entry_check", "counter"},
     {"overhead.listener", "counter"},
-    {"overhead.shard_wait", "counter"},
     {"overhead.snapshot", "counter"},
     {"overhead.stack_walk", "counter"},
     {"overhead.total_fraction_bp", "gauge"},

@@ -59,23 +59,20 @@ TEST(VMConfigFromArgs, DefaultsMatchThePaperConfiguration) {
   EXPECT_EQ(Config.Profiler.Kind, vm::ProfilerKind::CBS);
   EXPECT_EQ(Config.Profiler.CBS.Stride, 3u);
   EXPECT_EQ(Config.Profiler.CBS.SamplesPerTick, 16u);
-  EXPECT_EQ(Config.Profiler.DCGShards, 1u);
   EXPECT_EQ(Config.Profiler.SampleBufferCapacity, 256u);
   EXPECT_EQ(Config.Profiler.DecayEveryTicks, 0u);
 }
 
 TEST(VMConfigFromArgs, ParsesSharedOptions) {
   support::ArgParser P = parser({"--personality", "j9", "--seed", "7",
-                                 "--profiler", "timer", "--dcg-shards", "4",
-                                 "--decay-ticks", "8", "--decay-factor",
-                                 "0.5"});
+                                 "--profiler", "timer", "--decay-ticks", "8",
+                                 "--decay-factor", "0.5"});
   vm::VMConfig Config = vm::VMConfig::fromArgs(P);
   P.finish();
 
   EXPECT_EQ(Config.Pers, vm::Personality::J9);
   EXPECT_EQ(Config.Seed, 7u);
   EXPECT_EQ(Config.Profiler.Kind, vm::ProfilerKind::Timer);
-  EXPECT_EQ(Config.Profiler.DCGShards, 4u);
   EXPECT_EQ(Config.Profiler.DecayEveryTicks, 8u);
   EXPECT_DOUBLE_EQ(Config.Profiler.DecayFactor, 0.5);
 }
@@ -115,6 +112,17 @@ TEST(VMConfigFromArgs, SamplingKnobsAcceptedBySamplingProfilers) {
     EXPECT_EQ(Config.Profiler.CBS.SamplesPerTick, 8u) << Name;
     EXPECT_EQ(Config.Profiler.SampleBufferCapacity, 64u) << Name;
   }
+}
+
+TEST(VMConfigFromArgs, DecayFactorMustBeInTheOpenUnitInterval) {
+  // decay() aborts on 0 and 1, so argument parsing must reject them
+  // with a diagnostic instead of letting the run die at its first decay.
+  for (const char *Bad : {"0", "1", "1.5"})
+    EXPECT_EQ(rejection({"--decay-ticks", "2", "--decay-factor", Bad}),
+              "--decay-factor must be in (0, 1): 0 wipes the profile and 1 "
+              "never decays it")
+        << Bad;
+  EXPECT_EQ(rejection({"--decay-ticks", "2", "--decay-factor", "0.5"}), "");
 }
 
 TEST(ProfilerRegistry, EveryKindHasExactlyOneEntry) {

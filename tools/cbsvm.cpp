@@ -21,7 +21,6 @@
 //       --stride N --samples N   CBS window geometry   (default 3, 16)
 //       --personality jikes|j9                         (default jikes)
 //       --seed N                                       (default 1)
-//       --dcg-shards N           profile repo shards   (default 1)
 //       --buffer-capacity N      per-thread sample buf (default 256)
 //       --decay-ticks N          decay profile every N ticks (default 0)
 //       --decay-factor F         decay multiplier      (default 0.8)
