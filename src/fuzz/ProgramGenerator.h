@@ -102,8 +102,8 @@ private:
   ShapeConfig Shape;
 };
 
-/// Backwards-compatible entry point used by the property-test suites:
-/// the default-shape generator.
+/// The default-shape generator: ProgramGenerator() with the default
+/// ShapeConfig, expanding \p Seed into one program.
 inline bc::Program generateRandomProgram(uint64_t Seed) {
   return ProgramGenerator().generate(Seed);
 }

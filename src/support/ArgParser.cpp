@@ -9,9 +9,21 @@
 #include <charconv>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
 #include <system_error>
 
 using namespace cbs::support;
+
+namespace {
+
+/// \p V in shortest round-trip fixed notation: "100", not "100.000000".
+std::string bound(double V) {
+  char Buf[400]; // DBL_MAX has 309 integer digits
+  return {Buf,
+          std::to_chars(Buf, std::end(Buf), V, std::chars_format::fixed).ptr};
+}
+
+} // namespace
 
 ArgParser::ArgParser(int Argc, char *const *Argv)
     : Args(Argv + (Argc > 0 ? 1 : 0), Argv + Argc),
@@ -90,8 +102,8 @@ double ArgParser::optionDouble(const char *Name, double Default, double Min,
   if (!Plain || Begin == End || Ec != std::errc() || Ptr != End)
     fail(std::string(Name) + " expects a decimal number, got '" + V + "'");
   if (Parsed < Min || Parsed > Max)
-    fail(std::string(Name) + " must be in [" + std::to_string(Min) + ", " +
-         std::to_string(Max) + "], got '" + V + "'");
+    fail(std::string(Name) + " must be in [" + bound(Min) + ", " +
+         bound(Max) + "], got '" + V + "'");
   return Parsed;
 }
 

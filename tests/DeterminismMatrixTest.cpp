@@ -10,7 +10,9 @@
 // cell's bundle {profile, metrics, report, repository entry, program
 // output} must equal its row's baseline cell byte for byte, and the
 // whole cell set, computed once by a ParallelRunner at 1 job and once
-// at 8, must agree bundle for bundle.
+// at 8, must agree bundle for bundle. The baseline cell also carries the
+// row's feature assertions: the members its feature must move, an
+// optional row check, and the code cache's end-of-run invariant.
 //
 //===----------------------------------------------------------------------===//
 
@@ -58,6 +60,10 @@ struct Row {
   RepoUse Repo = RepoUse::None;
   /// A configuration with no command-line option, applied after parsing.
   void (*Mutate)(exp::RunSetup &) = nullptr;
+  /// Assertions on the baseline cell's report; a Warm row also gets the
+  /// report of the cold run that seeded it.
+  void (*Check)(const json::JsonValue &Report,
+                const json::JsonValue *Cold) = nullptr;
 };
 
 struct Axis {
@@ -92,6 +98,80 @@ std::vector<std::string> concat(std::vector<std::string> A,
   return A;
 }
 
+/// The member at the dotted \p Path of \p Doc, or nullptr.
+const json::JsonValue *member(const json::JsonValue &Doc,
+                              std::string_view Path) {
+  const json::JsonValue *V = &Doc;
+  for (size_t Dot = 0; V && Dot != std::string_view::npos;) {
+    Dot = Path.find('.');
+    V = V->find(Path.substr(0, Dot));
+    Path.remove_prefix(Dot == std::string_view::npos ? 0 : Dot + 1);
+  }
+  return V;
+}
+
+/// The number at the dotted \p Path of \p Doc (missing: 0).
+double num(const json::JsonValue &Doc, std::string_view Path) {
+  const json::JsonValue *V = member(Doc, Path);
+  return V ? V->NumVal : 0;
+}
+
+/// The elements of the array at \p Path (missing: none).
+const std::vector<json::JsonValue> &elements(const json::JsonValue &Doc,
+                                             std::string_view Path) {
+  static const std::vector<json::JsonValue> None;
+  const json::JsonValue *V = member(Doc, Path);
+  return V ? V->Elements : None;
+}
+
+// The queue installs no more plans than it accepted.
+void checkQueue(const json::JsonValue &Report, const json::JsonValue *) {
+  EXPECT_GE(num(Report, "aos.queue.enqueued"),
+            num(Report, "aos.queue.installs"));
+}
+
+// The quality monitor's phase shift freezes a flight-recorder dump, and
+// the overhead components account for the whole reported fraction.
+void checkSelfObservability(const json::JsonValue &Report,
+                            const json::JsonValue *) {
+  const auto &Dumps = elements(Report, "flightRecorder.dumps");
+  EXPECT_TRUE(std::any_of(Dumps.begin(), Dumps.end(), [](const auto &D) {
+    return D.find("trigger") && D.find("trigger")->Str == "phase_shift";
+  }));
+  double Sum = 0;
+  for (const json::JsonValue &C : elements(Report, "overhead.components"))
+    Sum += C.numberOr("fractionPct", 0);
+  EXPECT_NEAR(Sum, num(Report, "overhead.totalFractionPct"), 1e-9);
+}
+
+// After the phase-shift deopts and their recompiles, the last quality
+// window's overlap beats the post-shift trough.
+void checkDeoptRecovery(const json::JsonValue &Report,
+                        const json::JsonValue *) {
+  std::vector<double> Overlap;
+  for (const json::JsonValue &W : elements(Report, "quality.windows"))
+    Overlap.push_back(W.numberOr("overlapPct", 0));
+  ASSERT_FALSE(Overlap.empty());
+  EXPECT_GT(Overlap.back(), *std::min_element(Overlap.begin(), Overlap.end()));
+}
+
+// The cold seed run missed and committed; the warm run loaded that one
+// entry, committed again, and reached its first optimized install
+// strictly earlier — the time-to-peak the repository exists to buy.
+void checkWarmStart(const json::JsonValue &Warm, const json::JsonValue *Cold) {
+  ASSERT_NE(Cold, nullptr);
+  EXPECT_EQ(num(*Cold, "repo.loaded"), 0);
+  EXPECT_EQ(num(*Cold, "repo.committed"), 1);
+  EXPECT_EQ(member(*Cold, "aos.warm"), nullptr);
+  EXPECT_EQ(num(Warm, "repo.loaded"), 1);
+  EXPECT_EQ(num(Warm, "repo.rejected"), 0);
+  EXPECT_EQ(num(Warm, "repo.runs"), 1);
+  EXPECT_EQ(num(Warm, "repo.committed"), 1);
+  double WarmFirst = num(Warm, "aos.queue.firstInstallCycle");
+  EXPECT_GT(WarmFirst, 0);
+  EXPECT_LT(WarmFirst, num(*Cold, "aos.queue.firstInstallCycle"));
+}
+
 const std::vector<Row> Rows = {
     {"run jess", {"run", "jess"}, {}},
     {"run jess --aos", {"run", "jess", "--aos"}, {{"aos.queue.installs"}}},
@@ -99,25 +179,37 @@ const std::vector<Row> Rows = {
      {{"aos.queue.installs"}}},
     {"run phased --aos --compile-latency-scale 25",
      {"run", "phased", "--aos", "--compile-latency-scale", "25"},
-     {{"aos.queue.stale_drops"}}},
+     {{"aos.queue.stale_drops"}, {"aos.queue.installs"}}, RepoUse::None,
+     nullptr, checkQueue},
     {"run jess --aos + forced deopt storm", {"run", "jess", "--aos"},
      {{"aos.deopt.count"}}, RepoUse::None, forceDeoptStorm},
     {"run phased --osr", concat({"run", "phased"}, OsrArgs),
-     {{"osr.entries", "osr.exits"}}},
+     {{"osr.entries"}, {"osr.graveyardReclaimedInstructions"}}},
     {"run phased --osr + forced deopt storm",
      concat({"run", "phased"}, OsrArgs),
      {{"aos.deopt.count"}, {"osr.entries", "osr.exits"}}, RepoUse::None,
      forceDeoptStorm},
     {"report phased --decay-ticks", concat({"report", "phased"}, DecayArgs),
-     {{"quality.phaseShifts"}}},
+     {{"quality.phaseShifts"}}, RepoUse::None, nullptr,
+     checkSelfObservability},
     {"report phased --aos --decay-ticks",
      concat({"report", "phased", "--aos"}, DecayArgs),
      {{"quality.phaseShifts"}, {"aos.queue.installs"}}},
+    // Guard policing: the monitor flags the hot-set swap, the phase-shift
+    // trigger deoptimizes the stale speculative versions and recompiles.
+    {"report phased --deopt-threshold 40",
+     {"report", "phased", "--deopt-threshold", "40", "--decay-ticks", "8",
+      "--phase-threshold", "70"},
+     {{"quality.phaseShifts"}, {"aos.deopt.count"},
+      {"aos.deopt.phaseShiftDeopts"}, {"aos.deopt.recompiles"}},
+     RepoUse::None, nullptr, checkDeoptRecovery},
     {"run jess --profile-repo (cold)", {"run", "jess"}, {{"repo.committed"}},
      RepoUse::Cold},
     {"run jess --profile-repo (warm)", {"run", "jess"},
      {{"repo.loaded"}, {"aos.warm.enqueued"}, {"repo.committed"}},
      RepoUse::Warm},
+    {"report phased --aos --profile-repo (warm)", {"report", "phased", "--aos"},
+     {{"aos.warm.enqueued"}}, RepoUse::Warm, nullptr, checkWarmStart},
     // jess's warm start installs its hot code before any frame runs long
     // enough to promote; db's main loop still transfers once.
     {"run db --profile-repo (warm) --osr", concat({"run", "db"}, OsrArgs),
@@ -194,22 +286,6 @@ std::string compareBundles(const std::string &Row, const std::string &Axis,
   return "";
 }
 
-/// Sum of the report members at the dotted \p Paths (missing: 0).
-double featureValue(const json::JsonValue &Report,
-                    const std::vector<const char *> &Paths) {
-  double Sum = 0;
-  for (std::string_view Path : Paths) {
-    const json::JsonValue *V = &Report;
-    for (size_t Dot = 0; V && Dot != std::string_view::npos;) {
-      Dot = Path.find('.');
-      V = V->find(Path.substr(0, Dot));
-      Path.remove_prefix(Dot == std::string_view::npos ? 0 : Dot + 1);
-    }
-    Sum += V ? V->NumVal : 0;
-  }
-  return Sum;
-}
-
 /// A scratch directory under the test temp root, private to this
 /// process: two builds' matrices may run at once.
 fs::path scratchRoot(const char *Name) {
@@ -228,17 +304,19 @@ TEST(DeterminismMatrix, EveryCellIsByteIdenticalToItsRowBaseline) {
   };
   std::vector<Cell> Cells;
   std::vector<fs::path> Seeds(Rows.size());
+  std::vector<std::optional<json::JsonValue>> ColdReports(Rows.size());
+  std::vector<bool> UsesAOS(Rows.size());
   for (size_t R = 0; R != Rows.size(); ++R) {
     support::ArgParser Args({Rows[R].Args.begin() + 1, Rows[R].Args.end()});
-    bool UsesAOS = exp::parseRunSetup(Args).AOS.has_value() ||
-                   Rows[R].Repo != RepoUse::None;
+    UsesAOS[R] = exp::parseRunSetup(Args).AOS.has_value() ||
+                 Rows[R].Repo != RepoUse::None;
     for (size_t A = 0; A != Axes.size(); ++A)
-      if (UsesAOS || !Axes[A].NeedsAOS)
+      if (UsesAOS[R] || !Axes[A].NeedsAOS)
         Cells.push_back({R, A});
     // One seeded entry per warm row, read-only to every cell of the row.
     if (Rows[R].Repo == RepoUse::Warm) {
       Seeds[R] = Root / ("seed-" + std::to_string(R));
-      runCell(Rows[R], {}, Seeds[R]);
+      ColdReports[R] = json::parseJson(runCell(Rows[R], {}, Seeds[R])[2]).Value;
       Seeds[R] /= "repo";
     }
   }
@@ -267,11 +345,31 @@ TEST(DeterminismMatrix, EveryCellIsByteIdenticalToItsRowBaseline) {
     std::string Axis = Axes[Cells[I].Axis].Name;
     if (Cells[I].Axis == 0) {
       Baseline = I;
+      SCOPED_TRACE("row '" + std::string(R.Name) + "'");
       json::JsonValue Report = *json::parseJson(Jobs1[I][2]).Value;
-      EXPECT_EQ(Report.find("state")->Str, "finished") << R.Name;
-      for (const std::vector<const char *> &Feature : R.Features)
-        EXPECT_GE(featureValue(Report, Feature), 1)
-            << "row '" << R.Name << "' does not exercise " << Feature[0];
+      json::JsonValue Metrics = *json::parseJson(Jobs1[I][1]).Value;
+      EXPECT_EQ(Report.find("state")->Str, "finished");
+      for (const std::vector<const char *> &Feature : R.Features) {
+        double Sum = 0;
+        for (const char *Path : Feature)
+          Sum += num(Report, Path);
+        EXPECT_GE(Sum, 1) << "does not exercise " << Feature[0];
+      }
+      // Once an adaptive run finishes, every retired code version has
+      // been freed exactly once and the graveyard is empty. Every such
+      // row retires code, so the equality is never vacuous.
+      if (UsesAOS[Cells[I].Row]) {
+        const json::JsonValue &Gauges = *Metrics.find("gauges");
+        double Retired = Gauges.numberOr("code.recompiles", 0) +
+                         Gauges.numberOr("code.invalidations", 0);
+        EXPECT_GE(Retired, 1);
+        EXPECT_EQ(Gauges.numberOr("code.graveyard_instructions", -1), 0);
+        EXPECT_EQ(Gauges.numberOr("code.graveyard_reclaims", -1), Retired);
+      }
+      if (R.Check) {
+        const auto &Cold = ColdReports[Cells[I].Row];
+        R.Check(Report, Cold ? &*Cold : nullptr);
+      }
     }
     EXPECT_EQ(compareBundles(R.Name, Axis, Jobs1[Baseline], Jobs1[I]), "");
     EXPECT_EQ(compareBundles(R.Name, Axis + " at jobs 8", Jobs1[I], Jobs8[I]),

@@ -409,6 +409,18 @@ TEST(ArgParser, OptionDoubleRangeChecked) {
   EXPECT_THROW(
       parser({"--f", "1e999"}).optionDouble("--f", 0.5, 0.0, 1e308),
       std::runtime_error);
+  // The diagnostic prints each bound in its shortest decimal form.
+  auto Message = [](const char *Value, double Max) {
+    try {
+      parser({"--f", Value}).optionDouble("--f", 0.5, 0.0, Max);
+    } catch (const std::runtime_error &E) {
+      return std::string(E.what());
+    }
+    return std::string();
+  };
+  EXPECT_EQ(Message("-1", 1e9), "--f must be in [0, 1000000000], got '-1'");
+  EXPECT_EQ(Message("500", 100.0), "--f must be in [0, 100], got '500'");
+  EXPECT_EQ(Message("0.75", 0.5), "--f must be in [0, 0.5], got '0.75'");
 }
 
 TEST(ArgParser, OptionDoubleIsLocaleIndependent) {
