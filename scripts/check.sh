@@ -240,14 +240,16 @@ echo "== address + undefined-behaviour sanitizers: code cache reclamation, count
 # report, warm start); the experiment and repository suites, which drive
 # exp::Run through measureThroughput, runWarmStart and the
 # --profile-repo driver path; the interpreter's own suites, whose
-# operand stack is raw pointers into a growable arena; and the profile
+# operand stack is raw pointers into a growable arena; the profile
 # repository's map code (self-merge doubling in place, decay erasing
-# while it iterates).
+# while it iterates); and the parallel runner, whose task contexts
+# cross from worker threads to the caller inside futures.
 ASAN_BUILD="${BUILD}-asan"
 ASAN_TESTS=(CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest
             TelemetryTest ReportSchemaTest QualityMonitorTest
             DeterminismMatrixTest ExperimentTest ProfileRepositoryTest
-            InterpreterTest VMRuntimeTest VMUnitTest DCGTest)
+            InterpreterTest VMRuntimeTest VMUnitTest DCGTest
+            ParallelRunnerTest)
 cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD" -j --target "${ASAN_TESTS[@]}" cbsvm
 for T in "${ASAN_TESTS[@]}"; do
@@ -258,7 +260,7 @@ UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
   "$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
 
 if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
-  echo "== thread sanitizer: parallel engine + compile queue + OSR + repository + determinism matrix =="
+  echo "== thread sanitizer: worker pool + parallel engine + compile queue + OSR + repository + determinism matrix =="
   TSAN_BUILD="${BUILD}-tsan"
   cmake -B "$TSAN_BUILD" -S . -DCBSVM_SANITIZE=thread
   cmake --build "$TSAN_BUILD" -j \
@@ -266,7 +268,7 @@ if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
              ProfileRepositoryTest DeterminismMatrixTest
   (cd "$TSAN_BUILD" && CBSVM_JOBS=8 \
     ctest --output-on-failure \
-      -R '^(ParallelRunner|CompileQueue|Osr|ProfileRepository|DeterminismMatrix)')
+      -R '^(WorkerPool|ParallelRunner|CompileQueue|Osr|ProfileRepository|DeterminismMatrix)')
 fi
 
 echo "== all checks passed =="

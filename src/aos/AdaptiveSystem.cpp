@@ -15,10 +15,18 @@
 using namespace cbs;
 using namespace cbs::aos;
 
+/// The profile-blind oracle: the fallback when the AOS has none, and
+/// the source of the conservative plan.
+static const opt::InlineOracle &trivialOracle() {
+  static const opt::TrivialOracle Trivial;
+  return Trivial;
+}
+
 AdaptiveSystem::AdaptiveSystem(const opt::InlineOracle *Oracle,
                                AOSConfig Config)
-    : Oracle(Oracle), Config(Config),
-      Queue(std::max<uint32_t>(1, Config.CompileQueueCapacity)) {
+    : Oracle(Oracle ? *Oracle : trivialOracle()), Config(Config),
+      Queue(std::max<uint32_t>(1, Config.CompileQueueCapacity)),
+      Pool(Config.CompileJobs) {
   if (Config.Deopt.Enabled)
     DeoptCtl = std::make_unique<DeoptController>(Config.Deopt);
 }
@@ -84,9 +92,7 @@ AdaptiveSystem::currentPlan(vm::VirtualMachine &VM) {
   PlanOverlapBp = Monitor ? static_cast<uint64_t>(
                                 Monitor->lastOverlapPct() * 100.0 + 0.5)
                           : 10'000;
-  static const opt::TrivialOracle Trivial;
-  const opt::InlineOracle &O = Oracle ? *Oracle : Trivial;
-  adoptPlan(VM, O.plan(VM.program(), VM.profile()),
+  adoptPlan(VM, Oracle.plan(VM.program(), VM.profile()),
             Monitor ? Monitor->phaseShiftCount() : 0);
   return Plan;
 }
@@ -142,9 +148,7 @@ void AdaptiveSystem::onStartup(vm::VirtualMachine &VM) {
   // It becomes the current plan, so warm compiles and the first few
   // sampler promotions share one coherent view until the live profile
   // matures and the regular refresh supersedes it.
-  static const opt::TrivialOracle Trivial;
-  const opt::InlineOracle &O = Oracle ? *Oracle : Trivial;
-  adoptPlan(VM, O.plan(VM.program(), Snap), /*ProfileEpoch=*/0);
+  adoptPlan(VM, Oracle.plan(VM.program(), Snap), /*ProfileEpoch=*/0);
 
   // Rank methods by their accumulated callee weight in the persisted
   // profile; ties break toward the lower id so the pre-enqueue order is
@@ -166,18 +170,14 @@ void AdaptiveSystem::onStartup(vm::VirtualMachine &VM) {
     Hot.resize(Config.WarmStart.MaxMethods);
 
   for (const auto &[Weight, Method] : Hot) {
-    CompileRequest R;
-    R.Method = Method;
-    R.Level = Config.WarmStart.Level;
-    R.Warm = true;
-    R.Plan = Plan;
-    R.PlanGeneration = PlanGeneration;
-    R.EnqueueCycle = VM.cycles();
-    R.ReadyCycle = VM.cycles() + compileLatency(VM, Method, R.Level);
     // Priority is the persisted weight: heavier history compiles first
     // when the queue has to choose.
-    R.Priority = static_cast<double>(Weight);
-    submitRequest(VM, std::move(R));
+    submitRequest(VM,
+                  {.Method = Method,
+                   .Level = Config.WarmStart.Level,
+                   .Priority = static_cast<double>(Weight),
+                   .Warm = true},
+                  Plan);
     ++Stats.WarmEnqueued;
   }
   publishMetrics(VM);
@@ -194,17 +194,40 @@ uint64_t AdaptiveSystem::compileLatency(vm::VirtualMachine &VM,
   return L <= 0 ? 0 : static_cast<uint64_t>(L);
 }
 
-void AdaptiveSystem::submitRequest(vm::VirtualMachine &VM,
-                                   CompileRequest R) {
+/// The cost-benefit score of compiling \p Method at \p Level: how many
+/// times over its estimated remaining time pays for the compile.
+static double benefitRatio(vm::VirtualMachine &VM, bc::MethodId Method,
+                           int Level) {
+  // Estimated remaining cycles ~ samples * period: what has been
+  // observed so far is the AOS's standard predictor of the future.
+  double EstimatedRemaining =
+      static_cast<double>(VM.methodTickSamples()[Method]) *
+      static_cast<double>(VM.config().TimerPeriodCycles);
+  double CompileCost =
+      VM.config().Costs.CompileCostPerByte[Level] *
+      static_cast<double>(VM.program().method(Method).sizeBytes());
+  return EstimatedRemaining / CompileCost;
+}
+
+void AdaptiveSystem::submitRequest(
+    vm::VirtualMachine &VM, CompileRequest R,
+    std::shared_ptr<const opt::InlinePlan> RequestPlan) {
+  const prof::ProfileQualityMonitor *Monitor = VM.qualityMonitor();
+  R.Plan = std::move(RequestPlan);
+  R.PlanGeneration = PlanGeneration;
+  R.PhaseShiftsSeen = Monitor ? Monitor->phaseShiftCount() : 0;
+  R.EnqueueCycle = VM.cycles();
+  R.ReadyCycle = VM.cycles() + compileLatency(VM, R.Method, R.Level);
   R.Seq = Queue.nextSeq();
   R.CacheEpoch = VM.codeCache().invalidationEpoch(R.Method);
-  if (Config.CompileJobs > 0) {
-    if (!Pool)
-      Pool = std::make_unique<CompileWorkerPool>(
-          VM.program(), VM.config().Costs, Config.Compile,
-          Config.CompileJobs);
-    R.Pending = Pool->submit(R.Method, R.Level, R.Plan);
-  }
+  // The job reads only the program and its own copies, never VM or AOS
+  // state, so it may run on a worker.
+  auto Compile = [&P = VM.program(), Method = R.Method, Level = R.Level,
+                  Plan = R.Plan, Costs = VM.config().Costs,
+                  Options = Config.Compile] {
+    return opt::compileMethod(P, Method, Level, *Plan, Costs, Options);
+  };
+  R.Pending = Pool.submit(std::move(Compile));
   if (tel::TraceSink *Sink = VM.traceSink())
     Sink->event(tel::TraceEvent::compileEnqueue(VM.cycles(), 0, R.Method,
                                                 static_cast<uint32_t>(R.Level),
@@ -266,42 +289,21 @@ bool AdaptiveSystem::maybePromote(vm::VirtualMachine &VM,
 
   // Cost-benefit check: estimated remaining time in this method,
   // assuming it keeps its observed share of the tick samples, must pay
-  // for the compile. Estimated remaining cycles ~ samples * period
-  // (what has been observed so far is the AOS's standard predictor of
-  // the future).
-  double EstimatedRemaining =
-      static_cast<double>(Samples) *
-      static_cast<double>(VM.config().TimerPeriodCycles);
-  double CompileCost =
-      VM.config().Costs.CompileCostPerByte[NextLevel] *
-      static_cast<double>(VM.program().method(Method).sizeBytes());
-  if (EstimatedRemaining < Config.CostBenefitFactor * CompileCost)
+  // for the compile. The ratio is also the request's priority.
+  double Benefit = benefitRatio(VM, Method, NextLevel);
+  if (Benefit < Config.CostBenefitFactor)
     return false;
-
-  CompileRequest R;
-  R.Method = Method;
-  R.Level = NextLevel;
-  R.IsReopt = IsReopt;
-  R.Plan = currentPlan(VM);
-  R.PlanGeneration = PlanGeneration;
-  R.EnqueueCycle = VM.cycles();
-  R.ReadyCycle = VM.cycles() + compileLatency(VM, Method, NextLevel);
-  // Priority is the benefit ratio the cost-benefit rule computed: how
-  // many times over the method's estimated remaining time pays for its
-  // compile.
-  R.Priority = EstimatedRemaining / CompileCost;
-  if (const prof::ProfileQualityMonitor *Monitor = VM.qualityMonitor())
-    R.PhaseShiftsSeen = Monitor->phaseShiftCount();
-  submitRequest(VM, std::move(R));
+  submitRequest(VM,
+                {.Method = Method,
+                 .Level = NextLevel,
+                 .IsReopt = IsReopt,
+                 .Priority = Benefit},
+                currentPlan(VM));
   return true;
 }
 
 void AdaptiveSystem::install(vm::VirtualMachine &VM, CompileRequest R) {
-  vm::CompiledMethod CM =
-      R.Pending.valid()
-          ? R.Pending.get() // pre-compiled by a worker; identical result
-          : opt::compileMethod(VM.program(), R.Method, R.Level, *R.Plan,
-                               VM.config().Costs, Config.Compile);
+  vm::CompiledMethod CM = R.Pending.get();
   uint64_t Waited = VM.cycles() - R.EnqueueCycle;
   if (DeoptCtl)
     DeoptCtl->noteInstall(CM);
@@ -339,9 +341,8 @@ AdaptiveSystem::conservativePlan(vm::VirtualMachine &VM) {
   if (!ConservativePlan) {
     // The trivial oracle ignores the profile: this plan speculates on
     // nothing, never goes stale, and is shared by every pinned method.
-    static const opt::TrivialOracle Trivial;
     ConservativePlan = std::make_shared<const opt::InlinePlan>(
-        Trivial.plan(VM.program(), VM.profile()));
+        trivialOracle().plan(VM.program(), VM.profile()));
   }
   return ConservativePlan;
 }
@@ -359,29 +360,17 @@ void AdaptiveSystem::applyDeoptDecisions(
     // embed the same dead assumption; drop them before re-enqueueing.
     DeoptCtl->stats().StaleRequestsDropped += Queue.dropMethod(D.Method);
 
-    CompileRequest R;
-    R.Method = D.Method;
-    R.Level = D.Level;
-    R.DeoptRecompile = true;
-    R.Conservative = D.Conservative;
-    R.Plan = D.Conservative ? conservativePlan(VM) : currentPlan(VM);
-    R.PlanGeneration = PlanGeneration;
-    R.EnqueueCycle = VM.cycles();
-    R.ReadyCycle = VM.cycles() + compileLatency(VM, D.Method, D.Level);
     // Same cost-benefit score the promotion path computes, floored at
     // 1.0: the method was running deoptimized-slow, so repairing it
     // must not lose every eviction fight in a full queue.
-    double EstimatedRemaining =
-        static_cast<double>(VM.methodTickSamples()[D.Method]) *
-        static_cast<double>(VM.config().TimerPeriodCycles);
-    double CompileCost =
-        VM.config().Costs.CompileCostPerByte[D.Level] *
-        static_cast<double>(VM.program().method(D.Method).sizeBytes());
-    R.Priority =
-        CompileCost > 0 ? std::max(1.0, EstimatedRemaining / CompileCost) : 1.0;
-    if (const prof::ProfileQualityMonitor *Monitor = VM.qualityMonitor())
-      R.PhaseShiftsSeen = Monitor->phaseShiftCount();
-    submitRequest(VM, std::move(R));
+    submitRequest(
+        VM,
+        {.Method = D.Method,
+         .Level = D.Level,
+         .Priority = std::max(1.0, benefitRatio(VM, D.Method, D.Level)),
+         .Conservative = D.Conservative,
+         .DeoptRecompile = true},
+        D.Conservative ? conservativePlan(VM) : currentPlan(VM));
     ++DeoptCtl->stats().Recompiles;
   }
 }
@@ -428,15 +417,10 @@ void AdaptiveSystem::onYieldpoint(vm::VirtualMachine &VM) {
                    Monitor->phaseShiftCount() > R->PhaseShiftsSeen));
     if (Stale && R->Reenqueues < Config.MaxReenqueues) {
       ++Stats.QueueStaleDrops;
-      R->Plan = currentPlan(VM); // rebuilds when a shift is pending
-      R->PlanGeneration = PlanGeneration;
-      if (Monitor)
-        R->PhaseShiftsSeen = Monitor->phaseShiftCount();
-      R->EnqueueCycle = Now;
-      R->ReadyCycle = Now + compileLatency(VM, R->Method, R->Level);
       ++R->Reenqueues;
-      R->Pending = {}; // the worker result is for the dropped plan
-      submitRequest(VM, std::move(*R));
+      // currentPlan rebuilds when a shift is pending; the new compile
+      // replaces the one for the dropped plan.
+      submitRequest(VM, std::move(*R), currentPlan(VM));
       continue;
     }
     install(VM, std::move(*R));

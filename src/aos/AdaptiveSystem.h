@@ -29,9 +29,11 @@
 /// generation has been superseded (or whose enqueue-time profile the
 /// quality monitor has since declared a different phase) is dropped and
 /// re-enqueued against the fresh plan, up to MaxReenqueues times.
-/// `--compile-jobs N` adds real worker threads that pre-compute the
-/// compile result, but installs stay pinned to the same virtual-time
-/// points, so runs are byte-identical at any job count.
+/// Every compile goes through a support::WorkerPool: `--compile-jobs N`
+/// gives it N threads that compile ahead of the install point, 0 defers
+/// each compile to the install point on the VM thread. Installs stay
+/// pinned to the same virtual-time points, so runs are byte-identical
+/// at any job count.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +46,7 @@
 #include "opt/InlineOracle.h"
 #include "profiling/DCGSnapshot.h"
 #include "support/ArgParser.h"
+#include "support/WorkerPool.h"
 #include "vm/VirtualMachine.h"
 
 #include <cstdint>
@@ -78,10 +81,10 @@ struct AOSConfig {
   /// re-enqueued against a fresh plan before installing anyway (the
   /// progress guarantee for methods that stay hot across phases).
   uint32_t MaxReenqueues = 3;
-  /// Real compile worker threads. 0 compiles at the install point on
-  /// the VM thread; N >= 1 pre-computes results on a worker pool.
-  /// Either way installs happen at the same virtual-time points and
-  /// runs are byte-identical.
+  /// Threads of the compile pool. 0 compiles at the install point on
+  /// the VM thread; N >= 1 pre-computes results on N workers, started
+  /// with the first compiles. Either way installs happen at the same
+  /// virtual-time points and runs are byte-identical.
   uint32_t CompileJobs = 0;
   /// Speculation-guard policing (off by default — enabling it changes
   /// when plans are snapshotted, so it is a distinct configuration).
@@ -170,9 +173,12 @@ private:
   /// Modelled background-compile latency for \p Method at \p Level.
   uint64_t compileLatency(vm::VirtualMachine &VM, bc::MethodId Method,
                           int Level) const;
-  /// Builds and admits a request (fanning it to the worker pool when
-  /// --compile-jobs is on) and does the metric/event bookkeeping.
-  void submitRequest(vm::VirtualMachine &VM, CompileRequest R);
+  /// The one request builder: stamps \p R as decided now against
+  /// \p RequestPlan (plan generation, phase shifts seen, enqueue and
+  /// ready cycles), submits its compile to the pool, admits it to the
+  /// queue and does the metric/event bookkeeping.
+  void submitRequest(vm::VirtualMachine &VM, CompileRequest R,
+                     std::shared_ptr<const opt::InlinePlan> RequestPlan);
   void install(vm::VirtualMachine &VM, CompileRequest R);
   /// Executes the queue-side consequences of controller decisions:
   /// drops the method's in-flight requests and enqueues the recompile
@@ -186,13 +192,14 @@ private:
   /// one "aos.*" gauge per CBSVM_AOS_GAUGES row.
   void publishMetrics(vm::VirtualMachine &VM);
 
-  const opt::InlineOracle *Oracle;
+  /// The configured oracle, or the trivial one when none was given.
+  const opt::InlineOracle &Oracle;
   AOSConfig Config;
   AOSStats Stats;
 
   /// The current whole-program inline plan, shared as an immutable
-  /// snapshot with every in-flight CompileRequest (and the worker
-  /// pool). Rebuilt in place-of-pointer: old requests keep the
+  /// snapshot with every in-flight CompileRequest (and its compile
+  /// job). Rebuilt in place-of-pointer: old requests keep the
   /// generation they were decided against.
   std::shared_ptr<const opt::InlinePlan> Plan;
   uint64_t PlanAgeTicks = 0;
@@ -204,7 +211,9 @@ private:
   uint64_t PlanOverlapBp = 10'000;
 
   CompileQueue Queue;
-  std::unique_ptr<CompileWorkerPool> Pool;
+  /// Its workers start with the first compiles. Its jobs read the
+  /// program, which outlives the AOS (exp::Run).
+  support::WorkerPool Pool;
   std::unique_ptr<DeoptController> DeoptCtl;
   std::shared_ptr<const opt::InlinePlan> ConservativePlan;
 

@@ -6,79 +6,11 @@
 
 #include "aos/CompileQueue.h"
 
-#include "bytecode/Program.h"
-#include "support/ErrorHandling.h"
-
 #include <algorithm>
 #include <utility>
 
 using namespace cbs;
 using namespace cbs::aos;
-
-//===----------------------------------------------------------------------===//
-// CompileWorkerPool
-//===----------------------------------------------------------------------===//
-
-CompileWorkerPool::CompileWorkerPool(const bc::Program &P, vm::CostModel Costs,
-                                     opt::CompileOptions Options,
-                                     unsigned NumThreads)
-    : P(P), Costs(Costs), Options(Options) {
-  if (NumThreads == 0)
-    reportFatalError("CompileWorkerPool needs at least one thread");
-  Workers.reserve(NumThreads);
-  for (unsigned I = 0; I < NumThreads; ++I)
-    Workers.emplace_back([this] { workerLoop(); });
-}
-
-CompileWorkerPool::~CompileWorkerPool() {
-  {
-    std::lock_guard<std::mutex> L(M);
-    ShuttingDown = true;
-  }
-  CV.notify_all();
-  for (std::thread &T : Workers)
-    T.join();
-}
-
-std::shared_future<vm::CompiledMethod>
-CompileWorkerPool::submit(bc::MethodId Method, int Level,
-                          std::shared_ptr<const opt::InlinePlan> Plan) {
-  Job J;
-  J.Method = Method;
-  J.Level = Level;
-  J.Plan = std::move(Plan);
-  std::shared_future<vm::CompiledMethod> F =
-      J.Result.get_future().share();
-  {
-    std::lock_guard<std::mutex> L(M);
-    Jobs.push_back(std::move(J));
-  }
-  CV.notify_one();
-  return F;
-}
-
-void CompileWorkerPool::workerLoop() {
-  for (;;) {
-    Job J;
-    {
-      std::unique_lock<std::mutex> L(M);
-      CV.wait(L, [this] { return ShuttingDown || !Jobs.empty(); });
-      if (Jobs.empty())
-        return; // shutting down with nothing left to drain
-      J = std::move(Jobs.front());
-      Jobs.pop_front();
-    }
-    // compileMethod is a pure function of its arguments; the plan
-    // snapshot is immutable and the program is read-only for the whole
-    // run, so this races with nothing.
-    J.Result.set_value(
-        opt::compileMethod(P, J.Method, J.Level, *J.Plan, Costs, Options));
-  }
-}
-
-//===----------------------------------------------------------------------===//
-// CompileQueue
-//===----------------------------------------------------------------------===//
 
 EnqueueResult CompileQueue::enqueue(CompileRequest R,
                                     std::optional<CompileRequest> *Evicted) {

@@ -7,23 +7,17 @@
 /// \file
 /// The AOS's background compilation pipeline (§6: the paper's VMs
 /// recompile hot methods on a background thread while the application
-/// keeps running). Two cooperating pieces:
-///
-///  - CompileQueue: a bounded priority queue of CompileRequests. Each
-///    request carries the cost-benefit score that justified it (the
-///    priority), the inline-plan snapshot it was decided against, and a
-///    modelled compile latency: the compiled code may install only at
-///    the first taken yieldpoint whose virtual cycle count passes
-///    `enqueue + latency`. The queue itself is single-threaded VM state
-///    — determinism lives here, in virtual time.
-///
-///  - CompileWorkerPool: optional real OS threads (`--compile-jobs N`)
-///    that run opt::compileMethod ahead of the install point.
-///    compileMethod is a pure function of (program, method, level,
-///    plan, costs, options) and installs still happen on the VM thread
-///    at the exact same virtual-time points, so worker runs are
-///    byte-identical to jobs=0 — the workers only convert wall-clock
-///    wait at the install point into overlap.
+/// keeps running): a bounded priority queue of CompileRequests. Each
+/// request carries the cost-benefit score that justified it (the
+/// priority), the inline-plan snapshot it was decided against, a
+/// modelled compile latency — the compiled code may install only at the
+/// first taken yieldpoint whose virtual cycle count passes
+/// `enqueue + latency` — and the future of its compile, submitted to
+/// the AOS's support::WorkerPool (`--compile-jobs N` threads; at 0 the
+/// future is deferred and compiles at the install point). The queue
+/// itself is single-threaded VM state — determinism lives here, in
+/// virtual time: opt::compileMethod is a pure function of its inputs,
+/// so worker runs are byte-identical to jobs=0.
 ///
 /// Backpressure: a duplicate pending method coalesces into the existing
 /// entry (upgrading its level when the new request's is higher); a full
@@ -35,23 +29,14 @@
 #ifndef CBSVM_AOS_COMPILEQUEUE_H
 #define CBSVM_AOS_COMPILEQUEUE_H
 
-#include "opt/Compiler.h"
 #include "opt/InlinePlan.h"
 #include "vm/CompiledMethod.h"
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
 #include <future>
 #include <memory>
-#include <mutex>
 #include <optional>
-#include <thread>
 #include <vector>
-
-namespace cbs::bc {
-class Program;
-}
 
 namespace cbs::aos {
 
@@ -65,7 +50,7 @@ struct CompileRequest {
   uint64_t PlanGeneration = 0;
   /// Immutable snapshot of the inline plan at enqueue time. Shared with
   /// worker threads; never mutated after enqueue.
-  std::shared_ptr<const opt::InlinePlan> Plan;
+  std::shared_ptr<const opt::InlinePlan> Plan{};
   uint64_t EnqueueCycle = 0;
   /// First virtual cycle at which the compiled code may install:
   /// EnqueueCycle + modelled latency.
@@ -98,47 +83,10 @@ struct CompileRequest {
   uint32_t Reenqueues = 0;
   /// Enqueue sequence number: FIFO tie-break among equal priorities.
   uint64_t Seq = 0;
-  /// jobs >= 1: the worker pool's result for (Method, Level, Plan).
-  /// Invalid in jobs=0 mode (the install point compiles synchronously).
-  std::shared_future<vm::CompiledMethod> Pending;
-};
-
-/// Fixed pool of compile worker threads. submit() hands a request's
-/// (method, level, plan) to the pool and returns the future the install
-/// point will wait on. The pool only ever reads the program and the
-/// plan snapshots; it never touches VM state.
-class CompileWorkerPool {
-public:
-  CompileWorkerPool(const bc::Program &P, vm::CostModel Costs,
-                    opt::CompileOptions Options, unsigned NumThreads);
-  ~CompileWorkerPool();
-
-  CompileWorkerPool(const CompileWorkerPool &) = delete;
-  CompileWorkerPool &operator=(const CompileWorkerPool &) = delete;
-
-  std::shared_future<vm::CompiledMethod>
-  submit(bc::MethodId Method, int Level,
-         std::shared_ptr<const opt::InlinePlan> Plan);
-
-private:
-  void workerLoop();
-
-  const bc::Program &P;
-  const vm::CostModel Costs;
-  const opt::CompileOptions Options;
-
-  struct Job {
-    bc::MethodId Method;
-    int Level;
-    std::shared_ptr<const opt::InlinePlan> Plan;
-    std::promise<vm::CompiledMethod> Result;
-  };
-
-  std::mutex M;
-  std::condition_variable CV;
-  std::deque<Job> Jobs;
-  bool ShuttingDown = false;
-  std::vector<std::thread> Workers;
+  /// The compile of (Method, Level, Plan), submitted to the AOS's
+  /// support::WorkerPool. At compile-jobs 0 it is deferred: the install
+  /// point's get() compiles on the VM thread.
+  std::future<vm::CompiledMethod> Pending{};
 };
 
 /// What enqueue() did with a request (all outcomes are counted by the

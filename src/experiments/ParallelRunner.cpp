@@ -6,11 +6,14 @@
 
 #include "experiments/ParallelRunner.h"
 
+#include "support/WorkerPool.h"
+
+#include <algorithm>
+#include <charconv>
 #include <chrono>
-#include <condition_variable>
 #include <cstdlib>
+#include <cstring>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -20,10 +23,13 @@ using namespace cbs::exp;
 unsigned exp::resolveJobs(unsigned Requested) {
   if (Requested != 0)
     return Requested;
+  // The whole value must be a decimal number: "4x" or " 4" is not 4.
   if (const char *Env = std::getenv("CBSVM_JOBS")) {
-    long V = std::strtol(Env, nullptr, 10);
-    if (V >= 1 && V <= 1024)
-      return static_cast<unsigned>(V);
+    const char *End = Env + std::strlen(Env);
+    unsigned V = 0;
+    auto [Ptr, Ec] = std::from_chars(Env, End, V);
+    if (Ec == std::errc() && Ptr == End && V >= 1 && V <= 1024)
+      return V;
   }
   unsigned HW = std::thread::hardware_concurrency();
   return HW == 0 ? 1 : HW;
@@ -61,77 +67,31 @@ void ParallelRunner::run(size_t NumTasks, const TaskFn &Task,
   Last.Jobs = Jobs;
   Last.Tasks = NumTasks;
   uint64_t WallStart = nowMicros();
-
-  auto makeContext = [&](size_t Index) {
-    auto Ctx = std::make_unique<TaskContext>();
-    Ctx->Index = Index;
-    Ctx->RNG.reseed(Config.SeedBase + Index);
-    return Ctx;
-  };
-  auto runTask = [&](TaskContext &Ctx) {
-    uint64_t Start = nowMicros();
-    Task(Ctx);
-    Ctx.TaskMicros = nowMicros() - Start;
-  };
-
-  if (Jobs == 1 || NumTasks <= 1) {
-    // The serial path: no threads, same per-task seeding and commit
-    // order as the pool, so the two paths are interchangeable.
-    for (size_t I = 0; I != NumTasks; ++I) {
-      auto Ctx = makeContext(I);
-      runTask(*Ctx);
-      commit(*Ctx, Commit);
-    }
-  } else {
-    // Fixed-size pool. Workers claim indices from a shared cursor and
-    // park finished contexts in their slot; the calling thread commits
-    // slots in index order as they become ready (pipelined: commits of
-    // early indices overlap execution of later ones).
-    std::mutex Mutex;
-    std::condition_variable Ready;
-    std::vector<std::unique_ptr<TaskContext>> Finished(NumTasks);
-    size_t NextIndex = 0;
-
-    auto worker = [&] {
-      for (;;) {
-        size_t Index;
-        {
-          std::lock_guard<std::mutex> Lock(Mutex);
-          if (NextIndex == NumTasks)
-            return;
-          Index = NextIndex++;
-        }
-        auto Ctx = makeContext(Index);
-        runTask(*Ctx);
-        {
-          std::lock_guard<std::mutex> Lock(Mutex);
-          Finished[Index] = std::move(Ctx);
-        }
-        Ready.notify_one();
-      }
-    };
-
-    std::vector<std::thread> Pool;
-    unsigned NumWorkers =
-        static_cast<unsigned>(std::min<size_t>(Jobs, NumTasks));
-    Pool.reserve(NumWorkers);
-    for (unsigned W = 0; W != NumWorkers; ++W)
-      Pool.emplace_back(worker);
-
-    for (size_t I = 0; I != NumTasks; ++I) {
-      std::unique_ptr<TaskContext> Ctx;
-      {
-        std::unique_lock<std::mutex> Lock(Mutex);
-        Ready.wait(Lock, [&] { return Finished[I] != nullptr; });
-        Ctx = std::move(Finished[I]);
-      }
-      commit(*Ctx, Commit);
-    }
-
-    for (std::thread &T : Pool)
-      T.join();
+  {
+    // One loop for every job count: each task builds its context on the
+    // pool and returns it through its future, and the calling thread
+    // commits the futures in index order (pipelined: commits of early
+    // indices overlap execution of later ones). A single worker could
+    // only run what the calling thread runs itself, so jobs 1 (or one
+    // task) starts none: each get() then runs its task right there, and
+    // task and commit interleave per index.
+    size_t Threads = std::min<size_t>(Jobs, NumTasks);
+    support::WorkerPool Pool(Threads > 1 ? static_cast<unsigned>(Threads) : 0);
+    std::vector<std::future<std::unique_ptr<TaskContext>>> Results;
+    Results.reserve(NumTasks);
+    for (size_t I = 0; I != NumTasks; ++I)
+      Results.push_back(Pool.submit([&, I] {
+        auto Ctx = std::make_unique<TaskContext>();
+        Ctx->Index = I;
+        Ctx->RNG.reseed(Config.SeedBase + I);
+        uint64_t Start = nowMicros();
+        Task(*Ctx);
+        Ctx->TaskMicros = nowMicros() - Start;
+        return Ctx;
+      }));
+    for (std::future<std::unique_ptr<TaskContext>> &Result : Results)
+      commit(*Result.get(), Commit);
   }
-
   Last.WallMicros = nowMicros() - WallStart;
   if (Config.Metrics)
     publishMetrics(*Config.Metrics, Last);

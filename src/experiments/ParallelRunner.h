@@ -12,7 +12,8 @@
 /// side effects are committed in the serial order. This engine makes
 /// that contract explicit:
 ///
-///  - A fixed-size worker pool executes tasks keyed by grid index.
+///  - A support::WorkerPool of min(jobs, tasks) threads executes tasks
+///    keyed by grid index.
 ///  - Each task owns a TaskContext: a RandomEngine seeded from the grid
 ///    index, a private tel::MetricRegistry, and a private trace
 ///    collector. Workers never touch shared mutable state.
@@ -32,8 +33,8 @@
 ///  - The parent registry / trace sink are touched only by the calling
 ///    thread (merges happen at commit time, never from workers).
 ///
-/// Jobs == 1 runs everything inline on the calling thread — the exact
-/// serial path, no threads spawned.
+/// Jobs == 1 takes the same path with a thread-free pool: each task runs
+/// on the calling thread just before its commit, the serial schedule.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -50,7 +51,8 @@
 namespace cbs::exp {
 
 /// Resolves a job count: \p Requested if nonzero, else the CBSVM_JOBS
-/// environment variable (1..1024), else std::thread::hardware_concurrency
+/// environment variable (a whole decimal number in 1..1024; anything
+/// else is ignored), else std::thread::hardware_concurrency
 /// (at least 1). This is the single knob behind every bench binary's
 /// `--jobs N` flag.
 unsigned resolveJobs(unsigned Requested = 0);

@@ -31,9 +31,9 @@ namespace cbs::prof {
 
 /// A DynamicCallGraph is owned and used by one OS thread only: its VM's
 /// (the VM runs all of its green threads on that one thread). Nothing
-/// in it is synchronised; threads exist only in CompileWorkerPool,
-/// whose workers read immutable plans, and ParallelRunner, which gives
-/// every task its own VM.
+/// in it is synchronised; host threads start only in support::WorkerPool,
+/// whose AOS compile jobs read immutable plans and whose ParallelRunner
+/// tasks each build their own VM.
 class DynamicCallGraph {
 public:
   /// Adds \p Count observations of \p Edge.

@@ -156,8 +156,11 @@ void checkDeoptRecovery(const json::JsonValue &Report,
 }
 
 // The cold seed run missed and committed; the warm run loaded that one
-// entry, committed again, and reached its first optimized install
-// strictly earlier — the time-to-peak the repository exists to buy.
+// entry, committed again, and reached its first optimized install in
+// less than half the cold run's time — the time-to-peak the repository
+// exists to buy. Warm compiles are enqueued at cycle 0 and install one
+// modelled latency later; without them the warm run installs only a few
+// cycles before the cold one, which a plain `<` would still accept.
 void checkWarmStart(const json::JsonValue &Warm, const json::JsonValue *Cold) {
   ASSERT_NE(Cold, nullptr);
   EXPECT_EQ(num(*Cold, "repo.loaded"), 0);
@@ -169,7 +172,7 @@ void checkWarmStart(const json::JsonValue &Warm, const json::JsonValue *Cold) {
   EXPECT_EQ(num(Warm, "repo.committed"), 1);
   double WarmFirst = num(Warm, "aos.queue.firstInstallCycle");
   EXPECT_GT(WarmFirst, 0);
-  EXPECT_LT(WarmFirst, num(*Cold, "aos.queue.firstInstallCycle"));
+  EXPECT_LT(WarmFirst, num(*Cold, "aos.queue.firstInstallCycle") / 2);
 }
 
 const std::vector<Row> Rows = {

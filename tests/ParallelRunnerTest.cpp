@@ -10,20 +10,28 @@
 // ordering, and — the property everything else exists for — bitwise
 // equality of experiment results between --jobs 1 and --jobs 8.
 //
-// All suites here are named ParallelRunner* so `ctest -R
-// '^ParallelRunner'` selects exactly this file (the TSan stage of
-// scripts/check.sh relies on that).
+// The host thread pool both the runner and the AOS compile queue use,
+// support::WorkerPool, is tested here too: at 0 threads a job runs
+// deferred on the thread that waits for it.
+//
+// All suites here are named ParallelRunner* or WorkerPool* so `ctest -R
+// '^(ParallelRunner|WorkerPool)'` selects exactly this file (the TSan
+// stage of scripts/check.sh relies on that).
 //
 //===----------------------------------------------------------------------===//
 
 #include "experiments/Experiments.h"
 #include "experiments/ParallelRunner.h"
+#include "support/WorkerPool.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdlib>
+#include <future>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 using namespace cbs;
@@ -76,15 +84,54 @@ TEST(ParallelRunnerJobs, EnvironmentVariableApplies) {
 }
 
 TEST(ParallelRunnerJobs, BogusEnvironmentFallsThrough) {
-  for (const char *Bad : {"0", "-3", "garbage", "9999"}) {
-    ScopedJobsEnv Env(Bad);
-    EXPECT_GE(resolveJobs(), 1u) << "CBSVM_JOBS=" << Bad;
+  unsigned Default;
+  {
+    ScopedJobsEnv Env(nullptr);
+    Default = resolveJobs();
+  }
+  // A number with anything around it is not a number: it must fall
+  // through to the default, not parse its digits.
+  std::string Next = std::to_string(Default + 1);
+  for (std::string Bad : {std::string("0"), std::string("-3"),
+                          std::string("garbage"), std::string("9999"),
+                          Next + "x", " " + Next}) {
+    ScopedJobsEnv Env(Bad.c_str());
+    EXPECT_EQ(resolveJobs(), Default) << "CBSVM_JOBS='" << Bad << "'";
   }
 }
 
 TEST(ParallelRunnerJobs, DefaultIsAtLeastOne) {
   ScopedJobsEnv Env(nullptr);
   EXPECT_GE(resolveJobs(), 1u);
+}
+
+TEST(WorkerPool, ZeroThreadsRunsEachJobOnTheCallerAtGet) {
+  support::WorkerPool Pool(0);
+  bool Ran = false;
+  std::future<std::thread::id> Where = Pool.submit([&] {
+    Ran = true;
+    return std::this_thread::get_id();
+  });
+  EXPECT_FALSE(Ran) << "a 0-thread pool must defer the job to get()";
+  EXPECT_EQ(Where.get(), std::this_thread::get_id());
+  EXPECT_TRUE(Ran);
+}
+
+TEST(WorkerPool, WorkersRunEveryJobAndTheDestructorDrains) {
+  constexpr int Jobs = 64;
+  std::vector<std::future<int>> Results;
+  std::atomic<int> Unwaited{0};
+  {
+    support::WorkerPool Pool(3);
+    for (int I = 0; I != Jobs; ++I)
+      Results.push_back(Pool.submit([I] { return I * I; }));
+    for (int I = 0; I != Jobs; ++I)
+      Pool.submit([&Unwaited] { ++Unwaited; });
+  }
+  for (int I = 0; I != Jobs; ++I)
+    EXPECT_EQ(Results[I].get(), I * I);
+  // Jobs nobody waited on still ran before the pool went away.
+  EXPECT_EQ(Unwaited.load(), Jobs);
 }
 
 TEST(ParallelRunnerPool, EveryIndexRunsExactlyOnce) {
