@@ -242,22 +242,29 @@ echo "== address + undefined-behaviour sanitizers: code cache reclamation, count
 # --profile-repo driver path; the interpreter's own suites, whose
 # operand stack is raw pointers into a growable arena; the profile
 # repository's map code (self-merge doubling in place, decay erasing
-# while it iterates); and the parallel runner, whose task contexts
-# cross from worker threads to the caller inside futures.
+# while it iterates); the parallel runner, whose task contexts cross
+# from worker threads to the caller inside futures; and the parsers of
+# outside input (JSON nesting, profile weights, whole numbers), fed
+# hostile documents by the codec and support suites. Each line reports
+# its wall time.
 ASAN_BUILD="${BUILD}-asan"
 ASAN_TESTS=(CodeCacheTest OSRTest DeoptTest CompileQueueTest FuzzTest
             TelemetryTest ReportSchemaTest QualityMonitorTest
             DeterminismMatrixTest ExperimentTest ProfileRepositoryTest
             InterpreterTest VMRuntimeTest VMUnitTest DCGTest
-            ParallelRunnerTest)
+            ParallelRunnerTest ProfileIOTest SupportTest)
 cmake -B "$ASAN_BUILD" -S . -DCBSVM_SANITIZE=address,undefined
 cmake --build "$ASAN_BUILD" -j --target "${ASAN_TESTS[@]}" cbsvm
+asan_timed() {
+  local Start
+  Start=$(date +%s%N)
+  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 "$@"
+  echo "asan: ${1##*/} took $(( ($(date +%s%N) - Start) / 1000000 )) ms"
+}
 for T in "${ASAN_TESTS[@]}"; do
-  UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-    "$ASAN_BUILD/tests/$T" --gtest_brief=1
+  asan_timed "$ASAN_BUILD/tests/$T" --gtest_brief=1
 done
-UBSAN_OPTIONS=halt_on_error=1:print_stacktrace=1 \
-  "$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
+asan_timed "$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
 
 if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
   echo "== thread sanitizer: worker pool + parallel engine + compile queue + OSR + repository + determinism matrix =="

@@ -22,11 +22,14 @@ static const opt::InlineOracle &trivialOracle() {
   return Trivial;
 }
 
+/// Bound on requests pending in the compile queue; beyond it the
+/// lowest-priority entry is evicted (or the newcomer rejected).
+static constexpr size_t CompileQueueCapacity = 16;
+
 AdaptiveSystem::AdaptiveSystem(const opt::InlineOracle *Oracle,
                                AOSConfig Config)
     : Oracle(Oracle ? *Oracle : trivialOracle()), Config(Config),
-      Queue(std::max<uint32_t>(1, Config.CompileQueueCapacity)),
-      Pool(Config.CompileJobs) {
+      Queue(CompileQueueCapacity), Pool(Config.CompileJobs) {
   if (Config.Deopt.Enabled)
     DeoptCtl = std::make_unique<DeoptController>(Config.Deopt);
 }
@@ -158,10 +161,11 @@ void AdaptiveSystem::onStartup(vm::VirtualMachine &VM) {
     if (E.Callee < PerCallee.size())
       PerCallee[E.Callee] += W;
   });
+  // Minimum accumulated callee weight for a method to qualify.
+  constexpr uint64_t MinMethodWeight = 1;
   std::vector<std::pair<uint64_t, bc::MethodId>> Hot;
   for (bc::MethodId M = 0; M < PerCallee.size(); ++M)
-    if (PerCallee[M] >= Config.WarmStart.MinMethodWeight &&
-        PerCallee[M] > 0)
+    if (PerCallee[M] >= MinMethodWeight)
       Hot.emplace_back(PerCallee[M], M);
   std::sort(Hot.begin(), Hot.end(), [](const auto &L, const auto &R) {
     return L.first != R.first ? L.first > R.first : L.second < R.second;
@@ -223,9 +227,8 @@ void AdaptiveSystem::submitRequest(
   // The job reads only the program and its own copies, never VM or AOS
   // state, so it may run on a worker.
   auto Compile = [&P = VM.program(), Method = R.Method, Level = R.Level,
-                  Plan = R.Plan, Costs = VM.config().Costs,
-                  Options = Config.Compile] {
-    return opt::compileMethod(P, Method, Level, *Plan, Costs, Options);
+                  Plan = R.Plan, Costs = VM.config().Costs] {
+    return opt::compileMethod(P, Method, Level, *Plan, Costs);
   };
   R.Pending = Pool.submit(std::move(Compile));
   if (tel::TraceSink *Sink = VM.traceSink())
@@ -267,6 +270,11 @@ bool AdaptiveSystem::maybePromote(vm::VirtualMachine &VM,
   // upgrade a queued L1 request to L2, but never duplicates it.
   int Level = std::max(Cache.activeLevel(Method), Pending);
   uint32_t Samples = VM.methodTickSamples()[Method];
+  // A method already at the top level may be *re*-optimized when the
+  // inline plan has advanced this many generations since it was last
+  // compiled — early recompilations happen against immature profiles,
+  // and the modelled VMs keep re-optimizing as profiles mature.
+  constexpr uint32_t ReoptPlanGenerations = 2;
 
   int NextLevel;
   bool IsReopt = false;
@@ -277,7 +285,7 @@ bool AdaptiveSystem::maybePromote(vm::VirtualMachine &VM,
   } else if (Level == 2 && Pending < 0 &&
              PerMethod[Method].Reopts < Config.MaxReoptsPerMethod &&
              PlanGeneration >= PerMethod[Method].CompiledGeneration +
-                                   Config.ReoptPlanGenerations &&
+                                   ReoptPlanGenerations &&
              Samples >= 2 * Config.Level2Samples) {
     // The method was optimized against an earlier (possibly immature)
     // profile and is still hot: re-optimize with the current plan.
@@ -384,6 +392,10 @@ void AdaptiveSystem::onYieldpoint(vm::VirtualMachine &VM) {
     applyDeoptDecisions(VM, DeoptCtl->storm(VM));
   if (Queue.depth() == 0)
     return;
+  // How many times a request found stale at its install point is
+  // re-enqueued against a fresh plan before installing anyway (the
+  // progress guarantee for methods that stay hot across phases).
+  constexpr uint32_t MaxReenqueues = 3;
   uint64_t Now = VM.cycles();
   bool Activity = false;
   while (std::optional<CompileRequest> R = Queue.popReady(Now)) {
@@ -415,7 +427,7 @@ void AdaptiveSystem::onYieldpoint(vm::VirtualMachine &VM) {
                  (R->PlanGeneration < PlanGeneration ||
                   (Monitor &&
                    Monitor->phaseShiftCount() > R->PhaseShiftsSeen));
-    if (Stale && R->Reenqueues < Config.MaxReenqueues) {
+    if (Stale && R->Reenqueues < MaxReenqueues) {
       ++Stats.QueueStaleDrops;
       ++R->Reenqueues;
       // currentPlan rebuilds when a shift is pending; the new compile
@@ -436,13 +448,15 @@ void AdaptiveSystem::onTimerTick(vm::VirtualMachine &VM, bc::MethodId Top) {
   // real system, its callers; the plan covers their sites when they in
   // turn get hot). Each iteration may upgrade the previous one's
   // request (L1 pending -> L2) until the method's state is settled.
-  for (uint32_t I = 0; I < Config.MaxRecompilesPerTick; ++I)
+  // Cap on promotions processed per tick (compile queue backpressure).
+  constexpr uint32_t MaxRecompilesPerTick = 4;
+  for (uint32_t I = 0; I < MaxRecompilesPerTick; ++I)
     if (!maybePromote(VM, Top))
       break;
   // Guard policing rides the tick (the same cadence the quality monitor
   // uses): every tracked speculative version is re-checked against the
   // current profile.
-  if (DeoptCtl && DeoptCtl->tickDue())
+  if (DeoptCtl)
     applyDeoptDecisions(VM, DeoptCtl->police(VM));
   publishMetrics(VM);
 }

@@ -65,22 +65,8 @@ struct AOSConfig {
   /// Recompute the inline plan at most every this many ticks (plans
   /// are whole-program and moderately expensive to build).
   uint32_t PlanRefreshTicks = 4;
-  /// Cap on promotions processed per tick (compile queue backpressure).
-  uint32_t MaxRecompilesPerTick = 4;
-  /// A method already at the top level may be *re*-optimized when the
-  /// inline plan has advanced this many generations since it was last
-  /// compiled — early recompilations happen against immature profiles,
-  /// and the modelled VMs keep re-optimizing as profiles mature.
-  uint32_t ReoptPlanGenerations = 2;
   /// Bound on same-level reoptimizations per method.
   uint32_t MaxReoptsPerMethod = 2;
-  /// Bound on requests pending in the compile queue; beyond it the
-  /// lowest-priority entry is evicted (or the newcomer rejected).
-  uint32_t CompileQueueCapacity = 16;
-  /// How many times a request found stale at its install point is
-  /// re-enqueued against a fresh plan before installing anyway (the
-  /// progress guarantee for methods that stay hot across phases).
-  uint32_t MaxReenqueues = 3;
   /// Threads of the compile pool. 0 compiles at the install point on
   /// the VM thread; N >= 1 pre-computes results on N workers, started
   /// with the first compiles. Either way installs happen at the same
@@ -89,7 +75,6 @@ struct AOSConfig {
   /// Speculation-guard policing (off by default — enabling it changes
   /// when plans are snapshotted, so it is a distinct configuration).
   DeoptConfig Deopt;
-  opt::CompileOptions Compile;
 
   /// Warm start from a persisted cross-run profile (ProfileRepository).
   struct WarmStartConfig {
@@ -100,8 +85,6 @@ struct AOSConfig {
     std::shared_ptr<const prof::DCGSnapshot> Profile;
     /// At most this many hot methods are pre-enqueued at startup.
     uint32_t MaxMethods = 8;
-    /// Minimum accumulated callee weight for a method to qualify.
-    uint64_t MinMethodWeight = 1;
     /// Optimization level the warm compiles target.
     int Level = 2;
   };

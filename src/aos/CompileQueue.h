@@ -103,7 +103,7 @@ enum class EnqueueResult : uint8_t {
 /// requests.
 class CompileQueue {
 public:
-  explicit CompileQueue(size_t Capacity = 16) : Capacity(Capacity) {}
+  explicit CompileQueue(size_t Capacity) : Capacity(Capacity) {}
 
   /// Admits \p R under the backpressure policies. On Coalesced the
   /// pending entry absorbs \p R: its level and plan upgrade when R's
@@ -129,7 +129,6 @@ public:
   size_t dropMethod(bc::MethodId Method);
 
   size_t depth() const { return Entries.size(); }
-  size_t capacity() const { return Capacity; }
 
   /// Enqueue sequence numbers are handed out by the owner so re-enqueued
   /// requests keep a deterministic order.

@@ -72,8 +72,6 @@ struct DeoptConfig {
   /// Guards at sites with less current profile weight than this are not
   /// policed (too little evidence to call the assumption dead).
   uint64_t MinSiteWeight = 16;
-  /// Police guards every this many AOS timer ticks (1 = every tick).
-  uint32_t CheckEveryTicks = 1;
   /// Testing hook: invalidate every tracked AOS install at every taken
   /// yieldpoint, regardless of guards, thresholds, or the per-method
   /// cap — the forced-invalidation storm the differential fuzzer uses
@@ -132,13 +130,6 @@ public:
     return Method < States.size() && States[Method].Pinned;
   }
 
-  /// Whether the tick-boundary pass is due (CheckEveryTicks divisor).
-  bool tickDue() {
-    return Config.CheckEveryTicks != 0 &&
-           ++TicksSinceCheck >= Config.CheckEveryTicks &&
-           (TicksSinceCheck = 0, true);
-  }
-
   const DeoptConfig &config() const { return Config; }
   const DeoptStats &stats() const { return Stats; }
   DeoptStats &stats() { return Stats; }
@@ -167,7 +158,6 @@ private:
   DeoptStats Stats;
   std::vector<MethodState> States;
   std::vector<bc::MethodId> Tracked; ///< insertion-ordered, deterministic
-  uint32_t TicksSinceCheck = 0;
 };
 
 } // namespace cbs::aos

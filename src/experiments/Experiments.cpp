@@ -10,6 +10,7 @@
 #include "opt/InlineOracle.h"
 #include "profiling/OverlapMetric.h"
 #include "profiling/ProfilerRegistry.h"
+#include "support/ArgParser.h"
 #include "support/Statistics.h"
 
 #include <cstdlib>
@@ -18,11 +19,10 @@ using namespace cbs;
 using namespace cbs::exp;
 
 unsigned exp::envRuns(unsigned Default) {
-  if (const char *Env = std::getenv("CBSVM_RUNS")) {
-    long V = std::strtol(Env, nullptr, 10);
-    if (V >= 1 && V <= 1000)
-      return static_cast<unsigned>(V);
-  }
+  if (const char *Env = std::getenv("CBSVM_RUNS"))
+    if (std::optional<uint64_t> V = support::parseWholeNumber(Env);
+        V && *V >= 1 && *V <= 1000)
+      return static_cast<unsigned>(*V);
   return Default;
 }
 

@@ -6,13 +6,12 @@
 
 #include "experiments/ParallelRunner.h"
 
+#include "support/ArgParser.h"
 #include "support/WorkerPool.h"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -24,13 +23,10 @@ unsigned exp::resolveJobs(unsigned Requested) {
   if (Requested != 0)
     return Requested;
   // The whole value must be a decimal number: "4x" or " 4" is not 4.
-  if (const char *Env = std::getenv("CBSVM_JOBS")) {
-    const char *End = Env + std::strlen(Env);
-    unsigned V = 0;
-    auto [Ptr, Ec] = std::from_chars(Env, End, V);
-    if (Ec == std::errc() && Ptr == End && V >= 1 && V <= 1024)
-      return V;
-  }
+  if (const char *Env = std::getenv("CBSVM_JOBS"))
+    if (std::optional<uint64_t> V = support::parseWholeNumber(Env);
+        V && *V >= 1 && *V <= 1024)
+      return static_cast<unsigned>(*V);
   unsigned HW = std::thread::hardware_concurrency();
   return HW == 0 ? 1 : HW;
 }
@@ -54,8 +50,6 @@ void ParallelRunner::commit(TaskContext &Ctx, const CommitFn &Commit) {
   // parent-registry contents independent of worker scheduling.
   if (Config.Metrics)
     Config.Metrics->merge(Ctx.Metrics);
-  if (Config.Trace)
-    Ctx.Trace.drainTo(*Config.Trace);
   if (Commit)
     Commit(Ctx);
   Last.BusyMicros += Ctx.TaskMicros;
@@ -83,7 +77,6 @@ void ParallelRunner::run(size_t NumTasks, const TaskFn &Task,
       Results.push_back(Pool.submit([&, I] {
         auto Ctx = std::make_unique<TaskContext>();
         Ctx->Index = I;
-        Ctx->RNG.reseed(Config.SeedBase + I);
         uint64_t Start = nowMicros();
         Task(*Ctx);
         Ctx->TaskMicros = nowMicros() - Start;

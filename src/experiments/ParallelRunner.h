@@ -14,13 +14,12 @@
 ///
 ///  - A support::WorkerPool of min(jobs, tasks) threads executes tasks
 ///    keyed by grid index.
-///  - Each task owns a TaskContext: a RandomEngine seeded from the grid
-///    index, a private tel::MetricRegistry, and a private trace
-///    collector. Workers never touch shared mutable state.
+///  - Each task owns a TaskContext holding its grid index and a private
+///    tel::MetricRegistry. Workers never touch shared mutable state.
 ///  - Results are committed on the *calling* thread in strict index
 ///    order (task k's commit happens-after task k-1's), so reductions
-///    over floating-point sums, metric merges, and trace replays are
-///    byte-identical to the serial schedule regardless of job count.
+///    over floating-point sums and metric merges are byte-identical to
+///    the serial schedule regardless of job count.
 ///
 /// Thread-ownership contract (see DESIGN.md §8):
 ///  - The task callback runs on a worker thread. It may mutate only its
@@ -30,8 +29,8 @@
 ///    immutable for the duration of run().
 ///  - The commit callback runs on the calling thread, in index order,
 ///    and is the only place allowed to touch shared accumulators.
-///  - The parent registry / trace sink are touched only by the calling
-///    thread (merges happen at commit time, never from workers).
+///  - The parent registry is touched only by the calling thread (merges
+///    happen at commit time, never from workers).
 ///
 /// Jobs == 1 takes the same path with a thread-free pool: each task runs
 /// on the calling thread just before its commit, the serial schedule.
@@ -41,9 +40,7 @@
 #ifndef CBSVM_EXPERIMENTS_PARALLELRUNNER_H
 #define CBSVM_EXPERIMENTS_PARALLELRUNNER_H
 
-#include "support/Random.h"
 #include "telemetry/MetricRegistry.h"
-#include "telemetry/TraceSink.h"
 
 #include <cstdint>
 #include <functional>
@@ -57,20 +54,15 @@ namespace cbs::exp {
 /// `--jobs N` flag.
 unsigned resolveJobs(unsigned Requested = 0);
 
-/// How a parallel region plugs into its caller: job count plus optional
-/// parent telemetry. Both parent pointers are non-owning and touched
-/// only from the calling thread.
+/// How a parallel region plugs into its caller: job count plus an
+/// optional parent registry, non-owning and touched only from the
+/// calling thread.
 struct ParallelConfig {
   /// 0 = resolveJobs() (CBSVM_JOBS, then hardware concurrency).
   unsigned Jobs = 0;
   /// Merge target for per-task registries and the engine's own
   /// `runner.*` metrics (tasks, wall/busy micros, jobs, speedup).
   tel::MetricRegistry *Metrics = nullptr;
-  /// Per-task trace events are replayed into this sink at commit time,
-  /// in index order — the interleaving matches a serial run.
-  tel::TraceSink *Trace = nullptr;
-  /// Added to the grid index to seed each TaskContext's RandomEngine.
-  uint64_t SeedBase = 0;
 };
 
 class ParallelRunner {
@@ -78,17 +70,13 @@ public:
   /// Everything a task owns. Created fresh per grid index; never shared
   /// between tasks or threads.
   struct TaskContext {
-    /// The grid index this task is keyed by.
+    /// The grid index this task is keyed by. A task that needs
+    /// randomness seeds its own engine from it, so draws do not depend
+    /// on the worker the task lands on.
     size_t Index = 0;
-    /// Deterministic per-task stream: reseeded from SeedBase + Index,
-    /// independent of the worker the task lands on.
-    RandomEngine RNG;
     /// Private per-run registry, merged into ParallelConfig::Metrics at
     /// commit time (index order).
     tel::MetricRegistry Metrics;
-    /// Private per-run trace buffer, replayed into
-    /// ParallelConfig::Trace at commit time (index order).
-    tel::CollectorSink Trace;
     /// Host-time cost of the task body (filled by the engine).
     uint64_t TaskMicros = 0;
   };
@@ -103,8 +91,8 @@ public:
 
   /// Executes Task(ctx) for every index in [0, NumTasks) across the
   /// pool, then for each index, in strictly increasing order on the
-  /// calling thread: merges ctx.Metrics into the parent registry,
-  /// replays ctx.Trace into the parent sink, and invokes \p Commit.
+  /// calling thread: merges ctx.Metrics into the parent registry and
+  /// invokes \p Commit.
   /// Output is byte-identical to Jobs == 1 for any job count.
   void run(size_t NumTasks, const TaskFn &Task, const CommitFn &Commit = {});
 

@@ -56,7 +56,6 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
   exp::ParallelConfig Par;
   Par.Jobs = Options.Jobs;
   Par.Metrics = Metrics;
-  Par.SeedBase = Options.SeedBase;
   exp::ParallelRunner Runner(Par);
 
   auto Task = [&](exp::ParallelRunner::TaskContext &Ctx) {
@@ -101,7 +100,7 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
       ProgramSpec Final = Spec;
       if (Options.Reduce) {
         ReduceResult RR =
-            reduceSpec(Spec, *O, Seed, std::move(Message), Options.Reducer);
+            reduceSpec(Spec, *O, Seed, std::move(Message));
         Slot.ReduceChecks += RR.ChecksUsed;
         Slot.ReduceAccepted += RR.Accepted;
         V.ReduceChecks = RR.ChecksUsed;

@@ -50,7 +50,6 @@ struct FuzzOptions {
   /// Run the reducer on violations (replay artifacts then hold the
   /// minimized spec rather than the original).
   bool Reduce = true;
-  ReduceOptions Reducer;
 };
 
 /// One oracle violation, post-reduction.

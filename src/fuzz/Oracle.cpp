@@ -327,7 +327,6 @@ public:
     auto SweepWithJobs = [&](unsigned Jobs) {
       exp::ParallelConfig Par;
       Par.Jobs = Jobs;
-      Par.SeedBase = In.Seed;
       exp::ParallelRunner Runner(Par);
       std::vector<std::string> Serialized(3);
       std::string Committed;

@@ -21,7 +21,7 @@ vm::CompiledMethod opt::compileMethod(const bc::Program &P, bc::MethodId Id,
                                       const vm::CostModel &Costs,
                                       const CompileOptions &Options) {
   assert(Level >= 0 && Level <= 2 && "optimization level out of range");
-  InlineResult Inlined = inlineMethod(P, Id, Plan, Options.Inliner);
+  InlineResult Inlined = inlineMethod(P, Id, Plan);
 
   // Compile cost is charged on the *post-inlining, pre-optimization*
   // size: this is the unit the downstream optimizations must process —

@@ -27,7 +27,6 @@
 namespace cbs::opt {
 
 struct CompileOptions {
-  InlinerOptions Inliner;
   bool RunOptimizer = true;
 };
 

@@ -124,6 +124,8 @@ InlinePlan TrivialOracle::plan(const Program &P,
 
 InlinePlan OldJikesOracle::plan(const Program &P,
                                 const prof::DCGSnapshot &DCG) const {
+  constexpr double HotEdgeFraction = 0.01; // the 1%-of-total-weight rule
+  constexpr uint32_t HotSizeBytes = 60;    // enlarged threshold for hot edges
   InlinePlan Plan;
   forEachSite(P, [&](SiteId Site, const Instruction &I) {
     InlineDecision D;
@@ -135,8 +137,8 @@ InlinePlan OldJikesOracle::plan(const Program &P,
     // weight. Profile data below that is completely ignored.
     if (I.Op == Opcode::InvokeStatic) {
       const Method &Callee = P.method(static_cast<MethodId>(I.A));
-      if (DCG.fraction({Site, Callee.Id}) > Config.HotEdgeFraction &&
-          Callee.sizeBytes() <= Config.HotSizeBytes) {
+      if (DCG.fraction({Site, Callee.Id}) > HotEdgeFraction &&
+          Callee.sizeBytes() <= HotSizeBytes) {
         D.K = InlineDecision::Kind::Direct;
         D.Target = Callee.Id;
         Plan.Decisions[Site] = D;
@@ -149,10 +151,10 @@ InlinePlan OldJikesOracle::plan(const Program &P,
     if (Dist.empty())
       return;
     const auto &[TopEdge, TopWeight] = Dist.front();
-    if (DCG.fraction(TopEdge) <= Config.HotEdgeFraction)
+    if (DCG.fraction(TopEdge) <= HotEdgeFraction)
       return;
     const Method &Callee = P.method(TopEdge.Callee);
-    if (Callee.sizeBytes() > Config.HotSizeBytes)
+    if (Callee.sizeBytes() > HotSizeBytes)
       return;
     GuardedTarget GT;
     GT.Target = TopEdge.Callee;
@@ -173,6 +175,14 @@ InlinePlan OldJikesOracle::plan(const Program &P,
 
 InlinePlan NewJikesOracle::plan(const Program &P,
                                 const prof::DCGSnapshot &DCG) const {
+  // threshold(edge) = Base + Slope * (100 * edge fraction), capped at
+  // Params::MaxSizeBytes.
+  constexpr uint32_t BaseSizeBytes = 24;
+  constexpr double SlopePerPercent = 10.0;
+  // A callee must account for this share of its site's distribution
+  // to be considered for guarded inlining (the paper's 40% rule).
+  constexpr double GuardedMinShare = 0.40;
+  constexpr uint32_t MaxGuardedTargets = 2;
   InlinePlan Plan;
   forEachSite(P, [&](SiteId Site, const Instruction &I) {
     InlineDecision D;
@@ -184,8 +194,7 @@ InlinePlan NewJikesOracle::plan(const Program &P,
     // Edge weight feeds a bounded linear size threshold: hotter sites
     // may inline larger callees; there is no hot/cold cliff.
     auto thresholdFor = [&](double EdgeFraction) {
-      double T = Config.BaseSizeBytes +
-                 Config.SlopePerPercent * (100.0 * EdgeFraction);
+      double T = BaseSizeBytes + SlopePerPercent * (100.0 * EdgeFraction);
       return static_cast<uint32_t>(
           std::min<double>(T, Config.MaxSizeBytes));
     };
@@ -211,8 +220,8 @@ InlinePlan NewJikesOracle::plan(const Program &P,
             : static_cast<double>(SiteTotal) /
                   static_cast<double>(DCG.totalWeight());
     std::vector<GuardedTarget> Targets = pickGuardedTargets(
-        P, DCG, Site, static_cast<SelectorId>(I.A), Config.GuardedMinShare,
-        thresholdFor(SiteFraction), Config.MaxGuardedTargets);
+        P, DCG, Site, static_cast<SelectorId>(I.A), GuardedMinShare,
+        thresholdFor(SiteFraction), MaxGuardedTargets);
     if (Targets.empty())
       return;
     D.K = InlineDecision::Kind::Guarded;
@@ -228,9 +237,27 @@ InlinePlan NewJikesOracle::plan(const Program &P,
 
 InlinePlan J9Oracle::plan(const Program &P,
                           const prof::DCGSnapshot &DCG) const {
+  // Static heuristics: inline anything at most this large.
+  constexpr uint32_t StaticSizeBytes = 48;
+  // Sites below this fraction of total weight (including absent
+  // sites) are cold: the static decision is overridden to None.
+  constexpr double ColdSiteFraction = 0.0008;
+  // Do not trust (and do not suppress with) a profile until it has
+  // accumulated at least this much weight; an immature profile makes
+  // every unsampled site look cold. Real systems gate their dynamic
+  // heuristics the same way.
+  constexpr uint64_t MinProfileWeight = 48;
+  // Hot sites: threshold = Static + Boost * (100 * site fraction).
+  constexpr double BoostPerPercent = 6.0;
+  constexpr uint32_t MaxSizeBytes = 110;
+  // The 40% rule is the *new Jikes* inliner's (§5.1); J9's dynamic
+  // target selection admits secondary targets with a smaller share
+  // (its static heuristics already guard-inline both implementations
+  // of a 2-way polymorphic site).
+  constexpr double GuardedMinShare = 0.15;
+  constexpr uint32_t MaxGuardedTargets = 2;
   InlinePlan Plan;
-  bool Dynamic =
-      Config.UseDynamic && DCG.totalWeight() >= Config.MinProfileWeight;
+  bool Dynamic = Config.UseDynamic && DCG.totalWeight() >= MinProfileWeight;
 
   forEachSite(P, [&](SiteId Site, const Instruction &I) {
     InlineDecision D;
@@ -248,19 +275,17 @@ InlinePlan J9Oracle::plan(const Program &P,
     // Dynamic heuristics: cold sites override the static decision and
     // are not inlined at all (§5.2). Trivial callees are exempt — the
     // guard is cheaper than the call either way.
-    if (Dynamic && !Trivial && SiteFraction < Config.ColdSiteFraction)
+    if (Dynamic && !Trivial && SiteFraction < ColdSiteFraction)
       return;
     if (Trivial) {
       Plan.Decisions[Site] = D;
       return;
     }
 
-    uint32_t Threshold = Config.StaticSizeBytes;
+    uint32_t Threshold = StaticSizeBytes;
     if (Dynamic) {
-      double T = Config.StaticSizeBytes +
-                 Config.BoostPerPercent * (100.0 * SiteFraction);
-      Threshold =
-          static_cast<uint32_t>(std::min<double>(T, Config.MaxSizeBytes));
+      double T = StaticSizeBytes + BoostPerPercent * (100.0 * SiteFraction);
+      Threshold = static_cast<uint32_t>(std::min<double>(T, MaxSizeBytes));
     }
 
     if (I.Op == Opcode::InvokeStatic) {
@@ -277,8 +302,8 @@ InlinePlan J9Oracle::plan(const Program &P,
     SelectorId Selector = static_cast<SelectorId>(I.A);
     if (Dynamic) {
       std::vector<GuardedTarget> Targets =
-          pickGuardedTargets(P, DCG, Site, Selector, Config.GuardedMinShare,
-                             Threshold, Config.MaxGuardedTargets);
+          pickGuardedTargets(P, DCG, Site, Selector, GuardedMinShare,
+                             Threshold, MaxGuardedTargets);
       if (Targets.empty())
         return;
       D.K = InlineDecision::Kind::Guarded;

@@ -62,32 +62,16 @@ public:
 
 class OldJikesOracle : public InlineOracle {
 public:
-  struct Params {
-    double HotEdgeFraction = 0.01; ///< the 1%-of-total-weight rule
-    uint32_t HotSizeBytes = 60;    ///< enlarged threshold for hot edges
-  };
-
-  OldJikesOracle() = default;
-  explicit OldJikesOracle(Params Config) : Config(Config) {}
   InlinePlan plan(const bc::Program &P,
                   const prof::DCGSnapshot &DCG) const override;
   const char *name() const override { return "old-jikes"; }
-
-private:
-  Params Config;
 };
 
 class NewJikesOracle : public InlineOracle {
 public:
   struct Params {
-    /// threshold(edge) = Base + Slope * (100 * edge fraction), capped.
-    uint32_t BaseSizeBytes = 24;
-    double SlopePerPercent = 10.0;
+    /// Cap of the edge-weight size threshold (see plan()).
     uint32_t MaxSizeBytes = 150;
-    /// A callee must account for this share of its site's distribution
-    /// to be considered for guarded inlining (the paper's 40% rule).
-    double GuardedMinShare = 0.40;
-    uint32_t MaxGuardedTargets = 2;
   };
 
   NewJikesOracle() = default;
@@ -103,28 +87,9 @@ private:
 class J9Oracle : public InlineOracle {
 public:
   struct Params {
-    /// Static heuristics: inline anything at most this large.
-    uint32_t StaticSizeBytes = 48;
     /// Use the dynamic call graph at all (false = the Figure 5 right
     /// graph's "static heuristics only" baseline).
     bool UseDynamic = true;
-    /// Sites below this fraction of total weight (including absent
-    /// sites) are cold: the static decision is overridden to None.
-    double ColdSiteFraction = 0.0008;
-    /// Do not trust (and do not suppress with) a profile until it has
-    /// accumulated at least this much weight; an immature profile makes
-    /// every unsampled site look cold. Real systems gate their dynamic
-    /// heuristics the same way.
-    uint64_t MinProfileWeight = 48;
-    /// Hot sites: threshold = Static + Boost * (100 * site fraction).
-    double BoostPerPercent = 6.0;
-    uint32_t MaxSizeBytes = 110;
-    // The 40%% rule is the *new Jikes* inliner's (§5.1); J9's dynamic
-    /// target selection admits secondary targets with a smaller share
-    /// (its static heuristics already guard-inline both implementations
-    /// of a 2-way polymorphic site).
-    double GuardedMinShare = 0.15;
-    uint32_t MaxGuardedTargets = 2;
   };
 
   J9Oracle() = default;

@@ -161,12 +161,15 @@ private:
       NewCode.push_back(I);
       return;
     }
+    // Skip a guarded target whose receiver set needs more tests than
+    // this (guards would cost more than the dispatch).
+    constexpr size_t MaxGuardClassesPerTarget = 2;
     std::vector<const Method *> Targets;
     std::vector<std::vector<ClassId>> Guards;
     size_t TotalSize = 0;
     for (const GuardedTarget &GT : D->Guarded) {
       if (GT.GuardClasses.empty() ||
-          GT.GuardClasses.size() > Options.MaxGuardClassesPerTarget)
+          GT.GuardClasses.size() > MaxGuardClassesPerTarget)
         continue;
       const Method &Callee = P.method(GT.Target);
       if (onInlineStack(Callee.Id))

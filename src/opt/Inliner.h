@@ -41,9 +41,6 @@ struct InlinerOptions {
   /// Stop expanding once the rewritten method reaches this many
   /// instructions (the paper's "bounded by a maximum allowable size").
   uint32_t MaxResultInstructions = 1500;
-  /// Skip a guarded target whose receiver set needs more tests than
-  /// this (guards would cost more than the dispatch).
-  uint32_t MaxGuardClassesPerTarget = 2;
 };
 
 struct InlineResult {

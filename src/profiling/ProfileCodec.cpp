@@ -8,6 +8,7 @@
 
 #include "bytecode/Ids.h"
 #include "bytecode/Program.h"
+#include "support/ArgParser.h"
 
 #include <iomanip>
 #include <sstream>
@@ -32,19 +33,10 @@ std::string lineError(size_t LineNo, const std::string &What) {
 
 /// Strict full-string decimal parse (no prefixes, no sign).
 bool parseUInt(const std::string &S, uint64_t &Out) {
-  if (S.empty())
-    return false;
-  uint64_t V = 0;
-  for (char C : S) {
-    if (C < '0' || C > '9')
-      return false;
-    uint64_t Digit = static_cast<uint64_t>(C - '0');
-    if (V > (UINT64_MAX - Digit) / 10)
-      return false;
-    V = V * 10 + Digit;
-  }
-  Out = V;
-  return true;
+  std::optional<uint64_t> V = support::parseWholeNumber(S);
+  if (V)
+    Out = *V;
+  return V.has_value();
 }
 
 /// Strict 16-digit lowercase hex parse (the !program value format).
@@ -117,6 +109,7 @@ ProfileCodec::Decoded ProfileCodec::decode(const std::string &Text) {
   std::vector<DCGSnapshot::Edge> Edges;
   std::unordered_set<CallEdge, CallEdgeHash> Seen;
   std::unordered_set<std::string> MetaSeen;
+  uint64_t TotalWeight = 0;
   size_t LineNo = 1;
   while (std::getline(IS, Line)) {
     ++LineNo;
@@ -184,6 +177,13 @@ ProfileCodec::Decoded ProfileCodec::decode(const std::string &Text) {
       Result.Error = lineError(LineNo, "zero weight edge");
       return Result;
     }
+    // The snapshot's total weight (every overlap and edge fraction's
+    // denominator) must not wrap.
+    if (Weight > UINT64_MAX - TotalWeight) {
+      Result.Error = lineError(LineNo, "total weight overflows 64 bits");
+      return Result;
+    }
+    TotalWeight += Weight;
     // Ids are 32-bit; range-check before narrowing so an oversized (or
     // negative, which istream wraps to huge) id errors instead of
     // silently truncating to some unrelated valid edge. The all-ones

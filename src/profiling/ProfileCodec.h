@@ -109,8 +109,8 @@ public:
   static std::string encode(const DCGSnapshot &DCG, const ProfileMeta &Meta);
 
   /// Parses either version. Malformed lines, out-of-range ids,
-  /// duplicate edges, duplicate or unknown metadata keys, and unknown
-  /// versions are errors; `!` metadata lines in a v1 body are malformed
+  /// duplicate edges, a total weight past 64 bits, duplicate or unknown
+  /// metadata keys, and unknown versions are errors; `!` metadata lines in a v1 body are malformed
   /// edges (v1 predates them).
   static Decoded decode(const std::string &Text);
 };

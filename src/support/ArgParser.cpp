@@ -25,6 +25,15 @@ std::string bound(double V) {
 
 } // namespace
 
+std::optional<uint64_t> cbs::support::parseWholeNumber(std::string_view Text) {
+  const char *End = Text.data() + Text.size();
+  uint64_t V = 0;
+  auto [Ptr, Ec] = std::from_chars(Text.data(), End, V);
+  if (Ec != std::errc() || Ptr != End)
+    return std::nullopt;
+  return V;
+}
+
 ArgParser::ArgParser(int Argc, char *const *Argv)
     : Args(Argv + (Argc > 0 ? 1 : 0), Argv + Argc),
       Consumed(Args.size(), false) {}
@@ -66,15 +75,14 @@ uint64_t ArgParser::optionUInt(const char *Name, uint64_t Default, uint64_t Min,
   std::string V = option(Name, "");
   if (V.empty())
     return Default;
-  const char *Begin = V.c_str();
-  char *End = nullptr;
-  unsigned long long Parsed = std::strtoull(Begin, &End, 10);
-  if (End == Begin || *End != '\0' || !(V[0] >= '0' && V[0] <= '9'))
+  std::optional<uint64_t> Parsed = parseWholeNumber(V);
+  // All digits but unparsed means past UINT64_MAX: out of range.
+  if (!Parsed && V.find_first_not_of("0123456789") != std::string::npos)
     fail(std::string(Name) + " expects an unsigned integer, got '" + V + "'");
-  if (Parsed < Min || Parsed > Max)
+  if (!Parsed || *Parsed < Min || *Parsed > Max)
     fail(std::string(Name) + " must be in [" + std::to_string(Min) + ", " +
          std::to_string(Max) + "], got '" + V + "'");
-  return Parsed;
+  return *Parsed;
 }
 
 double ArgParser::optionDouble(const char *Name, double Default, double Min,

@@ -12,7 +12,8 @@
 ///
 /// Numeric options go through optionUInt, which requires the *entire*
 /// argument to lex as a decimal integer within the stated range — no
-/// std::stoull-style "123abc" prefixes.
+/// std::stoull-style "123abc" prefixes. parseWholeNumber is that same
+/// rule for any other text (environment variables, file fields).
 ///
 /// Errors route through a per-parser handler (default: print to stderr,
 /// exit 2). Tests install a throwing handler to exercise rejection
@@ -25,10 +26,17 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace cbs::support {
+
+/// \p Text as a decimal number when all of it is one ("12"), else
+/// nullopt: empty text, a sign, whitespace, trailing characters, or a
+/// value past UINT64_MAX.
+std::optional<uint64_t> parseWholeNumber(std::string_view Text);
 
 class ArgParser {
 public:

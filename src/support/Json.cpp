@@ -275,9 +275,17 @@ private:
       return fail("unexpected end of input");
     switch (Text[Pos]) {
     case '{':
-      return parseObject(V);
-    case '[':
-      return parseArray(V);
+    case '[': {
+      // Each level recurses, so unbounded input nesting would exhaust
+      // the stack; the repo's own documents nest under ten levels.
+      if (Depth == MaxDepth)
+        return fail("nesting deeper than " + std::to_string(MaxDepth) +
+                    " levels");
+      ++Depth;
+      bool Ok = Text[Pos] == '{' ? parseObject(V) : parseArray(V);
+      --Depth;
+      return Ok;
+    }
     case '"':
       V.K = JsonValue::Kind::String;
       return parseString(V.Str);
@@ -431,8 +439,11 @@ private:
     }
   }
 
+  static constexpr unsigned MaxDepth = 256;
+
   std::string_view Text;
   size_t Pos = 0;
+  unsigned Depth = 0;
   std::string Error;
 };
 

@@ -123,6 +123,7 @@ struct JsonParseResult {
 
 /// Parses one JSON document (trailing whitespace allowed, trailing
 /// garbage is an error). Numbers follow the RFC 8259 grammar exactly.
+/// Arrays and objects nested more than 256 levels deep are an error.
 JsonParseResult parseJson(std::string_view Text);
 
 /// True when all of \p Text is one RFC 8259 number lexeme, e.g. "-0.5"

@@ -11,9 +11,14 @@
 using namespace cbs;
 using namespace cbs::tel;
 
+/// Rolling metric-delta windows retained.
+static constexpr size_t WindowCapacity = 32;
+/// Deoptimizations within one window that count as a storm.
+static constexpr uint64_t DeoptStormThreshold = 4;
+
 FlightRecorder::FlightRecorder(FlightRecorderConfig Config)
     : Config(Config), Ring(Config.EventCapacity) {
-  WindowRing.reserve(Config.WindowCapacity);
+  WindowRing.reserve(WindowCapacity);
 }
 
 void FlightRecorder::event(const TraceEvent &E) {
@@ -37,8 +42,7 @@ void FlightRecorder::event(const TraceEvent &E) {
     break;
   case EventKind::Deopt:
     ++DeoptsThisWindow;
-    if (Config.DeoptStormThreshold != 0 && !DeoptStormFired &&
-        DeoptsThisWindow >= Config.DeoptStormThreshold) {
+    if (!DeoptStormFired && DeoptsThisWindow >= DeoptStormThreshold) {
       // Same once-per-window rule as drop_spike: a storm by definition
       // keeps firing, one ring copy per window is enough.
       DeoptStormFired = true;
@@ -51,12 +55,10 @@ void FlightRecorder::event(const TraceEvent &E) {
 }
 
 void FlightRecorder::noteWindow(const RecorderWindow &W) {
-  if (Config.WindowCapacity != 0) {
-    if (WindowRing.size() < Config.WindowCapacity)
-      WindowRing.push_back(W);
-    else
-      WindowRing[WindowsTotal % Config.WindowCapacity] = W;
-  }
+  if (WindowRing.size() < WindowCapacity)
+    WindowRing.push_back(W);
+  else
+    WindowRing[WindowsTotal % WindowCapacity] = W;
   ++WindowsTotal;
   DropsThisWindow = 0;
   DropSpikeFired = false;

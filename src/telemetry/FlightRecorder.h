@@ -51,15 +51,11 @@ namespace cbs::tel {
 struct FlightRecorderConfig {
   /// Events retained in the ring (the dump tail).
   size_t EventCapacity = 256;
-  /// Rolling metric-delta windows retained.
-  size_t WindowCapacity = 32;
   /// Dumps retained; later triggers only bump the trigger count.
   size_t MaxDumps = 8;
   /// Dropped samples within one window that count as a spike (0 =
   /// trigger disabled).
   uint64_t DropSpikeThreshold = 256;
-  /// Deoptimizations within one window that count as a storm.
-  uint64_t DeoptStormThreshold = 4;
   /// Profiling overhead (percent of all cycles) above which a window
   /// note trips the budget trigger (0 = trigger disabled).
   double OverheadBudgetPct = 0.0;

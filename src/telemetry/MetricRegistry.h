@@ -105,11 +105,6 @@ public:
   /// Minimum recorded value; 0 when empty.
   uint64_t min() const { return NumSamples == 0 ? 0 : Min; }
   uint64_t max() const { return Max; }
-  double meanValue() const {
-    return NumSamples == 0
-               ? 0.0
-               : static_cast<double>(Sum) / static_cast<double>(NumSamples);
-  }
   uint64_t bucketCount(size_t I) const { return Buckets[I]; }
 
   /// Approximate \p Q-quantile (Q in [0, 1]) reconstructed from the

@@ -77,12 +77,6 @@ std::vector<TraceEvent> RingBufferSink::snapshot() const {
   return Out;
 }
 
-void CollectorSink::drainTo(TraceSink &Sink) {
-  for (const TraceEvent &E : Events)
-    Sink.event(E);
-  Events.clear();
-}
-
 namespace {
 
 void writeArgs(json::JsonWriter &W, const TraceEvent &E,

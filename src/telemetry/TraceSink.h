@@ -64,22 +64,14 @@ private:
   std::array<uint64_t, NumEventKinds> PerKind{};
 };
 
-/// Buffers every event verbatim for later replay into another sink.
-/// This is the per-task trace buffer of the parallel experiment
-/// engine: each worker records into its private CollectorSink, and the
-/// owning thread drains the buffers into the parent sink in grid-index
-/// order after the barrier, so the parent sees the exact serial
-/// interleaving regardless of job count.
+/// Buffers every event verbatim, in emission order, for a caller to
+/// inspect after the run.
 class CollectorSink : public TraceSink {
 public:
   void event(const TraceEvent &E) override { Events.push_back(E); }
 
   size_t numEvents() const { return Events.size(); }
   const std::vector<TraceEvent> &events() const { return Events; }
-
-  /// Replays every buffered event into \p Sink in emission order, then
-  /// clears the buffer. Caller's thread must own both sinks.
-  void drainTo(TraceSink &Sink);
 
 private:
   std::vector<TraceEvent> Events;

@@ -224,8 +224,11 @@ TEST(Harness, EnvRunsDefaultsWhenUnset) {
   EXPECT_EQ(envRuns(5), 5u);
   setenv("CBSVM_RUNS", "3", 1);
   EXPECT_EQ(envRuns(5), 3u);
-  setenv("CBSVM_RUNS", "garbage", 1);
-  EXPECT_EQ(envRuns(5), 5u);
+  // Only a whole decimal number counts: "4x" is not 4, " 3" is not 3.
+  for (const char *Bad : {"garbage", "4x", " 3", "0", "1001"}) {
+    setenv("CBSVM_RUNS", Bad, 1);
+    EXPECT_EQ(envRuns(5), 5u) << "CBSVM_RUNS='" << Bad << "'";
+  }
   unsetenv("CBSVM_RUNS");
 }
 

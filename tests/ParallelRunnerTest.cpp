@@ -5,10 +5,9 @@
 //===----------------------------------------------------------------------===//
 //
 // The deterministic parallel experiment engine: job resolution, the
-// every-index-exactly-once and strict-commit-order guarantees, per-task
-// RNG independence from worker placement, telemetry merge/replay
-// ordering, and — the property everything else exists for — bitwise
-// equality of experiment results between --jobs 1 and --jobs 8.
+// every-index-exactly-once and strict-commit-order guarantees, metric
+// merge ordering, and — the property everything else exists for —
+// bitwise equality of experiment results between --jobs 1 and --jobs 8.
 //
 // The host thread pool both the runner and the AOS compile queue use,
 // support::WorkerPool, is tested here too: at 0 threads a job runs
@@ -173,28 +172,6 @@ TEST(ParallelRunnerPool, ZeroTasksIsANoOp) {
   EXPECT_EQ(Runner.lastRun().Tasks, 0u);
 }
 
-TEST(ParallelRunnerPool, TaskRNGIsAFunctionOfIndexNotWorker) {
-  constexpr size_t Tasks = 32;
-  auto Draws = [](unsigned Jobs, uint64_t SeedBase) {
-    ParallelConfig Par = withJobs(Jobs);
-    Par.SeedBase = SeedBase;
-    std::vector<uint64_t> Values(Tasks);
-    ParallelRunner Runner(Par);
-    Runner.run(Tasks, [&](ParallelRunner::TaskContext &Ctx) {
-      Values[Ctx.Index] = Ctx.RNG.next();
-    });
-    return Values;
-  };
-  std::vector<uint64_t> Serial = Draws(1, 42);
-  EXPECT_EQ(Draws(8, 42), Serial);
-  EXPECT_EQ(Draws(3, 42), Serial);
-  // Distinct indices get distinct streams, and the base seed matters.
-  EXPECT_NE(Serial[0], Serial[1]);
-  EXPECT_NE(Draws(1, 43), Serial);
-  // The stream matches a directly seeded engine.
-  EXPECT_EQ(Serial[5], RandomEngine(42 + 5).next());
-}
-
 TEST(ParallelRunnerTelemetry, MetricsMergeInIndexOrder) {
   constexpr size_t Tasks = 16;
   tel::MetricRegistry Parent;
@@ -218,28 +195,6 @@ TEST(ParallelRunnerTelemetry, MetricsMergeInIndexOrder) {
   ASSERT_NE(Parent.findHistogram("t.hist"), nullptr);
   EXPECT_EQ(Parent.findHistogram("t.hist")->count(), Tasks);
   EXPECT_EQ(Parent.findHistogram("t.hist")->max(), Tasks - 1);
-}
-
-TEST(ParallelRunnerTelemetry, TraceReplayMatchesSerialInterleaving) {
-  constexpr size_t Tasks = 24;
-  tel::CollectorSink Parent;
-  ParallelConfig Par = withJobs(8);
-  Par.Trace = &Parent;
-  ParallelRunner Runner(Par);
-  Runner.run(Tasks, [](ParallelRunner::TaskContext &Ctx) {
-    // Two events per task; A carries the grid index.
-    Ctx.Trace.event(tel::TraceEvent::timerTick(
-        Ctx.Index, 0, static_cast<uint32_t>(Ctx.Index)));
-    Ctx.Trace.event(tel::TraceEvent::sample(
-        Ctx.Index, 0, static_cast<uint32_t>(Ctx.Index), 0));
-  });
-  ASSERT_EQ(Parent.numEvents(), Tasks * 2);
-  for (size_t I = 0; I != Tasks; ++I) {
-    EXPECT_EQ(Parent.events()[2 * I].Kind, tel::EventKind::TimerTick);
-    EXPECT_EQ(Parent.events()[2 * I].A, I);
-    EXPECT_EQ(Parent.events()[2 * I + 1].Kind, tel::EventKind::Sample);
-    EXPECT_EQ(Parent.events()[2 * I + 1].A, I);
-  }
 }
 
 TEST(ParallelRunnerTelemetry, PublishMetricsAggregatesAcrossRegions) {

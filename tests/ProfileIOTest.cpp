@@ -72,6 +72,12 @@ TEST(ProfileIO, RejectsMalformedLines) {
   EXPECT_FALSE(ProfileCodec::decode("cbsvm-dcg 1\n1 2 0\n").ok()) << "zero weight";
   EXPECT_FALSE(ProfileCodec::decode("cbsvm-dcg 1\n1 2 3\n1 2 4\n").ok())
       << "duplicate edge";
+  // Two maximal weights would wrap the total to 2^64 - 2, and overlap
+  // against a one-edge profile would then read 100% instead of 50%.
+  EXPECT_EQ(ProfileCodec::decode("cbsvm-dcg 1\n1 2 18446744073709551615\n"
+                                 "3 4 18446744073709551615\n")
+                .Error,
+            "line 3: total weight overflows 64 bits");
 }
 
 TEST(ProfileIO, RejectsOutOfRangeIds) {

@@ -364,6 +364,13 @@ TEST(ArgParser, OptionUIntRangeChecked) {
                std::runtime_error);
   EXPECT_EQ(parser({"--stride", "100"}).optionUInt("--stride", 1, 1, 100),
             100u);
+  // Past UINT64_MAX is out of range, not saturated to UINT64_MAX.
+  EXPECT_THROW(parser({"--seed", "18446744073709551616"})
+                   .optionUInt("--seed", 1, 0, UINT64_MAX),
+               std::runtime_error);
+  EXPECT_EQ(parser({"--seed", "18446744073709551615"})
+                .optionUInt("--seed", 1, 0, UINT64_MAX),
+            UINT64_MAX);
 }
 
 TEST(ArgParser, OptionUIntDefaultWhenAbsent) {

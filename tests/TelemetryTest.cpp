@@ -74,6 +74,18 @@ TEST(Json, ParserRejectsMalformed) {
   EXPECT_FALSE(json::parseJson("nan").ok());
   EXPECT_FALSE(json::parseJson("{\"a\" 1}").ok());
   EXPECT_FALSE(json::parseJson("\"unterminated").ok());
+  // Nesting past 256 levels is an error, not a recursion until the
+  // stack runs out.
+  auto Nested = [](size_t Depth, const std::string &Open, char Close) {
+    std::string Doc;
+    for (size_t I = 0; I != Depth; ++I)
+      Doc += Open;
+    return Doc + (Open == "[" ? "" : "0") + std::string(Depth, Close);
+  };
+  EXPECT_FALSE(json::parseJson(Nested(100'000, "[", ']')).ok());
+  EXPECT_FALSE(json::parseJson(Nested(100'000, "{\"a\":", '}')).ok());
+  EXPECT_FALSE(json::parseJson(Nested(257, "[", ']')).ok());
+  EXPECT_TRUE(json::parseJson(Nested(256, "[", ']')).ok());
 }
 
 TEST(Json, ParserAccessors) {
@@ -248,20 +260,6 @@ TEST(MetricRegistry, MergeEmptyIsANoOp) {
   std::string Before = Parent.toJson();
   Parent.merge(Empty);
   EXPECT_EQ(Parent.toJson(), Before);
-}
-
-TEST(TraceSink, CollectorDrainReplaysInOrderAndClears) {
-  CollectorSink Child, Parent;
-  for (uint32_t I = 0; I != 10; ++I)
-    Child.event(TraceEvent::timerTick(I, 0, I));
-  Child.drainTo(Parent);
-  EXPECT_EQ(Child.numEvents(), 0u);
-  ASSERT_EQ(Parent.numEvents(), 10u);
-  for (uint32_t I = 0; I != 10; ++I)
-    EXPECT_EQ(Parent.events()[I].A, I);
-  // Draining an empty collector adds nothing.
-  Child.drainTo(Parent);
-  EXPECT_EQ(Parent.numEvents(), 10u);
 }
 
 TEST(MetricRegistry, JsonIsSortedAndValid) {
