@@ -89,6 +89,18 @@ ARTIFACT=$(ls "$WORK"/broken-seed*.json | head -n 1)
 "$CBSVM" fuzz --broken-oracle --replay "$ARTIFACT"
 echo "broken-oracle artifact replays and reproduces"
 
+# A missing input file is a data error, not a command-line mistake: it
+# exits 2 with its diagnostic and no usage line.
+STATUS=0
+"$CBSVM" fuzz --replay "$WORK/no-such-artifact.json" 2>"$WORK/missing.err" ||
+  STATUS=$?
+if [[ $STATUS -ne 2 ]] || grep -q "usage:" "$WORK/missing.err"; then
+  echo "missing artifact: exit $STATUS, stderr:" >&2
+  cat "$WORK/missing.err" >&2
+  exit 1
+fi
+echo "a missing artifact exits 2 with no usage line"
+
 echo "== CLI determinism =="
 # DeterminismMatrixTest checks every row and axis in-process; this pair
 # keeps the cbsvm front end covered end to end on its warm-start row. A
@@ -267,15 +279,17 @@ done
 asan_timed "$ASAN_BUILD/tools/cbsvm" fuzz --runs 25 --seed 1
 
 if [[ "${CBSVM_SKIP_TSAN:-}" != "1" ]]; then
-  echo "== thread sanitizer: worker pool + parallel engine + compile queue + OSR + repository + determinism matrix =="
+  echo "== thread sanitizer: worker pool + parallel engine + compile queue + OSR + repository + determinism matrix + shard oracle =="
   TSAN_BUILD="${BUILD}-tsan"
   cmake -B "$TSAN_BUILD" -S . -DCBSVM_SANITIZE=thread
   cmake --build "$TSAN_BUILD" -j \
     --target ParallelRunnerTest CompileQueueTest OSRTest \
-             ProfileRepositoryTest DeterminismMatrixTest
+             ProfileRepositoryTest DeterminismMatrixTest FuzzTest
+  # Of FuzzTest only the campaign whose workers share the
+  # shard-determinism oracle's one long-lived runner.
   (cd "$TSAN_BUILD" && CBSVM_JOBS=8 \
     ctest --output-on-failure \
-      -R '^(WorkerPool|ParallelRunner|CompileQueue|Osr|ProfileRepository|DeterminismMatrix)')
+      -R '^(WorkerPool|ParallelRunner|CompileQueue|Osr|ProfileRepository|DeterminismMatrix|Fuzzer\.ShardDeterminismCampaignIsJobsInvariant$)')
 fi
 
 echo "== all checks passed =="

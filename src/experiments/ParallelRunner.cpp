@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -33,6 +34,8 @@ unsigned exp::resolveJobs(unsigned Requested) {
 
 ParallelRunner::ParallelRunner(ParallelConfig Config)
     : Config(Config), Jobs(resolveJobs(Config.Jobs)) {}
+
+ParallelRunner::~ParallelRunner() = default;
 
 namespace {
 
@@ -62,28 +65,44 @@ void ParallelRunner::run(size_t NumTasks, const TaskFn &Task,
   Last.Tasks = NumTasks;
   uint64_t WallStart = nowMicros();
   {
-    // One loop for every job count: each task builds its context on the
-    // pool and returns it through its future, and the calling thread
-    // commits the futures in index order (pipelined: commits of early
-    // indices overlap execution of later ones). A single worker could
-    // only run what the calling thread runs itself, so jobs 1 (or one
-    // task) starts none: each get() then runs its task right there, and
-    // task and commit interleave per index.
-    size_t Threads = std::min<size_t>(Jobs, NumTasks);
-    support::WorkerPool Pool(Threads > 1 ? static_cast<unsigned>(Threads) : 0);
+    // One loop for every job count: each task builds its context and
+    // returns it through its future, and the calling thread commits the
+    // futures in index order (pipelined: commits of early indices
+    // overlap execution of later ones). A single worker could only run
+    // what the calling thread runs itself, so jobs 1 (or one task)
+    // defers each task to its get(): task and commit interleave per
+    // index and no thread starts. Otherwise the tasks go to the
+    // runner's pool, which starts its workers at the first such region
+    // and keeps them until the runner is destroyed.
+    bool OnWorkers = std::min<size_t>(Jobs, NumTasks) > 1;
+    if (OnWorkers && !Pool)
+      Pool = std::make_unique<support::WorkerPool>(Jobs);
     std::vector<std::future<std::unique_ptr<TaskContext>>> Results;
     Results.reserve(NumTasks);
-    for (size_t I = 0; I != NumTasks; ++I)
-      Results.push_back(Pool.submit([&, I] {
+    for (size_t I = 0; I != NumTasks; ++I) {
+      auto Job = [&, I] {
         auto Ctx = std::make_unique<TaskContext>();
         Ctx->Index = I;
         uint64_t Start = nowMicros();
         Task(*Ctx);
         Ctx->TaskMicros = nowMicros() - Start;
         return Ctx;
-      }));
-    for (std::future<std::unique_ptr<TaskContext>> &Result : Results)
-      commit(*Result.get(), Commit);
+      };
+      Results.push_back(OnWorkers ? Pool->submit(Job)
+                                  : std::async(std::launch::deferred, Job));
+    }
+    try {
+      for (std::future<std::unique_ptr<TaskContext>> &Result : Results)
+        commit(*Result.get(), Commit);
+    } catch (...) {
+      // Queued tasks reference this frame and the pool outlives it: let
+      // them finish before unwinding.
+      if (OnWorkers)
+        for (std::future<std::unique_ptr<TaskContext>> &Result : Results)
+          if (Result.valid())
+            Result.wait();
+      throw;
+    }
   }
   Last.WallMicros = nowMicros() - WallStart;
   if (Config.Metrics)

@@ -12,8 +12,11 @@
 /// side effects are committed in the serial order. This engine makes
 /// that contract explicit:
 ///
-///  - A support::WorkerPool of min(jobs, tasks) threads executes tasks
-///    keyed by grid index.
+///  - A support::WorkerPool of up to `jobs` threads executes tasks
+///    keyed by grid index. The runner keeps its pool for its lifetime:
+///    its workers start with its first region of two or more tasks (at
+///    most one per task submitted) and are joined by its destructor, so
+///    a runner reused across many regions starts its threads once.
 ///  - Each task owns a TaskContext holding its grid index and a private
 ///    tel::MetricRegistry. Workers never touch shared mutable state.
 ///  - Results are committed on the *calling* thread in strict index
@@ -32,8 +35,12 @@
 ///  - The parent registry is touched only by the calling thread (merges
 ///    happen at commit time, never from workers).
 ///
-/// Jobs == 1 takes the same path with a thread-free pool: each task runs
-/// on the calling thread just before its commit, the serial schedule.
+/// Jobs == 1, or a region of one task, takes the same path with no
+/// thread: each task runs on the calling thread just before its commit,
+/// the serial schedule.
+///
+/// One thread at a time may call run() on a runner (its pool takes one
+/// submitter); a runner shared between threads is shared under a lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -44,6 +51,11 @@
 
 #include <cstdint>
 #include <functional>
+#include <memory>
+
+namespace cbs::support {
+class WorkerPool;
+}
 
 namespace cbs::exp {
 
@@ -85,6 +97,8 @@ public:
   using CommitFn = std::function<void(TaskContext &)>;
 
   explicit ParallelRunner(ParallelConfig Config = {});
+  /// Joins the pool's workers, if any started.
+  ~ParallelRunner();
 
   /// The resolved worker count.
   unsigned jobs() const { return Jobs; }
@@ -127,6 +141,8 @@ private:
   ParallelConfig Config;
   unsigned Jobs;
   RunStats Last;
+  /// Created at the first multi-task region; null until then.
+  std::unique_ptr<support::WorkerPool> Pool;
 };
 
 } // namespace cbs::exp

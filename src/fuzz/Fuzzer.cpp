@@ -24,6 +24,7 @@ struct TaskResult {
   unsigned OracleChecks = 0;
   unsigned ReduceChecks = 0;
   unsigned ReduceAccepted = 0;
+  unsigned VmRuns = 0;
   std::vector<Violation> Violations;
 };
 
@@ -86,9 +87,12 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
       return;
     }
 
+    // One set of runs for every selected oracle: a configuration two
+    // oracles compare runs once.
+    ProgramRuns Runs(P, Seed);
     for (const Oracle *O : Oracles) {
       ++Slot.OracleChecks;
-      std::string Message = O->check({P, Seed});
+      std::string Message = O->check({P, Seed, &Runs});
       if (Message.empty())
         continue;
 
@@ -103,6 +107,7 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
             reduceSpec(Spec, *O, Seed, std::move(Message));
         Slot.ReduceChecks += RR.ChecksUsed;
         Slot.ReduceAccepted += RR.Accepted;
+        Slot.VmRuns += RR.VmRuns;
         V.ReduceChecks = RR.ChecksUsed;
         Final = std::move(RR.Spec);
         Message = std::move(RR.Message);
@@ -119,6 +124,7 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
       V.ArtifactJson = writeArtifact(A);
       Slot.Violations.push_back(std::move(V));
     }
+    Slot.VmRuns += Runs.vmRuns();
   };
 
   auto Commit = [&](exp::ParallelRunner::TaskContext &Ctx) {
@@ -129,6 +135,7 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
       Metrics->counter("fuzz.oracle_checks") += Slot.OracleChecks;
       Metrics->counter("fuzz.reduce_checks") += Slot.ReduceChecks;
       Metrics->counter("fuzz.reduce_accepted") += Slot.ReduceAccepted;
+      Metrics->counter("fuzz.vm_runs") += Slot.VmRuns;
       Metrics->counter("fuzz.violations") += Slot.Violations.size();
     }
     for (Violation &V : Slot.Violations) {
@@ -184,5 +191,6 @@ std::string fuzz::replayArtifact(const Artifact &A,
     Error = "rebuilt program fails verification: " + VR.str();
     return "";
   }
-  return O->check({P, A.Seed});
+  ProgramRuns Runs(P, A.Seed);
+  return O->check({P, A.Seed, &Runs});
 }

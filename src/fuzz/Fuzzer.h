@@ -83,7 +83,9 @@ struct FuzzReport {
 /// violation plus the summary (may be null). \p Metrics (may be null)
 /// receives fuzz.* counters: fuzz.runs, fuzz.oracle_checks,
 /// fuzz.violations, fuzz.reduce_checks, fuzz.reduce_accepted,
-/// fuzz.artifacts_written.
+/// fuzz.artifacts_written, and fuzz.vm_runs (every oracle VM run,
+/// reduction included; a run the oracles share counts once per
+/// program).
 FuzzReport runFuzz(const FuzzOptions &Options, const OracleRegistry &Registry,
                    tel::MetricRegistry *Metrics = nullptr,
                    std::ostream *Log = nullptr);

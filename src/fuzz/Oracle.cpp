@@ -15,6 +15,8 @@
 #include "profiling/ProfilerRegistry.h"
 
 #include <algorithm>
+#include <cassert>
+#include <mutex>
 #include <optional>
 #include <sstream>
 
@@ -40,38 +42,6 @@ namespace {
 /// small DAGs with bounded loops, so anything approaching this is a
 /// generator bug worth flagging, not a workload.
 constexpr uint64_t OracleMaxCycles = 200'000'000;
-
-/// Everything one run yields that oracles compare.
-struct RunResult {
-  vm::RunState State = vm::RunState::Running;
-  std::string Trap;
-  std::vector<int64_t> Output;
-  size_t HeapObjects = 0;
-  uint64_t HeapBytes = 0;
-  prof::DCGSnapshot Profile;
-  uint64_t Samples = 0;
-  uint64_t Calls = 0;
-};
-
-/// Runs \p P under \p Config. With \p AOS the adaptive optimization
-/// system (NewJikes inlining oracle) is attached, so hot methods
-/// recompile through the background compile queue while it runs.
-RunResult runProgram(const bc::Program &P, vm::VMConfig Config,
-                     std::optional<aos::AOSConfig> AOS = std::nullopt) {
-  Config.MaxCycles = std::min(Config.MaxCycles, OracleMaxCycles);
-  exp::Run Wired({.P = &P, .Config = std::move(Config), .AOS = std::move(AOS)});
-  vm::VirtualMachine &VM = Wired.vm();
-  RunResult R;
-  R.State = Wired.run();
-  R.Trap = VM.trapMessage();
-  R.Output = VM.output();
-  R.HeapObjects = VM.heap().numObjects();
-  R.HeapBytes = VM.heap().bytesAllocated();
-  R.Profile = VM.profile();
-  R.Samples = VM.stats().SamplesTaken;
-  R.Calls = VM.stats().CallsExecuted;
-  return R;
-}
 
 /// "finished, printed [a b c], 12 objects / 96 bytes" — the compact
 /// divergence description used by violation messages.
@@ -119,6 +89,96 @@ vm::VMConfig plainConfig(uint64_t Seed) {
   return Config;
 }
 
+vm::VMConfig exhaustiveConfig(uint64_t Seed) {
+  vm::VMConfig Config = plainConfig(Seed);
+  prof::ProfilerRegistry::instance().configure("exhaustive", Config.Profiler);
+  return Config;
+}
+
+vm::VMConfig cbsConfig(uint64_t Seed) {
+  vm::VMConfig Config = plainConfig(Seed);
+  prof::ProfilerRegistry::instance().configure("cbs", Config.Profiler);
+  Config.Profiler.CBS.SamplesPerTick = 64;
+  Config.TimerPeriodCycles = 2'000;
+  return Config;
+}
+
+/// The VM side of every AosStabilityOracle row.
+vm::VMConfig adaptiveConfig(uint64_t Seed, double LatencyScale, bool OSR) {
+  vm::VMConfig Config = plainConfig(Seed);
+  Config.Profiler.Kind = vm::ProfilerKind::CBS;
+  Config.Profiler.CBS.Stride = 2;
+  Config.Profiler.CBS.SamplesPerTick = 4;
+  // Generated programs are small: tick fast enough that promotions
+  // (and thus installs) actually happen.
+  Config.TimerPeriodCycles = 2'000;
+  Config.Costs.CompileLatencyScale = LatencyScale;
+  Config.EnableOSR = OSR;
+  return Config;
+}
+
+/// The input's shared runs, or, for a caller that passed none, a set
+/// of this check's own in \p Own.
+ProgramRuns &runsOf(const OracleInput &In, std::optional<ProgramRuns> &Own) {
+  if (!In.Runs)
+    return Own.emplace(In.P, In.Seed);
+  assert(&In.Runs->program() == &In.P && In.Runs->seed() == In.Seed &&
+         "an input's runs must be built over its program and seed");
+  return *In.Runs;
+}
+
+} // namespace
+
+RunResult ProgramRuns::run(vm::VMConfig Config,
+                           std::optional<aos::AOSConfig> AOS) {
+  ++VmRuns;
+  Config.MaxCycles = std::min(Config.MaxCycles, OracleMaxCycles);
+  exp::Run Wired({.P = &P, .Config = std::move(Config), .AOS = std::move(AOS)});
+  vm::VirtualMachine &VM = Wired.vm();
+  RunResult R;
+  R.State = Wired.run();
+  R.Trap = VM.trapMessage();
+  R.Output = VM.output();
+  R.HeapObjects = VM.heap().numObjects();
+  R.HeapBytes = VM.heap().bytesAllocated();
+  R.Profile = VM.profile();
+  R.Samples = VM.stats().SamplesTaken;
+  R.Calls = VM.stats().CallsExecuted;
+  return R;
+}
+
+const RunResult &ProgramRuns::baseline() {
+  if (!Baseline)
+    Baseline = run(plainConfig(Seed));
+  return *Baseline;
+}
+
+const RunResult &ProgramRuns::exhaustive() {
+  if (!Exhaustive)
+    Exhaustive = run(exhaustiveConfig(Seed));
+  return *Exhaustive;
+}
+
+const RunResult &ProgramRuns::cbs(unsigned Offset) {
+  auto It = Cbs.find(Offset);
+  if (It == Cbs.end())
+    It = Cbs.emplace(Offset, run(cbsConfig(Seed + Offset))).first;
+  return It->second;
+}
+
+const RunResult &ProgramRuns::adaptive(double LatencyScale, bool OSR) {
+  std::pair Key(LatencyScale, OSR);
+  auto It = Adaptive.find(Key);
+  if (It == Adaptive.end())
+    It = Adaptive
+             .emplace(Key, run(adaptiveConfig(Seed, LatencyScale, OSR),
+                               aos::AOSConfig()))
+             .first;
+  return It->second;
+}
+
+namespace {
+
 //===----------------------------------------------------------------------===//
 // output-stability
 //===----------------------------------------------------------------------===//
@@ -132,8 +192,10 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
+    std::optional<ProgramRuns> Own;
+    ProgramRuns &Runs = runsOf(In, Own);
     // Profiling off, no compilation pipeline: the reference semantics.
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
+    const RunResult &Base = Runs.baseline();
     if (Base.State != vm::RunState::Finished)
       return "baseline run did not finish: " + describeRun(Base);
 
@@ -148,8 +210,8 @@ public:
       P.Configure(Config.Profiler);
       Config.Profiler.CBS.Stride = 2;
       Config.Profiler.CBS.SamplesPerTick = 4;
-      if (std::string D = compareRuns("profiling-off", Base, P.Name,
-                                      runProgram(In.P, Config));
+      if (std::string D =
+              compareRuns("profiling-off", Base, P.Name, Runs.run(Config));
           !D.empty())
         return D;
     }
@@ -159,23 +221,19 @@ public:
         exp::jitOnlyConfig(In.P, vm::Personality::JikesRVM, In.Seed);
     Opt.Profiler.Kind = vm::ProfilerKind::CBS;
     if (std::string D = compareRuns("unoptimized", Base, "trivially-optimized",
-                                    runProgram(In.P, Opt));
+                                    Runs.run(Opt));
         !D.empty())
       return D;
 
     // Profile-directed inlining driven by the exhaustive profile.
-    vm::VMConfig ExConfig = plainConfig(In.Seed);
-    prof::ProfilerRegistry::instance().configure("exhaustive",
-                                                 ExConfig.Profiler);
-    RunResult Exhaustive = runProgram(In.P, ExConfig);
     auto Plan = std::make_shared<opt::InlinePlan>(
-        exp::newJikesOracle().plan(In.P, Exhaustive.Profile));
+        exp::newJikesOracle().plan(In.P, Runs.exhaustive().Profile));
     vm::VMConfig Pgo = plainConfig(In.Seed);
     Pgo.Profiler.Kind = vm::ProfilerKind::CBS;
     Pgo.CompileHook =
         opt::makeCompileHook(std::move(Plan), Pgo.Costs, opt::CompileOptions());
     if (std::string D = compareRuns("unoptimized", Base, "profile-inlined",
-                                    runProgram(In.P, Pgo));
+                                    Runs.run(Pgo));
         !D.empty())
       return D;
     return "";
@@ -201,10 +259,9 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
-    vm::VMConfig ExConfig = plainConfig(In.Seed);
-    prof::ProfilerRegistry::instance().configure("exhaustive",
-                                                 ExConfig.Profiler);
-    RunResult Exhaustive = runProgram(In.P, ExConfig);
+    std::optional<ProgramRuns> Own;
+    ProgramRuns &Runs = runsOf(In, Own);
+    const RunResult &Exhaustive = Runs.exhaustive();
     if (Exhaustive.Profile.totalWeight() != Exhaustive.Calls) {
       std::ostringstream OS;
       OS << "exhaustive profile weight " << Exhaustive.Profile.totalWeight()
@@ -219,7 +276,7 @@ public:
     // Short programs may take no samples; a tiny timer period opens
     // enough windows.
     Config.TimerPeriodCycles = 500;
-    RunResult Sampled = runProgram(In.P, Config);
+    RunResult Sampled = Runs.run(Config);
 
     std::string Problem;
     Sampled.Profile.forEachEdge([&](prof::CallEdge E, uint64_t W) {
@@ -259,51 +316,55 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
+    std::optional<ProgramRuns> Own;
+    ProgramRuns &Runs = runsOf(In, Own);
     // One exact and one sampled profiler, resolved through the
-    // registry.
-    for (const char *Name : {"exhaustive", "cbs"}) {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      prof::ProfilerRegistry::instance().configure(Name, Config.Profiler);
-      Config.Profiler.CBS.SamplesPerTick = 64;
-      Config.TimerPeriodCycles = 2'000;
-      RunResult R = runProgram(In.P, Config);
+    // registry. The sampled run is the shared cbs(0); the exact one is
+    // not exhaustive(), whose timer differs.
+    vm::VMConfig Exact = exhaustiveConfig(In.Seed);
+    Exact.Profiler.CBS.SamplesPerTick = 64;
+    Exact.TimerPeriodCycles = 2'000;
+    if (std::string D = roundTrip("exhaustive", Runs.run(Exact).Profile, In);
+        !D.empty())
+      return D;
+    return roundTrip("cbs", Runs.cbs(0).Profile, In);
+  }
 
-      if (std::string Problem = prof::validateAgainst(R.Profile, In.P);
-          !Problem.empty())
-        return std::string(Name) + " profile fails validation: " + Problem;
+private:
+  static std::string roundTrip(const std::string &Name,
+                               const prof::DCGSnapshot &Profile,
+                               const OracleInput &In) {
+    if (std::string Problem = prof::validateAgainst(Profile, In.P);
+        !Problem.empty())
+      return Name + " profile fails validation: " + Problem;
 
-      std::string First = prof::ProfileCodec::encode(R.Profile);
-      prof::ProfileCodec::Decoded Parsed = prof::ProfileCodec::decode(First);
-      if (!Parsed.ok())
-        return std::string(Name) +
-               " profile does not parse back: " + Parsed.Error;
-      std::string Second = prof::ProfileCodec::encode(*Parsed.Graph);
-      if (First != Second)
-        return std::string(Name) +
-               " profile round-trip is not byte-identical (" +
-               std::to_string(First.size()) + " vs " +
-               std::to_string(Second.size()) + " bytes)";
+    std::string First = prof::ProfileCodec::encode(Profile);
+    prof::ProfileCodec::Decoded Parsed = prof::ProfileCodec::decode(First);
+    if (!Parsed.ok())
+      return Name + " profile does not parse back: " + Parsed.Error;
+    std::string Second = prof::ProfileCodec::encode(*Parsed.Graph);
+    if (First != Second)
+      return Name + " profile round-trip is not byte-identical (" +
+             std::to_string(First.size()) + " vs " +
+             std::to_string(Second.size()) + " bytes)";
 
-      // The v2 (repository) envelope must round-trip metadata exactly.
-      prof::ProfileMeta Meta;
-      Meta.ProgramHash = 0x0123456789abcdefull ^ In.Seed;
-      Meta.Personality = "jikes";
-      Meta.Runs = 3;
-      Meta.Cycles = 1'000'000 + In.Seed;
-      std::string V2 = prof::ProfileCodec::encode(R.Profile, Meta);
-      prof::ProfileCodec::Decoded P2 = prof::ProfileCodec::decode(V2);
-      if (!P2.ok())
-        return std::string(Name) +
-               " v2 profile does not parse back: " + P2.Error;
-      if (P2.Version != prof::ProfileCodec::V2 ||
-          P2.Meta.ProgramHash != Meta.ProgramHash ||
-          P2.Meta.Personality != Meta.Personality ||
-          P2.Meta.Runs != Meta.Runs || P2.Meta.Cycles != Meta.Cycles)
-        return std::string(Name) + " v2 metadata did not round-trip";
-      if (prof::ProfileCodec::encode(*P2.Graph, P2.Meta) != V2)
-        return std::string(Name) +
-               " v2 profile round-trip is not byte-identical";
-    }
+    // The v2 (repository) envelope must round-trip metadata exactly.
+    prof::ProfileMeta Meta;
+    Meta.ProgramHash = 0x0123456789abcdefull ^ In.Seed;
+    Meta.Personality = "jikes";
+    Meta.Runs = 3;
+    Meta.Cycles = 1'000'000 + In.Seed;
+    std::string V2 = prof::ProfileCodec::encode(Profile, Meta);
+    prof::ProfileCodec::Decoded P2 = prof::ProfileCodec::decode(V2);
+    if (!P2.ok())
+      return Name + " v2 profile does not parse back: " + P2.Error;
+    if (P2.Version != prof::ProfileCodec::V2 ||
+        P2.Meta.ProgramHash != Meta.ProgramHash ||
+        P2.Meta.Personality != Meta.Personality ||
+        P2.Meta.Runs != Meta.Runs || P2.Meta.Cycles != Meta.Cycles)
+      return Name + " v2 metadata did not round-trip";
+    if (prof::ProfileCodec::encode(*P2.Graph, P2.Meta) != V2)
+      return Name + " v2 profile round-trip is not byte-identical";
     return "";
   }
 };
@@ -322,36 +383,57 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
+    std::optional<ProgramRuns> Own;
+    ProgramRuns &Runs = runsOf(In, Own);
     // A grid of runs through the parallel engine must commit
     // byte-identical results at any job count.
-    auto SweepWithJobs = [&](unsigned Jobs) {
-      exp::ParallelConfig Par;
-      Par.Jobs = Jobs;
-      exp::ParallelRunner Runner(Par);
-      std::vector<std::string> Serialized(3);
+    constexpr size_t Grid = 3;
+    auto Sweep = [](exp::ParallelRunner &Runner, auto Profile) {
+      std::vector<std::string> Serialized(Grid);
       std::string Committed;
       Runner.run(
-          Serialized.size(),
+          Grid,
           [&](exp::ParallelRunner::TaskContext &Ctx) {
-            vm::VMConfig Config = plainConfig(In.Seed + Ctx.Index);
-            Config.Profiler.Kind = vm::ProfilerKind::CBS;
-            Config.Profiler.CBS.SamplesPerTick = 64;
-            Config.TimerPeriodCycles = 2'000;
             Serialized[Ctx.Index] =
-                prof::ProfileCodec::encode(runProgram(In.P, Config).Profile);
+                prof::ProfileCodec::encode(Profile(Ctx.Index));
           },
           [&](exp::ParallelRunner::TaskContext &Ctx) {
             Committed += Serialized[Ctx.Index];
           });
       return Committed;
     };
-    std::string Serial = SweepWithJobs(1);
-    std::string Parallel = SweepWithJobs(4);
+    // The serial side reads the program's shared CBS runs on the
+    // calling thread.
+    exp::ParallelRunner SerialRunner({.Jobs = 1});
+    std::string Serial =
+        Sweep(SerialRunner, [&](size_t I) -> const prof::DCGSnapshot & {
+          return Runs.cbs(static_cast<unsigned>(I)).Profile;
+        });
+    // The parallel side runs each configuration again on the workers of
+    // this oracle's one runner. Campaign workers check programs
+    // concurrently and a pool takes one submitter at a time, so they
+    // take the runner in turns.
+    std::string Parallel;
+    {
+      std::lock_guard<std::mutex> Lock(WorkersMutex);
+      if (!Workers)
+        Workers = std::make_unique<exp::ParallelRunner>(
+            exp::ParallelConfig{.Jobs = 4});
+      Parallel = Sweep(*Workers, [&](size_t I) {
+        return Runs.run(cbsConfig(In.Seed + I)).Profile;
+      });
+    }
     if (Serial != Parallel)
       return "ParallelRunner jobs=1 and jobs=4 commit different profile "
              "bytes";
     return "";
   }
+
+private:
+  // Created at the first check, not in builtin(): a registry that is
+  // built and never checked starts nothing.
+  mutable std::mutex WorkersMutex;
+  mutable std::unique_ptr<exp::ParallelRunner> Workers;
 };
 
 //===----------------------------------------------------------------------===//
@@ -390,23 +472,17 @@ public:
   const char *describe() const override { return Describe; }
 
   std::string check(const OracleInput &In) const override {
-    RunResult Base = runProgram(In.P, plainConfig(In.Seed));
+    std::optional<ProgramRuns> Own;
+    ProgramRuns &Runs = runsOf(In, Own);
+    const RunResult &Base = Runs.baseline();
     // A baseline that traps or runs out of budget is output-stability's
     // finding, not an AOS divergence.
     if (Base.State != vm::RunState::Finished)
       return "";
 
     for (const AosRow &Row : Rows) {
-      vm::VMConfig Config = plainConfig(In.Seed);
-      Config.Profiler.Kind = vm::ProfilerKind::CBS;
-      Config.Profiler.CBS.Stride = 2;
-      Config.Profiler.CBS.SamplesPerTick = 4;
-      // Generated programs are small: tick fast enough that promotions
-      // (and thus installs) actually happen.
-      Config.TimerPeriodCycles = 2'000;
-      Config.Costs.CompileLatencyScale = Row.LatencyScale;
-      Config.EnableOSR = Row.OSR;
-
+      vm::VMConfig Config =
+          adaptiveConfig(In.Seed, Row.LatencyScale, Row.OSR);
       aos::AOSConfig AC;
       if (Row.Storm) {
         AC.Deopt.Enabled = true;
@@ -417,11 +493,17 @@ public:
       if (Row.Warm) {
         // The cold run collects the profile a repository would persist.
         AC.WarmStart.Profile = std::make_shared<const prof::DCGSnapshot>(
-            runProgram(In.P, Config, aos::AOSConfig()).Profile);
+            Runs.adaptive(Row.LatencyScale, Row.OSR).Profile);
       }
 
+      // With neither storm nor warm start, the row's compile-jobs-0 run
+      // is the shared adaptive run.
       AC.CompileJobs = 0;
-      RunResult Jobs0 = runProgram(In.P, Config, AC);
+      std::optional<RunResult> OwnJobs0;
+      const RunResult &Jobs0 =
+          Row.Storm || Row.Warm
+              ? OwnJobs0.emplace(Runs.run(Config, AC))
+              : Runs.adaptive(Row.LatencyScale, Row.OSR);
       if (std::string D = compareRuns("no-aos", Base, Row.Label, Jobs0);
           !D.empty())
         return D;
@@ -429,7 +511,7 @@ public:
         continue;
 
       AC.CompileJobs = 2;
-      RunResult Jobs2 = runProgram(In.P, Config, AC);
+      RunResult Jobs2 = Runs.run(Config, AC);
       std::string Label = Row.Label;
       if (std::string D = compareRuns(Label + " compile-jobs=0", Jobs0,
                                       Label + " compile-jobs=2", Jobs2);
@@ -465,7 +547,8 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
-    RunResult R = runProgram(In.P, plainConfig(In.Seed));
+    std::optional<ProgramRuns> Own;
+    const RunResult &R = runsOf(In, Own).baseline();
     if (!R.Output.empty())
       return "program printed " + std::to_string(R.Output.size()) +
              " values (the broken oracle rejects all output)";
@@ -483,7 +566,8 @@ OracleRegistry OracleRegistry::builtin() {
   R.add(std::make_unique<JobDeterminismOracle>());
   // Each table fixes its oracle's VM runs and their order (baseline,
   // then every row at compile-jobs 0, and 2 where checked): a new row
-  // adds runs to every fuzzed program.
+  // adds runs to every fuzzed program, except where it reads a shared
+  // run (ProgramRuns) another oracle already made.
   R.add(std::make_unique<AosStabilityOracle>(
       "async-compile-stability",
       "the background compile pipeline preserves program "

@@ -28,7 +28,9 @@ public:
       return std::nullopt;
     ++Result.ChecksUsed;
     bc::Program P = buildProgram(Candidate);
-    std::string Message = O.check({P, Seed});
+    ProgramRuns Runs(P, Seed);
+    std::string Message = O.check({P, Seed, &Runs});
+    Result.VmRuns += Runs.vmRuns();
     if (Message.empty())
       return std::nullopt;
     return Message;

@@ -47,6 +47,9 @@ struct ReduceResult {
   unsigned ChecksUsed = 0;
   /// Candidates that still reproduced the violation.
   unsigned Accepted = 0;
+  /// VM runs the checks made, each candidate through a ProgramRuns of
+  /// its own.
+  unsigned VmRuns = 0;
 };
 
 /// Shrinks \p Spec while \p O keeps rejecting the built program.

@@ -72,12 +72,14 @@ std::string ArgParser::option(const char *Name, const char *Default) {
 
 uint64_t ArgParser::optionUInt(const char *Name, uint64_t Default, uint64_t Min,
                                uint64_t Max) {
-  std::string V = option(Name, "");
-  if (V.empty())
+  // Absent means the default; given but empty ("--seed ''") is an error.
+  if (!present(Name))
     return Default;
+  std::string V = option(Name, "");
   std::optional<uint64_t> Parsed = parseWholeNumber(V);
   // All digits but unparsed means past UINT64_MAX: out of range.
-  if (!Parsed && V.find_first_not_of("0123456789") != std::string::npos)
+  if (!Parsed && (V.empty() ||
+                  V.find_first_not_of("0123456789") != std::string::npos))
     fail(std::string(Name) + " expects an unsigned integer, got '" + V + "'");
   if (!Parsed || *Parsed < Min || *Parsed > Max)
     fail(std::string(Name) + " must be in [" + std::to_string(Min) + ", " +
@@ -87,9 +89,9 @@ uint64_t ArgParser::optionUInt(const char *Name, uint64_t Default, uint64_t Min,
 
 double ArgParser::optionDouble(const char *Name, double Default, double Min,
                                double Max) {
-  std::string V = option(Name, "");
-  if (V.empty())
+  if (!present(Name))
     return Default;
+  std::string V = option(Name, "");
   // Reject inf/nan/hex floats up front: option values are plain decimal
   // numbers.
   bool Plain = true;

@@ -62,15 +62,16 @@ public:
   /// Value following \p Name, or \p Default when absent.
   std::string option(const char *Name, const char *Default);
 
-  /// Strict decimal integer option: the whole value must parse and lie
-  /// in [Min, Max].
+  /// Strict decimal integer option: \p Default when absent, else the
+  /// whole value must parse and lie in [Min, Max] (an empty value is an
+  /// error, not the default).
   uint64_t optionUInt(const char *Name, uint64_t Default, uint64_t Min,
                       uint64_t Max);
 
-  /// Strict decimal floating-point option: the whole value must lex as
-  /// a finite decimal number (no inf/nan/hex, no trailing garbage) in
-  /// [Min, Max]. Locale-independent: "0.9" parses as 0.9 regardless of
-  /// LC_NUMERIC.
+  /// Strict decimal floating-point option: \p Default when absent,
+  /// else the whole value must lex as a finite decimal number (no
+  /// inf/nan/hex, no trailing garbage, not empty) in [Min, Max].
+  /// Locale-independent: "0.9" parses as 0.9 regardless of LC_NUMERIC.
   double optionDouble(const char *Name, double Default, double Min,
                       double Max);
 

@@ -7,7 +7,11 @@
 /// \file
 /// The one place CBSVM starts host threads. Both knobs that run work in
 /// parallel submit to a WorkerPool: the AOS compile queue
-/// (`--compile-jobs N`) and exp::ParallelRunner (`--jobs N`).
+/// (`--compile-jobs N`, one pool per adaptive system) and
+/// exp::ParallelRunner (`--jobs N`, one pool per runner, kept for the
+/// runner's lifetime). The shard-determinism fuzz oracle keeps one
+/// jobs-4 runner, and so one pool, for its own lifetime; campaign
+/// workers take it in turns.
 ///
 /// submit(Fn) returns a std::future for Fn's result. With N >= 1
 /// threads the workers run queued jobs in submission order; each of the

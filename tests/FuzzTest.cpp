@@ -311,6 +311,33 @@ TEST(Fuzzer, CleanCampaignOnBuiltinOracles) {
   EXPECT_EQ(Metrics.counter("fuzz.runs").Value, 10u);
   EXPECT_EQ(Metrics.counter("fuzz.oracle_checks").Value, 80u);
   EXPECT_EQ(Metrics.counter("fuzz.violations").Value, 0u);
+  // 30 VM runs per program: the baseline, the exhaustive run, the three
+  // CBS grid runs and the adaptive runs each run once however many
+  // oracles read them (37 per program if each oracle ran its own).
+  EXPECT_EQ(Metrics.counter("fuzz.vm_runs").Value, 300u);
+}
+
+TEST(Fuzzer, ShardDeterminismCampaignIsJobsInvariant) {
+  // The oracle's one jobs-4 runner is shared by every campaign worker,
+  // which take it in turns; its log and run count must not depend on
+  // how many workers there are.
+  OracleRegistry Registry = OracleRegistry::builtin();
+  auto Campaign = [&](unsigned Jobs) {
+    FuzzOptions Options;
+    Options.Runs = 16;
+    Options.SeedBase = 7;
+    Options.Jobs = Jobs;
+    Options.OracleFilter = "shard-determinism";
+    tel::MetricRegistry Metrics;
+    std::ostringstream Log;
+    FuzzReport Report = runFuzz(Options, Registry, &Metrics, &Log);
+    EXPECT_TRUE(Report.clean()) << Log.str();
+    EXPECT_EQ(Metrics.counter("fuzz.vm_runs").Value, 16u * 6);
+    return Log.str();
+  };
+  std::string Serial = Campaign(1);
+  EXPECT_EQ(Serial, Campaign(4));
+  EXPECT_EQ(Serial, Campaign(1)) << "a second campaign on the same runner";
 }
 
 TEST(Fuzzer, JobsDoNotChangeTheReport) {

@@ -163,6 +163,51 @@ TEST(ParallelRunnerPool, CommitsInStrictIndexOrderOnCallingThread) {
     EXPECT_EQ(Order[I], I);
 }
 
+TEST(ParallelRunnerPool, ReusedRunnerKeepsItsWorkers) {
+  // One runner across many regions of 1-6 tasks: the workers it starts
+  // serve every later region, a one-task region runs on the caller, and
+  // the commits match a jobs-1 runner's byte for byte.
+  const std::thread::id Caller = std::this_thread::get_id();
+  auto Regions = [&](ParallelRunner &Runner,
+                     std::set<std::thread::id> &Threads) {
+    std::mutex M;
+    std::string Committed;
+    for (size_t Region = 0; Region != 50; ++Region) {
+      size_t Tasks = 1 + (Region * 7) % 6;
+      std::vector<uint64_t> Slots(Tasks);
+      Runner.run(
+          Tasks,
+          [&](ParallelRunner::TaskContext &Ctx) {
+            uint64_t H = Region * 1000003 + Ctx.Index;
+            for (int I = 0; I != 1000; ++I)
+              H = H * 6364136223846793005ull + 1442695040888963407ull;
+            Slots[Ctx.Index] = H;
+            std::thread::id Self = std::this_thread::get_id();
+            if (Tasks == 1) {
+              EXPECT_EQ(Self, Caller) << "region " << Region;
+              return;
+            }
+            std::lock_guard<std::mutex> Lock(M);
+            Threads.insert(Self);
+          },
+          [&](ParallelRunner::TaskContext &Ctx) {
+            Committed += std::to_string(Slots[Ctx.Index]) + ',';
+          });
+    }
+    return Committed;
+  };
+  std::set<std::thread::id> SerialThreads, PooledThreads;
+  ParallelRunner Serial(withJobs(1));
+  ParallelRunner Pooled(withJobs(4));
+  std::string Expected = Regions(Serial, SerialThreads);
+  EXPECT_EQ(Regions(Pooled, PooledThreads), Expected);
+  EXPECT_EQ(SerialThreads, std::set<std::thread::id>{Caller});
+  EXPECT_GE(PooledThreads.size(), 1u);
+  EXPECT_LE(PooledThreads.size(), 4u);
+  EXPECT_EQ(PooledThreads.count(Caller), 0u)
+      << "multi-task regions run on the pool's workers";
+}
+
 TEST(ParallelRunnerPool, ZeroTasksIsANoOp) {
   ParallelRunner Runner(withJobs(8));
   bool Ran = false;

@@ -379,6 +379,28 @@ TEST(ArgParser, OptionUIntDefaultWhenAbsent) {
   P.finish();
 }
 
+TEST(ArgParser, EmptyNumericValueIsAnError) {
+  // Given but empty is not absent: "--seed ''" must not run at the
+  // default seed.
+  auto Message = [](auto Pull) {
+    try {
+      Pull();
+    } catch (const std::runtime_error &E) {
+      return std::string(E.what());
+    }
+    return std::string("accepted");
+  };
+  EXPECT_EQ(Message([] {
+              parser({"--seed", ""}).optionUInt("--seed", 1, 0, UINT64_MAX);
+            }),
+            "--seed expects an unsigned integer, got ''");
+  EXPECT_EQ(Message([] {
+              parser({"--f", ""}).optionDouble("--f", 0.5, 0.0, 1.0);
+            }),
+            "--f expects a decimal number, got ''");
+  EXPECT_DOUBLE_EQ(parser({}).optionDouble("--f", 0.5, 0.0, 1.0), 0.5);
+}
+
 TEST(ArgParser, OptionDoubleStrictness) {
   // Same contract as optionUInt: the whole value must lex as a plain
   // decimal number — no trailing junk ("0.9x"), no inf/nan, no hex

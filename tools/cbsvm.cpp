@@ -142,7 +142,10 @@
 // file that cannot be written (FILE of --json, --save, --trace,
 // --metrics-json) is an error too: exit 2 with "cannot write 'FILE'",
 // and so is a failed write to standard output (checked once the command
-// returns: exit 2 with "cannot write standard output").
+// returns: exit 2 with "cannot write standard output"). A command-line
+// mistake prints its diagnostic and the usage line; a file that cannot
+// be read or written, or does not decode (compare's profiles, a
+// --replay artifact), prints its diagnostic alone. Both exit 2.
 //
 // The run wiring behind `run`, `stats` and `report` (workload and VM
 // options, profile repository, adaptive system, report inputs) lives in
@@ -173,6 +176,15 @@ using namespace cbs;
 
 namespace {
 
+/// A file the command reads or writes is missing, unreadable or
+/// malformed. The command line itself was right, so only the diagnostic
+/// prints.
+[[noreturn]] void dataError(const std::string &Message) {
+  std::fprintf(stderr, "cbsvm: %s\n", Message.c_str());
+  std::exit(2);
+}
+
+/// The command line is wrong: the diagnostic, then the usage line.
 [[noreturn]] void usageError(const std::string &Message) {
   std::fprintf(stderr, "cbsvm: %s\n", Message.c_str());
   std::fprintf(stderr,
@@ -196,7 +208,7 @@ ArgParser makeParser(int Argc, char **Argv) {
 std::string readFileOrDie(const std::string &Path) {
   std::ifstream In(Path);
   if (!In)
-    usageError("cannot read '" + Path + "'");
+    dataError("cannot read '" + Path + "'");
   std::ostringstream SS;
   SS << In.rdbuf();
   return SS.str();
@@ -209,7 +221,7 @@ void writeFileOrDie(const std::string &Path, const std::string &Contents) {
     Out.flush();
   }
   if (!Out)
-    usageError("cannot write '" + Path + "'");
+    dataError("cannot write '" + Path + "'");
 }
 
 /// --json FILE|-: \p Json to stdout ("-") or to FILE, announced as
@@ -397,7 +409,7 @@ int cmdCompare(ArgParser &Args) {
     prof::ProfileCodec::Decoded R =
         prof::ProfileCodec::decode(readFileOrDie(Path));
     if (!R.ok())
-      usageError(Path + ": " + R.Error);
+      dataError(Path + ": " + R.Error);
     return *R.Graph;
   };
   std::string PathA = Args.positional("first profile");
@@ -453,10 +465,10 @@ int cmdFuzz(ArgParser &Args) {
     std::string Error;
     fuzz::Artifact A = fuzz::parseArtifact(readFileOrDie(ReplayPath), Error);
     if (!Error.empty())
-      usageError(ReplayPath + ": " + Error);
+      dataError(ReplayPath + ": " + Error);
     std::string Message = fuzz::replayArtifact(A, Registry, Error);
     if (!Error.empty())
-      usageError(ReplayPath + ": " + Error);
+      dataError(ReplayPath + ": " + Error);
     if (Message.empty()) {
       std::printf("%s: violation of '%s' did NOT reproduce\n",
                   ReplayPath.c_str(), A.OracleId.c_str());
