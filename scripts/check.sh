@@ -8,8 +8,9 @@
 #  - fuzz smoke: jobs 1 vs 8 (all oracles, then osr-stability over long
 #    loops), broken-oracle artifact replay
 #  - CLI determinism: warm start at baseline vs compile-jobs 4
-#  - text/JSON agreement (cbsvm report/stats, then the fast bench
-#    binaries); writes to a full device fail
+#  - bench text/JSON agreement (the fast bench binaries; the report
+#    and stats text views are checked in-process by ReportSchemaTest);
+#    writes to a full device fail
 #  - pinned virtual time: the perf ledger's smoke test matches every
 #    benchmark workload's pinned digests
 #  - ASan + UBSan, then TSan
@@ -119,77 +120,14 @@ for F in .dcg .json /jess.dcg; do
 done
 echo "baseline and compile-jobs=4 runs are byte-identical"
 
-echo "== text/JSON agreement =="
-# Every text view is rendered from the JSON document the same command
-# writes with --json, so each section path of the document must title a
-# text section, each object scalar must show as a "key  lexeme" row, and
-# each table cell's lexeme (a nested container's element count) must
-# appear. Numbers are compared as their exact JSON lexemes.
-check_text_json() {
-  python3 - "$1" "$2" "$3" <<'EOF'
-import json, re, sys
-doc = json.loads(open(sys.argv[1]).read(), parse_float=str, parse_int=str)
-text = open(sys.argv[2]).read()
-lines = text.splitlines()
-missing = []
-
-def lexeme(v):
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if v is None:
-        return "null"
-    if isinstance(v, (dict, list)):
-        return str(len(v))
-    return json.dumps(v)[1:-1]  # number lexeme or escaped string
-
-def walk(path, v):
-    if not v:
-        return
-    if path and f"{path}:" not in lines:
-        missing.append(f"section {path}")
-    if isinstance(v, dict):
-        for key, m in v.items():
-            name = f"{path}.{key}" if path else key
-            if isinstance(m, (dict, list)):
-                walk(name, m)
-                continue
-            row = re.compile(rf"^{re.escape(key)}\s+{re.escape(lexeme(m))}\s*$")
-            if not any(row.match(line) for line in lines):
-                missing.append(f"row {name} = {lexeme(m)}")
-        return
-    for element in v:
-        cells = element.values() if isinstance(element, dict) else [element]
-        for cell in cells:
-            if lexeme(cell) not in text:
-                missing.append(f"cell of {path}: {lexeme(cell)}")
-
-walk("", doc)
-assert not missing, missing[:10]
-print(f"{sys.argv[3]}: text view shows every section and scalar of the JSON")
-EOF
-}
+echo "== bench text/JSON agreement =="
+# (The report and stats text views are held to their JSON documents
+# in-process, by ReportSchemaTest's TextShows tests.) Every table/figure
+# binary prints its text and its --json from the same report rows. On
+# the fast binaries, each JSON output must be valid and each JSON row's
+# cell lexemes must appear, in order, on one line of the text.
 AGREEDIR="$WORK/agree"
 mkdir "$AGREEDIR"
-AGREE_ARGS=(phased --aos --osr --deopt-threshold 60 \
-  --profile-repo "$AGREEDIR/repo")
-# A cold run seeds the repository so the compared runs are warm starts
-# (the report then has every section); both start from the same entry.
-"$CBSVM" report "${AGREE_ARGS[@]}" --json "$AGREEDIR/cold.json" >/dev/null
-cp -r "$AGREEDIR/repo" "$AGREEDIR/seeded"
-"$CBSVM" report "${AGREE_ARGS[@]}" >"$AGREEDIR/report.txt"
-rm -rf "$AGREEDIR/repo"
-cp -r "$AGREEDIR/seeded" "$AGREEDIR/repo"
-"$CBSVM" report "${AGREE_ARGS[@]}" --json "$AGREEDIR/report.json" >/dev/null
-check_text_json "$AGREEDIR/report.json" "$AGREEDIR/report.txt" report
-"$CBSVM" stats jess --aos >"$AGREEDIR/stats.txt"
-"$CBSVM" stats jess --aos --json - >"$AGREEDIR/stats.json"
-check_text_json "$AGREEDIR/stats.json" "$AGREEDIR/stats.txt" stats
-
-echo "== bench text/JSON agreement =="
-# Every table/figure binary prints its text and its --json from the same
-# report rows. On the fast binaries, each JSON output must be valid and
-# each JSON row's cell lexemes must appear, in order, on one line of the
-# text.
 for B in figure1_timer_bias ablation_phase_shift figure_warm_start \
          ablation_generality convergence_curve metrics_comparison \
          ablation_exhaustive ablation_entry_check; do

@@ -59,9 +59,9 @@ void DeoptController::checkOne(vm::VirtualMachine &VM,
                                bc::MethodId M,
                                std::vector<DeoptDecision> &Out) {
   const vm::CompiledMethod *CM = VM.codeCache().active(M);
-  if (!CM || CM->Invalidated || CM->Guards.empty()) {
-    // Superseded by a guard-free recompile (or invalidated elsewhere):
-    // nothing left to police.
+  if (!CM || CM->Guards.empty()) {
+    // Superseded by a guard-free recompile (or invalidated elsewhere,
+    // which leaves nothing active): nothing left to police.
     States[M].Tracked = false;
     return;
   }
@@ -155,8 +155,7 @@ std::vector<DeoptDecision> DeoptController::storm(vm::VirtualMachine &VM) {
   for (bc::MethodId M : std::vector<bc::MethodId>(Tracked)) {
     if (!States[M].Tracked)
       continue;
-    const vm::CompiledMethod *CM = VM.codeCache().active(M);
-    if (!CM || CM->Invalidated) {
+    if (!VM.codeCache().active(M)) {
       States[M].Tracked = false;
       continue;
     }

@@ -37,9 +37,7 @@ void exp::applyJitOnly(const bc::Program &P, vm::VMConfig &Config) {
   // remain").
   auto Plan = std::make_shared<opt::InlinePlan>(
       opt::TrivialOracle().plan(P, prof::DCGSnapshot()));
-  opt::CompileOptions CO;
-  CO.RunOptimizer = false;
-  Config.CompileHook = opt::makeCompileHook(std::move(Plan), Config.Costs, CO);
+  Config.CompileHook = opt::makeCompileHook(std::move(Plan), Config.Costs);
 }
 
 vm::VMConfig exp::jitOnlyConfig(const bc::Program &P, vm::Personality Pers,

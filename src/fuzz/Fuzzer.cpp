@@ -92,7 +92,7 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
     ProgramRuns Runs(P, Seed);
     for (const Oracle *O : Oracles) {
       ++Slot.OracleChecks;
-      std::string Message = O->check({P, Seed, &Runs});
+      std::string Message = O->check({P, Seed, Runs});
       if (Message.empty())
         continue;
 
@@ -192,5 +192,5 @@ std::string fuzz::replayArtifact(const Artifact &A,
     return "";
   }
   ProgramRuns Runs(P, A.Seed);
-  return O->check({P, A.Seed, &Runs});
+  return O->check({P, A.Seed, Runs});
 }

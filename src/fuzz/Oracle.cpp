@@ -15,7 +15,6 @@
 #include "profiling/ProfilerRegistry.h"
 
 #include <algorithm>
-#include <cassert>
 #include <mutex>
 #include <optional>
 #include <sstream>
@@ -117,16 +116,6 @@ vm::VMConfig adaptiveConfig(uint64_t Seed, double LatencyScale, bool OSR) {
   return Config;
 }
 
-/// The input's shared runs, or, for a caller that passed none, a set
-/// of this check's own in \p Own.
-ProgramRuns &runsOf(const OracleInput &In, std::optional<ProgramRuns> &Own) {
-  if (!In.Runs)
-    return Own.emplace(In.P, In.Seed);
-  assert(&In.Runs->program() == &In.P && In.Runs->seed() == In.Seed &&
-         "an input's runs must be built over its program and seed");
-  return *In.Runs;
-}
-
 } // namespace
 
 RunResult ProgramRuns::run(vm::VMConfig Config,
@@ -192,8 +181,7 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
-    std::optional<ProgramRuns> Own;
-    ProgramRuns &Runs = runsOf(In, Own);
+    ProgramRuns &Runs = In.Runs;
     // Profiling off, no compilation pipeline: the reference semantics.
     const RunResult &Base = Runs.baseline();
     if (Base.State != vm::RunState::Finished)
@@ -230,8 +218,7 @@ public:
         exp::newJikesOracle().plan(In.P, Runs.exhaustive().Profile));
     vm::VMConfig Pgo = plainConfig(In.Seed);
     Pgo.Profiler.Kind = vm::ProfilerKind::CBS;
-    Pgo.CompileHook =
-        opt::makeCompileHook(std::move(Plan), Pgo.Costs, opt::CompileOptions());
+    Pgo.CompileHook = opt::makeCompileHook(std::move(Plan), Pgo.Costs);
     if (std::string D = compareRuns("unoptimized", Base, "profile-inlined",
                                     Runs.run(Pgo));
         !D.empty())
@@ -259,8 +246,7 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
-    std::optional<ProgramRuns> Own;
-    ProgramRuns &Runs = runsOf(In, Own);
+    ProgramRuns &Runs = In.Runs;
     const RunResult &Exhaustive = Runs.exhaustive();
     if (Exhaustive.Profile.totalWeight() != Exhaustive.Calls) {
       std::ostringstream OS;
@@ -316,8 +302,7 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
-    std::optional<ProgramRuns> Own;
-    ProgramRuns &Runs = runsOf(In, Own);
+    ProgramRuns &Runs = In.Runs;
     // One exact and one sampled profiler, resolved through the
     // registry. The sampled run is the shared cbs(0); the exact one is
     // not exhaustive(), whose timer differs.
@@ -383,8 +368,7 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
-    std::optional<ProgramRuns> Own;
-    ProgramRuns &Runs = runsOf(In, Own);
+    ProgramRuns &Runs = In.Runs;
     // A grid of runs through the parallel engine must commit
     // byte-identical results at any job count.
     constexpr size_t Grid = 3;
@@ -472,8 +456,7 @@ public:
   const char *describe() const override { return Describe; }
 
   std::string check(const OracleInput &In) const override {
-    std::optional<ProgramRuns> Own;
-    ProgramRuns &Runs = runsOf(In, Own);
+    ProgramRuns &Runs = In.Runs;
     const RunResult &Base = Runs.baseline();
     // A baseline that traps or runs out of budget is output-stability's
     // finding, not an AOS divergence.
@@ -547,8 +530,7 @@ public:
   }
 
   std::string check(const OracleInput &In) const override {
-    std::optional<ProgramRuns> Own;
-    const RunResult &R = runsOf(In, Own).baseline();
+    const RunResult &R = In.Runs.baseline();
     if (!R.Output.empty())
       return "program printed " + std::to_string(R.Output.size()) +
              " values (the broken oracle rejects all output)";

@@ -19,15 +19,15 @@
 ///  - check() must be self-contained: it builds every run it compares
 ///    from the inputs, so a reduced program can be re-checked from the
 ///    artifact alone.
-///  - Every VM run goes through the input's ProgramRuns. A run whose
-///    configuration more than one oracle builds is one of its shared
-///    runs, built by one function and run at most once per program.
-///    runFuzz builds one ProgramRuns per program, shared by every
-///    selected oracle; the reducer builds a fresh one per candidate and
-///    replayArtifact one per replay, and a caller that passes none gets
-///    one of the check's own. Runs are pure functions of (program,
-///    config, seed), so sharing one changes no result: check() is
-///    still a function of (program, seed) alone.
+///  - Every VM run goes through the input's ProgramRuns, which every
+///    caller must pass, built over the input's program and seed. A run
+///    whose configuration more than one oracle builds is one of its
+///    shared runs, built by one function and run at most once per
+///    program. runFuzz builds one ProgramRuns per program, shared by
+///    every selected oracle; the reducer builds a fresh one per
+///    candidate and replayArtifact one per replay. Runs are pure
+///    functions of (program, config, seed), so sharing one changes no
+///    result: check() is still a function of (program, seed) alone.
 ///  - A returned message should name the compared configurations and
 ///    the first observed divergence, not dump whole outputs.
 ///
@@ -149,10 +149,9 @@ struct OracleInput {
   const bc::Program &P;
   /// Campaign seed for this program: every VM configuration an oracle
   /// builds derives its VMConfig::Seed from it.
-  uint64_t Seed = 1;
-  /// The runs this program's checks share, built over (P, Seed); null
-  /// = check() uses a ProgramRuns of its own.
-  ProgramRuns *Runs = nullptr;
+  uint64_t Seed;
+  /// The runs this program's checks share, built over (P, Seed).
+  ProgramRuns &Runs;
 };
 
 class Oracle {

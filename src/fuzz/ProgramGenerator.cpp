@@ -148,30 +148,27 @@ ProgramSpec ProgramGenerator::makeSpec(uint64_t Seed) const {
     }
   }
 
-  // main's call list (with optional phase-shift repeat loops).
-  uint32_t Calls = drawRange(RNG, std::max(1u, Shape.MinMainCalls),
-                             std::max(1u, Shape.MaxMainCalls));
-  for (uint32_t C = 0; C != Calls; ++C) {
+  auto drawCall = [&](uint32_t MaxRepeat) {
     CallSpec Call;
     Call.Callee = static_cast<uint32_t>(RNG.nextBelow(NumMethods));
     for (uint32_t A = 0; A != Spec.Methods[Call.Callee].NumArgs; ++A)
       Call.Args.push_back(static_cast<int32_t>(RNG.nextInRange(-9, 9)));
-    Call.Repeat = drawRange(RNG, 1, std::max(1u, Shape.MaxCallRepeat));
-    Spec.MainCalls.push_back(std::move(Call));
-  }
+    Call.Repeat = drawRange(RNG, 1, std::max(1u, MaxRepeat));
+    return Call;
+  };
+
+  // main's call list (with optional phase-shift repeat loops).
+  uint32_t Calls = drawRange(RNG, std::max(1u, Shape.MinMainCalls),
+                             std::max(1u, Shape.MaxMainCalls));
+  for (uint32_t C = 0; C != Calls; ++C)
+    Spec.MainCalls.push_back(drawCall(Shape.MaxCallRepeat));
 
   // Worker threads.
   uint32_t Workers = Shape.MaxWorkerThreads == 0
                          ? 0
                          : drawRange(RNG, 0, Shape.MaxWorkerThreads);
-  for (uint32_t W = 0; W != Workers; ++W) {
-    WorkerSpec Worker;
-    Worker.Callee = static_cast<uint32_t>(RNG.nextBelow(NumMethods));
-    for (uint32_t A = 0; A != Spec.Methods[Worker.Callee].NumArgs; ++A)
-      Worker.Args.push_back(static_cast<int32_t>(RNG.nextInRange(-9, 9)));
-    Worker.Repeat = drawRange(RNG, 1, std::max(1u, Shape.MaxWorkerRepeat));
-    Spec.Workers.push_back(std::move(Worker));
-  }
+  for (uint32_t W = 0; W != Workers; ++W)
+    Spec.Workers.push_back(drawCall(Shape.MaxWorkerRepeat));
 
   return Spec;
 }

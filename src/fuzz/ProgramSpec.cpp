@@ -29,19 +29,6 @@ std::string fuzz::validateSpec(const ProgramSpec &Spec) {
   std::ostringstream Err;
   if (Spec.Impls.empty())
     return "spec has no virtual implementations";
-  auto checkArgs = [&](const char *What, size_t Index, uint32_t Callee,
-                       size_t NumArgs) -> bool {
-    if (Callee >= Spec.Methods.size()) {
-      Err << What << ' ' << Index << " targets unknown method " << Callee;
-      return false;
-    }
-    if (NumArgs != Spec.Methods[Callee].NumArgs) {
-      Err << What << ' ' << Index << " carries " << NumArgs
-          << " args for a method taking " << Spec.Methods[Callee].NumArgs;
-      return false;
-    }
-    return true;
-  };
   for (size_t M = 0; M != Spec.Methods.size(); ++M) {
     const MethodSpec &MS = Spec.Methods[M];
     for (size_t S = 0; S != MS.Steps.size(); ++S) {
@@ -111,20 +98,24 @@ std::string fuzz::validateSpec(const ProgramSpec &Spec) {
         }
     }
   }
-  for (size_t C = 0; C != Spec.MainCalls.size(); ++C) {
-    const CallSpec &Call = Spec.MainCalls[C];
-    if (!checkArgs("main call", C, Call.Callee, Call.Args.size()))
-      return Err.str();
-    if (Call.Repeat < 1)
-      return "main call repeat must be at least 1";
-  }
-  for (size_t W = 0; W != Spec.Workers.size(); ++W) {
-    const WorkerSpec &Worker = Spec.Workers[W];
-    if (!checkArgs("worker", W, Worker.Callee, Worker.Args.size()))
-      return Err.str();
-    if (Worker.Repeat < 1)
-      return "worker repeat must be at least 1";
-  }
+  const std::pair<const char *, const std::vector<CallSpec> *> Lists[] = {
+      {"main call", &Spec.MainCalls}, {"worker", &Spec.Workers}};
+  for (const auto &[What, Calls] : Lists)
+    for (size_t C = 0; C != Calls->size(); ++C) {
+      const CallSpec &Call = (*Calls)[C];
+      if (Call.Callee >= Spec.Methods.size()) {
+        Err << What << ' ' << C << " targets unknown method " << Call.Callee;
+        return Err.str();
+      }
+      uint32_t NumArgs = Spec.Methods[Call.Callee].NumArgs;
+      if (Call.Args.size() != NumArgs) {
+        Err << What << ' ' << C << " carries " << Call.Args.size()
+            << " args for a method taking " << NumArgs;
+        return Err.str();
+      }
+      if (Call.Repeat < 1)
+        return std::string(What) + " repeat must be at least 1";
+    }
   return "";
 }
 
@@ -366,7 +357,7 @@ bc::Program fuzz::buildProgram(const ProgramSpec &Spec) {
   for (size_t W = 0; W != Spec.Workers.size(); ++W)
     WorkerIds.push_back(PB.declareStatic("worker" + std::to_string(W)));
   for (size_t W = 0; W != Spec.Workers.size(); ++W) {
-    const WorkerSpec &Worker = Spec.Workers[W];
+    const CallSpec &Worker = Spec.Workers[W];
     MethodBuilder MB = PB.defineMethod(WorkerIds[W]);
     emitRepeatedCall(MB, Methods[Worker.Callee], Worker.Args, Worker.Repeat,
                      /*Print=*/false, /*CounterSlot=*/0);
@@ -512,10 +503,10 @@ void fuzz::writeSpec(const ProgramSpec &Spec, json::JsonWriter &W) {
   }
   W.endArray();
 
-  auto WriteCalls = [&](const char *Key, auto const &Calls) {
+  auto WriteCalls = [&](const char *Key, const std::vector<CallSpec> &Calls) {
     W.key(Key);
     W.beginArray();
-    for (const auto &Call : Calls) {
+    for (const CallSpec &Call : Calls) {
       W.beginObject();
       W.key("callee");
       W.value(Call.Callee);
@@ -660,7 +651,7 @@ ProgramSpec fuzz::parseSpec(const json::JsonValue &V, std::string &Error) {
     Spec.Methods.push_back(std::move(MS));
   }
 
-  auto ParseCalls = [&](const char *Key, auto &Out) -> bool {
+  auto ParseCalls = [&](const char *Key, std::vector<CallSpec> &Out) -> bool {
     const json::JsonValue *Calls = V.find(Key);
     if (!Calls)
       return true; // optional
@@ -669,7 +660,7 @@ ProgramSpec fuzz::parseSpec(const json::JsonValue &V, std::string &Error) {
       return false;
     }
     for (const json::JsonValue &C : Calls->Elements) {
-      typename std::remove_reference_t<decltype(Out)>::value_type Call;
+      CallSpec Call;
       Call.Callee = static_cast<uint32_t>(intOr(C, "callee", 0));
       Call.Repeat = static_cast<uint32_t>(intOr(C, "repeat", 1));
       if (const json::JsonValue *Args = C.find("args"))

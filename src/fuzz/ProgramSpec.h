@@ -91,19 +91,14 @@ struct MethodSpec {
   std::vector<StepSpec> Steps;
 };
 
-/// One call main performs (and prints the result of). Repeat > 1 wraps
-/// the call in a counted loop — the phase-shift shape: consecutive
-/// CallSpecs with large Repeats emphasize different callees over time.
+/// Callee called Repeat times with Args. As one of main's calls, main
+/// prints each result, and Repeat > 1 wraps the call in a counted loop
+/// — the phase-shift shape: consecutive calls with large Repeats
+/// emphasize different callees over time. As a worker, it is one
+/// spawned thread: a static void wrapper that discards the results
+/// (workers never print, so program output stays independent of
+/// thread interleaving).
 struct CallSpec {
-  uint32_t Callee = 0;
-  std::vector<int32_t> Args;
-  uint32_t Repeat = 1;
-};
-
-/// One spawned worker thread: a static void wrapper that calls Callee
-/// Repeat times and discards the results (workers never print, so
-/// program output stays independent of thread interleaving).
-struct WorkerSpec {
   uint32_t Callee = 0;
   std::vector<int32_t> Args;
   uint32_t Repeat = 1;
@@ -113,7 +108,7 @@ struct ProgramSpec {
   std::vector<ImplSpec> Impls;     ///< at least one
   std::vector<MethodSpec> Methods; ///< DAG order: i calls only j < i
   std::vector<CallSpec> MainCalls;
-  std::vector<WorkerSpec> Workers;
+  std::vector<CallSpec> Workers;
 
   /// Reduction progress measure: total number of spec atoms (impls,
   /// methods, steps, main calls, workers). Strictly decreases under

@@ -29,7 +29,7 @@ public:
     ++Result.ChecksUsed;
     bc::Program P = buildProgram(Candidate);
     ProgramRuns Runs(P, Seed);
-    std::string Message = O.check({P, Seed, &Runs});
+    std::string Message = O.check({P, Seed, Runs});
     Result.VmRuns += Runs.vmRuns();
     if (Message.empty())
       return std::nullopt;
@@ -78,20 +78,15 @@ ProgramSpec dropMethod(const ProgramSpec &Spec, uint32_t Victim) {
   // Main calls and workers targeting the victim are dropped outright
   // (unrolling them to a constant would change what main prints — let
   // the oracle veto if the print mattered).
-  std::vector<CallSpec> Calls;
-  for (const CallSpec &C : Out.MainCalls)
-    if (C.Callee != Victim) {
-      Calls.push_back(C);
-      Calls.back().Callee = Remap(C.Callee);
-    }
-  Out.MainCalls = std::move(Calls);
-  std::vector<WorkerSpec> Workers;
-  for (const WorkerSpec &W : Out.Workers)
-    if (W.Callee != Victim) {
-      Workers.push_back(W);
-      Workers.back().Callee = Remap(W.Callee);
-    }
-  Out.Workers = std::move(Workers);
+  for (std::vector<CallSpec> *Calls : {&Out.MainCalls, &Out.Workers}) {
+    std::vector<CallSpec> Kept;
+    for (const CallSpec &C : *Calls)
+      if (C.Callee != Victim) {
+        Kept.push_back(C);
+        Kept.back().Callee = Remap(C.Callee);
+      }
+    *Calls = std::move(Kept);
+  }
   return Out;
 }
 
@@ -182,16 +177,12 @@ ReduceResult fuzz::reduceSpec(const ProgramSpec &Spec, const Oracle &O,
           S.A /= 2;
           Shrank = true;
         }
-    for (CallSpec &C : Halved.MainCalls)
-      if (C.Repeat > 1) {
-        C.Repeat /= 2;
-        Shrank = true;
-      }
-    for (WorkerSpec &W : Halved.Workers)
-      if (W.Repeat > 1) {
-        W.Repeat /= 2;
-        Shrank = true;
-      }
+    for (std::vector<CallSpec> *Calls : {&Halved.MainCalls, &Halved.Workers})
+      for (CallSpec &C : *Calls)
+        if (C.Repeat > 1) {
+          C.Repeat /= 2;
+          Shrank = true;
+        }
     if (Shrank && R.tryAccept(Current, std::move(Halved)))
       Changed = true;
   }

@@ -7,20 +7,16 @@
 #include "opt/Compiler.h"
 
 #include "bytecode/Program.h"
-#include "opt/Optimizer.h"
+#include "opt/Passes.h"
 
 #include <algorithm>
-#include <cassert>
-#include <cmath>
 
 using namespace cbs;
 using namespace cbs::opt;
 
 vm::CompiledMethod opt::compileMethod(const bc::Program &P, bc::MethodId Id,
                                       int Level, const InlinePlan &Plan,
-                                      const vm::CostModel &Costs,
-                                      const CompileOptions &Options) {
-  assert(Level >= 0 && Level <= 2 && "optimization level out of range");
+                                      const vm::CostModel &Costs) {
   InlineResult Inlined = inlineMethod(P, Id, Plan);
 
   // Compile cost is charged on the *post-inlining, pre-optimization*
@@ -44,10 +40,8 @@ vm::CompiledMethod opt::compileMethod(const bc::Program &P, bc::MethodId Id,
   for (uint32_t H : Headers)
     HeaderCodePCs.push_back(Inlined.RootMap[H]);
 
-  if (Options.RunOptimizer)
-    optimizeCode(P, Inlined.Code, Level, &HeaderCodePCs);
+  optimizeCode(P, Inlined.Code, Level, &HeaderCodePCs);
 
-  vm::CompiledMethod CM;
   // A header whose instruction dissolved maps (first-kept-at-or-after)
   // to whatever now sits there — which is only a loop entry if some
   // backward branch in the *final* code still targets it. Keep an entry
@@ -55,7 +49,8 @@ vm::CompiledMethod opt::compileMethod(const bc::Program &P, bc::MethodId Id,
   // one original header; an ambiguous or dead entry would let a
   // transfer remap through the wrong loop.
   std::vector<uint32_t> FinalHeaders = vm::loopHeaderPCs(Inlined.Code);
-  CM.OsrPoints.reserve(Headers.size());
+  std::vector<vm::OsrPoint> Osr;
+  Osr.reserve(Headers.size());
   for (size_t I = 0; I != Headers.size(); ++I) {
     uint32_t CodePC = HeaderCodePCs[I];
     bool Live = std::find(FinalHeaders.begin(), FinalHeaders.end(), CodePC) !=
@@ -63,30 +58,26 @@ vm::CompiledMethod opt::compileMethod(const bc::Program &P, bc::MethodId Id,
     bool Unique = std::count(HeaderCodePCs.begin(), HeaderCodePCs.end(),
                              CodePC) == 1;
     if (Live && Unique)
-      CM.OsrPoints.push_back({Headers[I], CodePC});
+      Osr.push_back({Headers[I], CodePC});
   }
-  CM.Id = Id;
-  CM.Level = static_cast<uint8_t>(Level);
-  CM.ScaleQ8 =
-      static_cast<uint16_t>(std::lround(Costs.LevelScale[Level] * 256.0));
-  CM.NumLocals = Inlined.NumLocals;
-  CM.Code = std::move(Inlined.Code);
-  CM.InlinedBodies = Inlined.InlinedBodies;
-  CM.Guards = std::move(Inlined.Speculations);
-  CM.PlanGeneration = Plan.Generation;
-  CM.ProfileEpoch = Plan.ProfileEpoch;
-  CM.CompileCostCycles = static_cast<uint64_t>(
-      std::llround(Costs.CompileCostPerByte[Level] *
-                   static_cast<double>(SizeBytes)));
-  return CM;
+  return vm::CompiledMethod::build({.Id = Id,
+                                    .Level = Level,
+                                    .NumLocals = Inlined.NumLocals,
+                                    .Code = std::move(Inlined.Code),
+                                    .ChargedBytes = SizeBytes,
+                                    .OsrPoints = std::move(Osr),
+                                    .Guards = std::move(Inlined.Speculations),
+                                    .InlinedBodies = Inlined.InlinedBodies,
+                                    .PlanGeneration = Plan.Generation,
+                                    .ProfileEpoch = Plan.ProfileEpoch},
+                                   Costs);
 }
 
 std::function<vm::CompiledMethod(const bc::Program &, bc::MethodId, int)>
 opt::makeCompileHook(std::shared_ptr<const InlinePlan> Plan,
-                     vm::CostModel Costs, CompileOptions Options) {
-  return [Plan = std::move(Plan), Costs,
-          Options](const bc::Program &P, bc::MethodId Id,
-                   int Level) -> vm::CompiledMethod {
-    return compileMethod(P, Id, Level, *Plan, Costs, Options);
+                     vm::CostModel Costs) {
+  return [Plan = std::move(Plan), Costs](const bc::Program &P, bc::MethodId Id,
+                                         int Level) -> vm::CompiledMethod {
+    return compileMethod(P, Id, Level, *Plan, Costs);
   };
 }

@@ -6,10 +6,11 @@
 ///
 /// \file
 /// Turns a method into an installed-ready CompiledMethod: apply the
-/// inline plan, run the optimizer for the level, compute the modelled
-/// compile cost (proportional to the *post-inlining* code size — which
-/// is how inlining inflates compile time, the effect J9's dynamic
-/// heuristics reduce by 9% in §6.3), and set the execution-speed scale.
+/// inline plan, run the optimizer for the level, track the OSR points
+/// through both, and hand the result to CompiledMethod::build with the
+/// *post-inlining* code size to charge the compile on (which is how
+/// inlining inflates compile time, the effect J9's dynamic heuristics
+/// reduce by 9% in §6.3).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,23 +27,17 @@
 
 namespace cbs::opt {
 
-struct CompileOptions {
-  bool RunOptimizer = true;
-};
-
 /// Compiles \p Id at \p Level under \p Plan.
 vm::CompiledMethod compileMethod(const bc::Program &P, bc::MethodId Id,
                                  int Level, const InlinePlan &Plan,
-                                 const vm::CostModel &Costs,
-                                 const CompileOptions &Options = {});
+                                 const vm::CostModel &Costs);
 
 /// Builds a VMConfig::CompileHook that compiles every method through
 /// this pipeline with a fixed (shared) plan — the "JIT only" setup of
 /// the accuracy experiments, where \p Plan is typically the
 /// TrivialOracle's.
 std::function<vm::CompiledMethod(const bc::Program &, bc::MethodId, int)>
-makeCompileHook(std::shared_ptr<const InlinePlan> Plan, vm::CostModel Costs,
-                CompileOptions Options = {});
+makeCompileHook(std::shared_ptr<const InlinePlan> Plan, vm::CostModel Costs);
 
 } // namespace cbs::opt
 

@@ -56,8 +56,7 @@ private:
 
 } // namespace
 
-bool opt::foldConstants(const Program &P, std::vector<Instruction> &Code) {
-  (void)P;
+bool opt::foldConstants(std::vector<Instruction> &Code) {
   std::vector<bool> Targets = computeBranchTargets(Code);
   bool Changed = false;
 
@@ -253,8 +252,7 @@ bool opt::propagateLocalConstants(const Program &P,
   return Changed;
 }
 
-bool opt::simplifyBranches(const Program &P, std::vector<Instruction> &Code) {
-  (void)P;
+bool opt::simplifyBranches(std::vector<Instruction> &Code) {
   bool Changed = false;
   for (size_t I = 0, E = Code.size(); I != E; ++I) {
     Instruction &Ins = Code[I];
@@ -284,8 +282,7 @@ bool opt::simplifyBranches(const Program &P, std::vector<Instruction> &Code) {
   return Changed;
 }
 
-bool opt::removeUnreachable(const Program &P, std::vector<Instruction> &Code) {
-  (void)P;
+bool opt::removeUnreachable(std::vector<Instruction> &Code) {
   if (Code.empty())
     return false;
   std::vector<bool> Reached(Code.size(), false);
@@ -311,8 +308,7 @@ bool opt::removeUnreachable(const Program &P, std::vector<Instruction> &Code) {
   return Changed;
 }
 
-bool opt::fuseWork(const Program &P, std::vector<Instruction> &Code) {
-  (void)P;
+bool opt::fuseWork(std::vector<Instruction> &Code) {
   std::vector<bool> Targets = computeBranchTargets(Code);
   bool Changed = false;
   for (size_t I = 1, E = Code.size(); I != E; ++I) {
@@ -329,9 +325,7 @@ bool opt::fuseWork(const Program &P, std::vector<Instruction> &Code) {
   return Changed;
 }
 
-bool opt::removeDeadStores(const Program &P,
-                           std::vector<Instruction> &Code) {
-  (void)P;
+bool opt::removeDeadStores(std::vector<Instruction> &Code) {
   // Slots that are ever read (loads and iinc, which reads and writes).
   std::vector<bool> Read;
   auto markRead = [&Read](int32_t Slot) {
@@ -366,9 +360,8 @@ bool opt::removeDeadStores(const Program &P,
   return Changed;
 }
 
-bool opt::removeNops(const Program &P, std::vector<Instruction> &Code,
+bool opt::removeNops(std::vector<Instruction> &Code,
                      std::vector<uint32_t> *TrackedPCs) {
-  (void)P;
   size_t NumNops = 0;
   for (const Instruction &I : Code)
     if (I.Op == Opcode::Nop)
@@ -404,4 +397,31 @@ bool opt::removeNops(const Program &P, std::vector<Instruction> &Code,
       PC = NewIndex[std::min<size_t>(PC, Code.size())];
   Code = std::move(Kept);
   return true;
+}
+
+OptimizerStats opt::optimizeCode(const Program &P,
+                                 std::vector<Instruction> &Code, int Level,
+                                 std::vector<uint32_t> *TrackedPCs) {
+  assert(Level >= 0 && Level <= 2 && "optimization level out of range");
+  OptimizerStats Stats;
+  if (Level == 0)
+    return Stats;
+
+  unsigned MaxRounds = Level == 1 ? 2 : 4;
+  for (unsigned Round = 0; Round != MaxRounds; ++Round) {
+    bool Changed = false;
+    Changed |= foldConstants(Code);
+    Changed |= propagateLocalConstants(P, Code);
+    Changed |= foldConstants(Code);
+    Changed |= removeDeadStores(Code);
+    Changed |= simplifyBranches(Code);
+    Changed |= removeUnreachable(Code);
+    Changed |= fuseWork(Code);
+    Changed |= removeNops(Code, TrackedPCs);
+    ++Stats.RoundsRun;
+    Stats.AnyChange |= Changed;
+    if (!Changed)
+      break;
+  }
+  return Stats;
 }

@@ -26,7 +26,11 @@
 ///  - removeNops: compacts nops away, remapping branch targets (and
 ///    any caller-supplied tracked-PC side table, e.g. OSR points).
 ///
-/// All passes return true if they changed the code.
+/// All passes return true if they changed the code. optimizeCode runs
+/// them as the pipeline for a compilation level: level 0 performs no
+/// optimization (matching the paper's baseline configuration, where
+/// only trivial inlining runs); levels 1 and 2 run up to 2 and 4
+/// rounds of every pass, stopping at a fixed point.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -39,14 +43,24 @@
 
 namespace cbs::opt {
 
-bool foldConstants(const bc::Program &P, std::vector<bc::Instruction> &Code);
+struct OptimizerStats {
+  unsigned RoundsRun = 0;
+  bool AnyChange = false;
+};
+
+/// Optimizes \p Code (a body of a method of \p P) in place at \p Level.
+/// \p TrackedPCs, when given, is a side table of code-space PCs (OSR
+/// points) kept in sync as passes move instructions.
+OptimizerStats optimizeCode(const bc::Program &P,
+                            std::vector<bc::Instruction> &Code, int Level,
+                            std::vector<uint32_t> *TrackedPCs = nullptr);
+
+bool foldConstants(std::vector<bc::Instruction> &Code);
 bool propagateLocalConstants(const bc::Program &P,
                              std::vector<bc::Instruction> &Code);
-bool simplifyBranches(const bc::Program &P,
-                      std::vector<bc::Instruction> &Code);
-bool removeUnreachable(const bc::Program &P,
-                       std::vector<bc::Instruction> &Code);
-bool fuseWork(const bc::Program &P, std::vector<bc::Instruction> &Code);
+bool simplifyBranches(std::vector<bc::Instruction> &Code);
+bool removeUnreachable(std::vector<bc::Instruction> &Code);
+bool fuseWork(std::vector<bc::Instruction> &Code);
 
 /// Compacts nops away. \p TrackedPCs, when given, is a side table of
 /// code-space PCs remapped in place under the same
@@ -54,15 +68,14 @@ bool fuseWork(const bc::Program &P, std::vector<bc::Instruction> &Code);
 /// OSR-point locations through the pipeline this way). removeNops is
 /// the only pass that moves instructions; every other pass rewrites in
 /// place, so a side table stays valid across them for free.
-bool removeNops(const bc::Program &P, std::vector<bc::Instruction> &Code,
+bool removeNops(std::vector<bc::Instruction> &Code,
                 std::vector<uint32_t> *TrackedPCs = nullptr);
 
 /// Removes stores to locals that are never read anywhere in the method,
 /// when the stored value comes from an adjacent side-effect-free
 /// producer. This is what cleans up spilled-then-constant-propagated
 /// inlined arguments.
-bool removeDeadStores(const bc::Program &P,
-                      std::vector<bc::Instruction> &Code);
+bool removeDeadStores(std::vector<bc::Instruction> &Code);
 
 /// Marks every instruction that is the target of some branch.
 std::vector<bool> computeBranchTargets(const std::vector<bc::Instruction> &Code);

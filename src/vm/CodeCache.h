@@ -5,16 +5,22 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Maps each method to its active CompiledMethod version. Replaced
-/// versions are retired to a graveyard rather than freed because stack
-/// frames keep raw pointers to the version they entered.
+/// Maps each method to its active version. Each install wraps the body
+/// it receives in an InstalledVersion record: the body, read-only from
+/// CompiledMethod::build on (install bakes nothing; it only checks that
+/// the body's cost tables match its code), and the two fields that
+/// change after install, the version's pinned-frame count and its
+/// Invalidated flag. Replaced versions are retired to a graveyard
+/// rather than freed because stack frames keep raw pointers to the
+/// version they entered.
 ///
 /// Two ways a version leaves the active set:
 ///  - install() of a newer version retires it (a recompile);
 ///  - invalidate() retires it with no replacement (a deoptimization):
 ///    the version is marked Invalidated, the method's invalidation
 ///    epoch advances, and the next invocation falls back to a fresh
-///    baseline compile via the VM's lazy ensureCompiled path.
+///    baseline compile via the VM's lazy ensureCompiled path. So an
+///    active version is never Invalidated.
 ///
 /// The VM reports frame entry and exit per version (pinFrame/unpinFrame:
 /// invocation and return, and OSR transfers in and out), so the cache
@@ -49,27 +55,48 @@ class Program;
 
 namespace cbs::vm {
 
+/// One install of a body in a code cache. Frames point here: the body
+/// is inline, so reaching its code and cost tables costs what reaching
+/// a bare body would.
+struct InstalledVersion {
+  explicit InstalledVersion(CompiledMethod B) : Body(std::move(B)) {}
+
+  const CompiledMethod Body;
+  /// Live frames currently executing this version; the code cache uses
+  /// it to reclaim graveyard versions once the last frame leaves.
+  uint32_t PinnedFrames = 0;
+  /// Set by CodeCache::invalidate when the version is retired by a
+  /// deoptimization; frames still pinning it fall back to baseline
+  /// execution speed at their next taken yieldpoint (and, with OSR
+  /// enabled, transfer off it at the next mapped loop header).
+  bool Invalidated = false;
+};
+
 class CodeCache {
 public:
   explicit CodeCache(const bc::Program &P);
 
-  /// Active version of \p Id, or nullptr if not yet compiled.
+  /// The body of \p Id's active version, or nullptr if not yet
+  /// compiled.
   const CompiledMethod *active(bc::MethodId Id) const {
-    return Active[Id].get();
+    return Active[Id] ? &Active[Id]->Body : nullptr;
   }
+
+  /// \p Id's active version, or nullptr if not yet compiled.
+  InstalledVersion *activeVersion(bc::MethodId Id) { return Active[Id].get(); }
 
   /// Active optimization level; -1 if not yet compiled.
   int activeLevel(bc::MethodId Id) const {
-    return Active[Id] ? Active[Id]->Level : -1;
+    return Active[Id] ? Active[Id]->Body.Level : -1;
   }
 
-  /// Installs a new version; the previous one (if any) is retired but
-  /// kept alive. Every version reaches the interpreter through here, so
-  /// this is where its per-PC cost tables are baked
-  /// (CompiledMethod::bakeCosts). Returns the installed version. Fatal error when the
+  /// Installs a new version of a body CompiledMethod::build made; the
+  /// previous one (if any) is retired but kept alive. The body moves
+  /// into the version unchanged (its code and cost tables keep their
+  /// addresses). Returns the installed version. Fatal error when the
   /// new version matches the active one's (level, plan generation) —
   /// see the file comment.
-  const CompiledMethod *install(CompiledMethod CM);
+  InstalledVersion *install(CompiledMethod CM);
 
   /// Retires \p Id's active version with no replacement: the version is
   /// marked Invalidated (frames pinning it fall back to baseline speed
@@ -77,7 +104,7 @@ public:
   /// method's invalidation epoch advances. Returns the retired version
   /// (still alive in the graveyard), or nullptr when nothing was
   /// active.
-  const CompiledMethod *invalidate(bc::MethodId Id);
+  const InstalledVersion *invalidate(bc::MethodId Id);
 
   /// Straight level-\p Level translation of the original bytecode with
   /// no inlining: the default compile path when no compile hook is set.
@@ -103,36 +130,27 @@ public:
   uint64_t graveyardCodeInstructions() const { return GraveyardInstructions; }
   size_t graveyardSize() const { return Graveyard.size(); }
 
-  /// A frame began executing \p CM (invocation or OSR transfer in).
-  void pinFrame(const CompiledMethod *CM) {
-    if (!CM)
-      return;
-    // The cache owns every version it hands out; frames hold const
-    // pointers, so the pin count is adjusted through the owner.
-    ++const_cast<CompiledMethod *>(CM)->PinnedFrames;
-  }
+  /// A frame began executing \p V (invocation or OSR transfer in).
+  void pinFrame(InstalledVersion *V) { ++V->PinnedFrames; }
 
-  /// A frame stopped executing \p CM (return or OSR transfer out). If
-  /// \p CM is retired and this was its last pinned frame, it is
+  /// A frame stopped executing \p V (return or OSR transfer out). If
+  /// \p V is retired and this was its last pinned frame, it is
   /// reclaimed on the spot.
-  void unpinFrame(const CompiledMethod *CM) {
-    if (!CM)
-      return;
-    CompiledMethod *M = const_cast<CompiledMethod *>(CM);
-    assert(M->PinnedFrames > 0 && "unpin without a matching pin");
+  void unpinFrame(InstalledVersion *V) {
+    assert(V->PinnedFrames > 0 && "unpin without a matching pin");
     // Every call returns through here (inline, on the interpreter's
     // hot path): only a retired version's last unpin pays for the
     // graveyard scan.
-    if (--M->PinnedFrames == 0 && Active[CM->Id].get() != CM)
-      reclaimIfUnpinned(CM);
+    if (--V->PinnedFrames == 0 && Active[V->Body.Id].get() != V)
+      reclaimIfUnpinned(V);
   }
 
-  /// Reclaims \p CM now if it sits in the graveyard and no frame pins
+  /// Reclaims \p V now if it sits in the graveyard and no frame pins
   /// it. Called by the VM after invalidate() (a version retired with
   /// zero live frames would otherwise wait for an unpin that never
-  /// comes). Returns true if the version was freed; \p CM must not be
+  /// comes). Returns true if the version was freed; \p V must not be
   /// used afterwards.
-  bool reclaimIfUnpinned(const CompiledMethod *CM);
+  bool reclaimIfUnpinned(const InstalledVersion *V);
 
   /// Instructions freed from the graveyard by reclamation (cumulative),
   /// and the number of versions freed.
@@ -140,8 +158,8 @@ public:
   uint64_t numReclaims() const { return Reclaims; }
 
 private:
-  std::vector<std::unique_ptr<CompiledMethod>> Active;
-  std::vector<std::unique_ptr<CompiledMethod>> Graveyard;
+  std::vector<std::unique_ptr<InstalledVersion>> Active;
+  std::vector<std::unique_ptr<InstalledVersion>> Graveyard;
   std::vector<uint64_t> Epochs;
   uint64_t CompileCycles = 0;
   uint64_t Compiles = 0;

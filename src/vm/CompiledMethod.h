@@ -1,4 +1,4 @@
-//===- vm/CompiledMethod.h - Installed code versions ------------*- C++ -*-===//
+//===- vm/CompiledMethod.h - Compiled method bodies -------------*- C++ -*-===//
 //
 // Part of the CBSVM project.
 //
@@ -6,15 +6,21 @@
 ///
 /// \file
 /// One compiled version of a method: (possibly inlined and optimized)
-/// code, its optimization level, and the execution-speed scale the
-/// interpreter applies. The original bytecode in the Program is never
-/// mutated; the code cache maps each method to its active version, and
-/// stack frames pin the version they started in. With on-stack
-/// replacement enabled (VMConfig::EnableOSR) a pinned frame transfers
-/// to the active version at the next taken backedge yieldpoint whose
-/// target is a recorded OSR point; with it disabled the frame runs its
-/// pinned version to completion, matching the paper's VMs for
-/// already-active frames.
+/// code, its optimization level, the execution-speed scale the
+/// interpreter applies, and the per-PC cost tables baked from both.
+/// CompiledMethod::build is the one way a body is made (the baseline
+/// path, CodeCache::compileBaseline, and the optimizing pipeline,
+/// opt::compileMethod, both end in it), and no field of a body changes
+/// once build() returns: what changes after install (a version's pinned
+/// frames and whether it was invalidated) lives in the code cache's
+/// per-install record, vm::InstalledVersion. The original bytecode in
+/// the Program is never mutated; the code cache maps each method to its
+/// active version, and stack frames pin the version they started in.
+/// With on-stack replacement enabled (VMConfig::EnableOSR) a pinned
+/// frame transfers to the active version at the next taken backedge
+/// yieldpoint whose target is a recorded OSR point; with it disabled
+/// the frame runs its pinned version to completion, matching the
+/// paper's VMs for already-active frames.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +28,7 @@
 #define CBSVM_VM_COMPILEDMETHOD_H
 
 #include "bytecode/Instruction.h"
+#include "vm/CostModel.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -65,6 +72,28 @@ struct PcCost {
 };
 
 struct CompiledMethod {
+  /// What a compile path decides about a body; build() derives the
+  /// rest from the level and the cost model.
+  struct Parts {
+    bc::MethodId Id = bc::InvalidMethodId;
+    int Level = 0;
+    uint32_t NumLocals = 0;
+    std::vector<bc::Instruction> Code{};
+    /// The code size the compile is charged on, in bytes: the method's
+    /// bytecode for a baseline compile, the post-inlining,
+    /// pre-optimization body for an optimizing one.
+    uint64_t ChargedBytes = 0;
+    std::vector<OsrPoint> OsrPoints{};
+    std::vector<SpeculationGuard> Guards{};
+    uint32_t InlinedBodies = 0;
+    uint64_t PlanGeneration = 0;
+    uint64_t ProfileEpoch = 0;
+  };
+
+  /// Makes the body of \p In: sets the level's ScaleQ8 and compile
+  /// cost from \p Costs and bakes both per-PC cost tables.
+  static CompiledMethod build(Parts In, const CostModel &Costs);
+
   bc::MethodId Id = bc::InvalidMethodId;
   /// Optimization level 0..2.
   uint8_t Level = 0;
@@ -86,44 +115,22 @@ struct CompiledMethod {
   /// outside the adaptive system).
   uint64_t PlanGeneration = 0;
   uint64_t ProfileEpoch = 0;
-  /// Per-PC charges, baked by bakeCosts() when the code cache installs
-  /// the version: CostTable at this version's ScaleQ8, BaselineCostTable
-  /// unscaled (what a deopted frame pays; empty when ScaleQ8 is 1.0,
-  /// since CostTable is then the same). A frame points at the one that
-  /// applies to it (Frame::Costs).
+  /// Per-PC charges, baked by build(): CostTable at this version's
+  /// ScaleQ8, BaselineCostTable unscaled (what a deopted frame pays;
+  /// empty when ScaleQ8 is 1.0, since CostTable is then the same). An
+  /// instruction charges its cycles (bc::instructionCycles, scaled or
+  /// not) and counts as one instruction, except `work`, which counts
+  /// its operand. A frame points at the table that applies to it
+  /// (Frame::Costs).
   std::vector<PcCost> CostTable;
   std::vector<PcCost> BaselineCostTable;
-  /// Set by CodeCache::invalidate when the version is retired by a
-  /// deoptimization; frames still pinning it fall back to baseline
-  /// execution speed at their next taken yieldpoint (and, with OSR
-  /// enabled, transfer off it at the next mapped loop header).
-  bool Invalidated = false;
   /// Loop-entry transfer locations, sorted by BytecodePC. Always
   /// emitted (the table is inert data when OSR is off); identity
   /// entries for baseline compiles.
   std::vector<OsrPoint> OsrPoints;
-  /// Live frames currently executing this version; the code cache uses
-  /// it to reclaim graveyard versions once the last frame leaves.
-  uint32_t PinnedFrames = 0;
 
   uint64_t scaledCost(uint32_t BaseCost) const {
     return (static_cast<uint64_t>(BaseCost) * ScaleQ8) >> 8;
-  }
-
-  /// Fills CostTable and BaselineCostTable from Code. An instruction
-  /// charges its cycles (bc::instructionCycles, scaled or not) and
-  /// counts as one instruction, except `work`, which counts its operand.
-  void bakeCosts() {
-    CostTable.resize(Code.size());
-    BaselineCostTable.resize(ScaleQ8 == 256 ? 0 : Code.size());
-    for (size_t PC = 0; PC != Code.size(); ++PC) {
-      const bc::Instruction &I = Code[PC];
-      uint32_t Cycles = bc::instructionCycles(I);
-      int32_t Count = I.Op == bc::Opcode::Work ? I.A : 1;
-      CostTable[PC] = {scaledCost(Cycles), Count};
-      if (!BaselineCostTable.empty())
-        BaselineCostTable[PC] = {Cycles, Count};
-    }
   }
 
   /// The unscaled per-PC charges a deopted frame pays.

@@ -28,7 +28,7 @@
 #include "profiling/CounterBasedSampler.h"
 #include "profiling/SampleBuffer.h"
 #include "profiling/TimerSampler.h"
-#include "vm/CompiledMethod.h"
+#include "vm/CodeCache.h"
 
 #include <algorithm>
 #include <memory>
@@ -38,7 +38,8 @@
 namespace cbs::vm {
 
 struct Frame {
-  const CompiledMethod *CM = nullptr;
+  /// The version the frame runs; the cache counts it as pinned.
+  InstalledVersion *Version = nullptr;
   uint32_t PC = 0;
   /// Index of locals[0] within the thread's value arena.
   uint32_t LocalBase = 0;
@@ -51,8 +52,8 @@ struct Frame {
   /// yieldpoint (deopt OSR), clearing this flag; without OSR it limps
   /// on its pinned code until it returns.
   bool Deopted = false;
-  /// The per-PC charges this frame pays: CM->CostTable, or
-  /// CM->baselineCosts() once Deopted.
+  /// The per-PC charges this frame pays: the body's CostTable, or its
+  /// baselineCosts() once Deopted.
   const PcCost *Costs = nullptr;
 };
 
@@ -148,10 +149,10 @@ struct Thread {
     if (Frames.size() < 2)
       return std::nullopt;
     const Frame &Caller = Frames[Frames.size() - 2];
-    const bc::Instruction &CI = Caller.CM->Code[Caller.PC];
+    const bc::Instruction &CI = Caller.Version->Body.Code[Caller.PC];
     if (!bc::isCall(CI.Op))
       return std::nullopt;
-    return prof::CallEdge{CI.Site, Frames.back().CM->Id};
+    return prof::CallEdge{CI.Site, Frames.back().Version->Body.Id};
   }
 };
 

@@ -93,24 +93,24 @@ VirtualMachine::VirtualMachine(const bc::Program &P, VMConfig Config)
 VirtualMachine::~VirtualMachine() = default;
 
 Thread &VirtualMachine::spawnThread(bc::MethodId Entry) {
-  const CompiledMethod *CM = ensureCompiled(Entry);
+  InstalledVersion *V = ensureCompiled(Entry);
   auto T = std::make_unique<Thread>();
   T->Id = static_cast<uint32_t>(Threads.size());
   T->CBS = prof::CounterBasedSampler(Config.Profiler.CBS);
   T->Alloc = prof::CounterBasedSampler(Config.Profiler.AllocCBS);
   T->Buffer = prof::SampleBuffer(Config.Profiler.SampleBufferCapacity);
-  T->resizeValues(CM->NumLocals);
-  T->Frames.push_back({CM, 0, 0, false, CM->CostTable.data()});
-  Cache.pinFrame(CM);
+  T->resizeValues(V->Body.NumLocals);
+  T->Frames.push_back({V, 0, 0, false, V->Body.CostTable.data()});
+  Cache.pinFrame(V);
   ++InvocationCounts[Entry];
   Threads.push_back(std::move(T));
   ++Stats.ThreadsSpawned;
   return *Threads.back();
 }
 
-const CompiledMethod *VirtualMachine::ensureCompiled(bc::MethodId Id) {
-  if (const CompiledMethod *CM = Cache.active(Id))
-    return CM;
+InstalledVersion *VirtualMachine::ensureCompiled(bc::MethodId Id) {
+  if (InstalledVersion *V = Cache.activeVersion(Id))
+    return V;
   uint32_t Thr = Threads.empty() ? 0 : Threads[Current]->Id;
   if (Trace)
     Trace->event(tel::TraceEvent::compileStart(
@@ -129,7 +129,7 @@ const CompiledMethod *VirtualMachine::ensureCompiled(bc::MethodId Id) {
 }
 
 bool VirtualMachine::deoptimize(bc::MethodId Id) {
-  const CompiledMethod *Retired = Cache.invalidate(Id);
+  const InstalledVersion *Retired = Cache.invalidate(Id);
   if (!Retired)
     return false;
   // Threads reconcile lazily: each marks its own affected frames at its
@@ -138,7 +138,8 @@ bool VirtualMachine::deoptimize(bc::MethodId Id) {
   ++DeoptEpoch;
   ++Stats.Deopts;
   uint32_t Thr = Threads.empty() ? 0 : Threads[Current]->Id;
-  emitAnomaly(tel::TraceEvent::deopt(Stats.Cycles, Thr, Id, Retired->Level,
+  emitAnomaly(tel::TraceEvent::deopt(Stats.Cycles, Thr, Id,
+                                     Retired->Body.Level,
                                      Cache.invalidationEpoch(Id)));
   // A version invalidated while no frame runs it would never see
   // another unpin; free it now.
@@ -151,10 +152,10 @@ void VirtualMachine::reconcileDeoptFrames(Thread &T) {
     return;
   T.DeoptEpochSeen = DeoptEpoch;
   for (Frame &F : T.Frames) {
-    if (F.Deopted || !F.CM->Invalidated)
+    if (F.Deopted || !F.Version->Invalidated)
       continue;
     F.Deopted = true;
-    F.Costs = F.CM->baselineCosts();
+    F.Costs = F.Version->Body.baselineCosts();
     ++Stats.FramesDeopted;
     // Frame-state reconstruction for the baseline fallback: a base
     // runtime service, not profiling work.
@@ -166,14 +167,14 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
   if (T.Frames.empty())
     return;
   Frame &F = T.top();
-  const CompiledMethod *From = F.CM;
+  InstalledVersion *From = F.Version;
   // The backedge's target must be a mapped OSR point of the running
   // version — otherwise we are not at a transferable loop entry.
-  const OsrPoint *FromPt = From->osrPointAtCode(BackedgeTarget);
+  const OsrPoint *FromPt = From->Body.osrPointAtCode(BackedgeTarget);
   if (!FromPt)
     return;
 
-  const CompiledMethod *To = Cache.active(From->Id);
+  InstalledVersion *To = Cache.activeVersion(From->Body.Id);
   if (To == From)
     return; // already running the newest code
   bool DeoptExit = F.Deopted;
@@ -183,29 +184,29 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
     // compile path would hand the next invocation anyway.
     if (!DeoptExit)
       return;
-    To = ensureCompiled(From->Id);
+    To = ensureCompiled(From->Body.Id);
   }
-  const OsrPoint *ToPt = To->osrPointAtBytecode(FromPt->BytecodePC);
+  const OsrPoint *ToPt = To->Body.osrPointAtBytecode(FromPt->BytecodePC);
   if (!ToPt)
     return; // the new version dissolved this loop header
 
   // Transfer is a pure locals remap only when the operand stack is
   // empty. At a loop header of structured code it always is; checked,
   // not assumed, because generated programs are only verifier-clean.
-  if (T.numValues() != F.LocalBase + From->NumLocals)
+  if (T.numValues() != F.LocalBase + From->Body.NumLocals)
     return;
 
   // Root locals occupy the same leading slots in every version;
   // inlined-callee temps beyond them are dead at a root loop header
   // (each spliced region spills its values before reading them), so
   // grow-with-zeros / shrink is safe.
-  T.resizeValues(F.LocalBase + To->NumLocals);
+  T.resizeValues(F.LocalBase + To->Body.NumLocals);
   Cache.unpinFrame(From); // may reclaim From's graveyard slot
   Cache.pinFrame(To);
-  F.CM = To;
+  F.Version = To;
   F.PC = ToPt->CodePC;
   F.Deopted = false;
-  F.Costs = To->CostTable.data();
+  F.Costs = To->Body.CostTable.data();
 
   // Frame-state extraction + rebuild for the other version's code.
   Stats.Cycles += Config.Costs.OsrCost;
@@ -214,7 +215,8 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
   else
     ++Stats.OsrEntries;
   if (Trace)
-    Trace->event(tel::TraceEvent::osr(Stats.Cycles, T.Id, To->Id, To->Level,
+    Trace->event(tel::TraceEvent::osr(Stats.Cycles, T.Id, To->Body.Id,
+                                      To->Body.Level,
                                       DeoptExit ? 2 : 1));
 }
 
@@ -261,13 +263,13 @@ void VirtualMachine::trap(const std::string &Message) {
   std::ostringstream OS;
   OS << Message;
   if (!T.Frames.empty())
-    OS << " in " << P.qualifiedName(T.top().CM->Id) << " at pc "
+    OS << " in " << P.qualifiedName(T.top().Version->Body.Id) << " at pc "
        << T.top().PC;
   TrapMsg = OS.str();
   State = RunState::Trapped;
   emitAnomaly(tel::TraceEvent::trap(
       Stats.Cycles, T.Id,
-      T.Frames.empty() ? bc::InvalidMethodId : T.top().CM->Id,
+      T.Frames.empty() ? bc::InvalidMethodId : T.top().Version->Body.Id,
       T.Frames.empty() ? 0 : T.top().PC));
 }
 
@@ -318,10 +320,10 @@ void VirtualMachine::fireTimer() {
   if (Trace)
     Trace->event(tel::TraceEvent::timerTick(
         Stats.Cycles, T.Id,
-        T.Frames.empty() ? bc::InvalidMethodId : T.top().CM->Id));
+        T.Frames.empty() ? bc::InvalidMethodId : T.top().Version->Body.Id));
 
   if (!T.Frames.empty()) {
-    bc::MethodId Top = T.top().CM->Id;
+    bc::MethodId Top = T.top().Version->Body.Id;
     ++TickSamples[Top];
     if (Client)
       Client->onTimerTick(*this, Top);
@@ -522,7 +524,7 @@ void VirtualMachine::invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
       chargeProf(Config.Costs.ExhaustiveCounter, Stats.OvCounterUpdate);
   }
 
-  const CompiledMethod *CM = ensureCompiled(Callee);
+  InstalledVersion *V = ensureCompiled(Callee);
   uint64_t Count = ++InvocationCounts[Callee];
 
   if (Patching) {
@@ -536,13 +538,13 @@ void VirtualMachine::invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
 
   // The arguments on the operand stack become the callee's first locals;
   // only the slots past them are zeroed.
-  assert(T.numValues() >= T.top().LocalBase + T.top().CM->NumLocals +
-                              ArgCount &&
+  assert(T.numValues() >=
+             T.top().LocalBase + T.top().Version->Body.NumLocals + ArgCount &&
          "operand stack underflow at call");
   uint32_t LocalBase = static_cast<uint32_t>(T.numValues() - ArgCount);
-  T.resizeValues(LocalBase + CM->NumLocals);
-  T.Frames.push_back({CM, 0, LocalBase, false, CM->CostTable.data()});
-  Cache.pinFrame(CM);
+  T.resizeValues(LocalBase + V->Body.NumLocals);
+  T.Frames.push_back({V, 0, LocalBase, false, V->Body.CostTable.data()});
+  Cache.pinFrame(V);
   ++Stats.CallsExecuted;
   Stats.MaxStackDepth = std::max<uint64_t>(Stats.MaxStackDepth,
                                            T.Frames.size());
@@ -640,7 +642,7 @@ void VirtualMachine::returnFrom(Thread &T, bool HasResult) {
   uint32_t LocalBase = T.top().LocalBase;
   // The pop may reclaim a retired version this frame was the last to
   // pin; nothing of it may be touched afterwards.
-  Cache.unpinFrame(T.top().CM);
+  Cache.unpinFrame(T.top().Version);
   T.Frames.pop_back();
   T.Sp = T.Base + LocalBase;
   if (T.Frames.empty()) {
@@ -728,7 +730,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     End = T->End;
     F = &T->top();
     PC = F->PC;
-    Code = F->CM->Code.data();
+    Code = F->Version->Body.Code.data();
     PcCosts = F->Costs;
     Locals = T->Base + F->LocalBase;
   };
@@ -769,7 +771,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       return;
     }
     Frame *Branching = F;
-    const CompiledMethod *Before = F->CM;
+    const InstalledVersion *Before = F->Version;
     sync();
     processTaken(*T, Where::Backedge, Target);
     // An OSR transfer redirected the frame into another version and
@@ -777,7 +779,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     // version may even have been reclaimed — I must not be touched past
     // this point.) The branch completes on its own thread even if the
     // yieldpoint switched threads.
-    if (Branching->CM == Before)
+    if (Branching->Version == Before)
       Branching->PC = Target;
     reload();
   };

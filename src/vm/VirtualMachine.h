@@ -211,7 +211,7 @@ private:
   /// fresh baseline). Charges CostModel::OsrCost per transfer. Runs on
   /// the VM thread in virtual time — determinism-neutral.
   void maybeOSR(Thread &T, uint32_t BackedgeTarget);
-  const CompiledMethod *ensureCompiled(bc::MethodId Id);
+  InstalledVersion *ensureCompiled(bc::MethodId Id);
   /// Pushes a frame for \p Callee consuming \p ArgCount values from the
   /// current operand stack; runs entry profiling hooks.
   void invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,

@@ -153,7 +153,8 @@ TEST(Reducer, PlantedViolationShrinksToMinimum) {
 
   ProgramSpec Spec = ProgramGenerator().makeSpec(1);
   bc::Program P = buildProgram(Spec);
-  std::string Message = Broken.check({P, 1});
+  ProgramRuns Runs(P, 1);
+  std::string Message = Broken.check({P, 1, Runs});
   ASSERT_NE(Message, "") << "the broken oracle must reject any printing "
                             "program";
 
@@ -168,8 +169,9 @@ TEST(Reducer, PlantedViolationShrinksToMinimum) {
   // The minimized program still fails the same oracle.
   bc::Program Reduced = buildProgram(R.Spec);
   EXPECT_TRUE(bc::verifyProgram(Reduced).ok());
-  EXPECT_NE(Broken.check({Reduced, 1}), "");
-  EXPECT_EQ(R.Message, Broken.check({Reduced, 1}));
+  ProgramRuns ReducedRuns(Reduced, 1);
+  EXPECT_NE(Broken.check({Reduced, 1, ReducedRuns}), "");
+  EXPECT_EQ(R.Message, Broken.check({Reduced, 1, ReducedRuns}));
 }
 
 TEST(Reducer, PassingProgramIsLeftAlone) {
@@ -179,7 +181,8 @@ TEST(Reducer, PassingProgramIsLeftAlone) {
   OracleRegistry Registry = OracleRegistry::builtin();
   ProgramSpec Spec = ProgramGenerator().makeSpec(2);
   bc::Program P = buildProgram(Spec);
-  EXPECT_EQ(Registry.all()[0]->check({P, 2}), "");
+  ProgramRuns Runs(P, 2);
+  EXPECT_EQ(Registry.all()[0]->check({P, 2, Runs}), "");
 }
 
 TEST(Reducer, BudgetBoundsChecks) {
@@ -230,7 +233,9 @@ TEST(Artifact, ReplayReproducesAReducedViolation) {
   const Oracle &Broken = brokenOracle(Registry);
 
   ProgramSpec Spec = ProgramGenerator().makeSpec(4);
-  std::string Message = Broken.check({buildProgram(Spec), 4});
+  bc::Program P = buildProgram(Spec);
+  ProgramRuns Runs(P, 4);
+  std::string Message = Broken.check({P, 4, Runs});
   ASSERT_NE(Message, "");
   ReduceResult R = reduceSpec(Spec, Broken, 4, Message);
 

@@ -32,15 +32,12 @@ namespace {
 /// Runs \p P with every method compiled through \p Plan at \p Level and
 /// returns the output.
 std::vector<int64_t> runWithPlan(const Program &P, const InlinePlan &Plan,
-                                 int Level = 0,
-                                 bool RunOptimizer = false) {
+                                 int Level = 0) {
   vm::VMConfig Config;
   Config.MaxCycles = 500'000'000;
   Config.JITLevel = Level;
   auto Shared = std::make_shared<InlinePlan>(Plan);
-  CompileOptions CO;
-  CO.RunOptimizer = RunOptimizer;
-  Config.CompileHook = makeCompileHook(Shared, Config.Costs, CO);
+  Config.CompileHook = makeCompileHook(Shared, Config.Costs);
   vm::VirtualMachine VM(P, Config);
   EXPECT_EQ(VM.run(), vm::RunState::Finished) << VM.trapMessage();
   return VM.output();
@@ -365,8 +362,7 @@ TEST_P(InlineDifferentialTest, OraclePlansPreserveSemantics) {
     verifyAllInlined(P, Plan);
     EXPECT_EQ(runWithPlan(P, Plan, /*Level=*/0), Expected)
         << "oracle " << O->name();
-    EXPECT_EQ(runWithPlan(P, Plan, /*Level=*/2, /*RunOptimizer=*/true),
-              Expected)
+    EXPECT_EQ(runWithPlan(P, Plan, /*Level=*/2), Expected)
         << "oracle " << O->name() << " with optimizer";
   }
 }

@@ -123,7 +123,7 @@ TEST_P(BinopTest, Evaluates) {
   // fits an iconst immediate, and is left alone otherwise.
   std::vector<Instruction> Code = P.method(P.entryMethod()).Code;
   ASSERT_EQ(Code[2].Op, C.Op);
-  opt::foldConstants(P, Code);
+  opt::foldConstants(Code);
   bool Fits = C.Expected >= INT32_MIN && C.Expected <= INT32_MAX;
   ASSERT_EQ(Code[2].Op, Fits ? Opcode::IConst : C.Op) << opcodeName(C.Op);
   if (Fits) {
@@ -730,12 +730,9 @@ TEST(Interpreter, DeoptedFrameChargesUnscaledCycles) {
   vm::VMConfig Config;
   Config.JITLevel = 2;
   Config.TimerJitterPct = 0;
-  vm::CompiledMethod Level2; // main's level-2 speed, from a probe VM
-  {
-    vm::VirtualMachine Probe(P, Config);
-    ASSERT_NE(Probe.codeCache().active(Main), nullptr);
-    Level2.ScaleQ8 = Probe.codeCache().active(Main)->ScaleQ8;
-  }
+  // main's level-2 body, as the VM's lazy compile builds it.
+  const vm::CompiledMethod Level2 =
+      vm::CodeCache::compileBaseline(P, Main, 2, Config.Costs);
   ASSERT_LT(Level2.ScaleQ8, 256u);
   const uint64_t Scaled = Level2.scaledCost(1000);
   // The first tick falls just before the call.

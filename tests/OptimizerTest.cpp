@@ -6,8 +6,8 @@
 
 #include "bytecode/Builder.h"
 #include "bytecode/Verifier.h"
+#include "opt/Compiler.h"
 #include "opt/Inliner.h"
-#include "opt/Optimizer.h"
 #include "opt/Passes.h"
 #include "fuzz/ProgramGenerator.h"
 #include "vm/VirtualMachine.h"
@@ -23,8 +23,8 @@ namespace {
 using O = Opcode;
 using I = Instruction;
 
-/// A one-method program context for pass tests (the passes need a
-/// Program for call signatures).
+/// A one-method program context for propagateLocalConstants tests (the
+/// pass needs a Program for call signatures).
 struct Ctx {
   Ctx() {
     ProgramBuilder PB;
@@ -52,35 +52,31 @@ struct Ctx {
 //===----------------------------------------------------------------------===//
 
 TEST(FoldConstants, FoldsBinops) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::IConst, 6}, {O::IConst, 7}, {O::IMul}, {O::Print}, {O::Return}};
-  EXPECT_TRUE(foldConstants(*C.P, Code));
-  removeNops(*C.P, Code);
+  EXPECT_TRUE(foldConstants(Code));
+  removeNops(Code);
   ASSERT_EQ(Code.size(), 3u);
   EXPECT_EQ(Code[0].Op, O::IConst);
   EXPECT_EQ(Code[0].A, 42);
 }
 
 TEST(FoldConstants, NeverFoldsTrappingDivision) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::IConst, 6}, {O::IConst, 0}, {O::IDiv}, {O::Print}, {O::Return}};
-  EXPECT_FALSE(foldConstants(*C.P, Code));
+  EXPECT_FALSE(foldConstants(Code));
   EXPECT_EQ(Code[2].Op, O::IDiv) << "div-by-zero trap must be preserved";
 }
 
 TEST(FoldConstants, FoldsDivisionByNonzero) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::IConst, 42}, {O::IConst, 7}, {O::IDiv}, {O::Print}, {O::Return}};
-  EXPECT_TRUE(foldConstants(*C.P, Code));
-  removeNops(*C.P, Code);
+  EXPECT_TRUE(foldConstants(Code));
+  removeNops(Code);
   EXPECT_EQ(Code[0].A, 6);
 }
 
 TEST(FoldConstants, SkipsWhenPatternSpansBranchTarget) {
-  Ctx C;
   // Someone jumps between the two constants: folding would break them.
   std::vector<Instruction> Code = {
       {O::Goto, 2},   // 0
@@ -91,43 +87,40 @@ TEST(FoldConstants, SkipsWhenPatternSpansBranchTarget) {
   // Target at pc 2 means Code[1], Code[2] cannot both be nop'd... the
   // implementation requires I-1 (pc 2) to not be a target: it is, so
   // nothing happens to the pattern at pc 3.
-  foldConstants(*C.P, Code);
+  foldConstants(Code);
   EXPECT_EQ(Code[3].Op, O::IAdd);
 }
 
 TEST(FoldConstants, FoldsConstantConditions) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::IConst, 0}, {O::IfEq, 3}, {O::Nop}, {O::IConst, 1},
       {O::Print},     {O::Return}};
-  EXPECT_TRUE(foldConstants(*C.P, Code));
+  EXPECT_TRUE(foldConstants(Code));
   EXPECT_EQ(Code[1].Op, O::Goto) << "ifeq of constant 0 is always taken";
   std::vector<Instruction> Code2 = {
       {O::IConst, 5}, {O::IfEq, 3}, {O::Nop}, {O::IConst, 1},
       {O::Print},     {O::Return}};
-  EXPECT_TRUE(foldConstants(*C.P, Code2));
+  EXPECT_TRUE(foldConstants(Code2));
   EXPECT_EQ(Code2[1].Op, O::Nop) << "ifeq of constant 5 never taken";
 }
 
 TEST(FoldConstants, AlgebraicIdentities) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::ILoad, 0}, {O::IConst, 0}, {O::IAdd}, {O::Print}, {O::Return}};
-  EXPECT_TRUE(foldConstants(*C.P, Code));
-  removeNops(*C.P, Code);
+  EXPECT_TRUE(foldConstants(Code));
+  removeNops(Code);
   ASSERT_EQ(Code.size(), 3u);
   EXPECT_EQ(Code[0].Op, O::ILoad);
 }
 
 TEST(FoldConstants, WrapAroundMatchesInterpreter) {
-  Ctx C;
   // INT32_MAX + 1 does not fit an IConst immediate: must not fold.
   std::vector<Instruction> Code = {{O::IConst, INT32_MAX},
                                    {O::IConst, 1},
                                    {O::IAdd},
                                    {O::Print},
                                    {O::Return}};
-  EXPECT_FALSE(foldConstants(*C.P, Code));
+  EXPECT_FALSE(foldConstants(Code));
 }
 
 //===----------------------------------------------------------------------===//
@@ -186,40 +179,35 @@ TEST(LocalConstProp, CallsDoNotClobberLocals) {
 //===----------------------------------------------------------------------===//
 
 TEST(SimplifyBranches, CollapsesGotoChains) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::Goto, 2}, {O::Return}, {O::Goto, 4}, {O::Return}, {O::Return}};
-  EXPECT_TRUE(simplifyBranches(*C.P, Code));
+  EXPECT_TRUE(simplifyBranches(Code));
   EXPECT_EQ(Code[0].A, 4);
 }
 
 TEST(SimplifyBranches, GotoToNextBecomesNop) {
-  Ctx C;
   std::vector<Instruction> Code = {{O::Goto, 1}, {O::Return}};
-  EXPECT_TRUE(simplifyBranches(*C.P, Code));
+  EXPECT_TRUE(simplifyBranches(Code));
   EXPECT_EQ(Code[0].Op, O::Nop);
 }
 
 TEST(SimplifyBranches, LeavesGotoSelfLoops) {
-  Ctx C;
   std::vector<Instruction> Code = {{O::Goto, 0}, {O::Return}};
-  simplifyBranches(*C.P, Code);
+  simplifyBranches(Code);
   EXPECT_EQ(Code[0].Op, O::Goto);
   EXPECT_EQ(Code[0].A, 0);
 }
 
 TEST(RemoveUnreachable, NopsDeadCode) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::Goto, 3}, {O::IConst, 1}, {O::Print}, {O::Return}};
-  EXPECT_TRUE(removeUnreachable(*C.P, Code));
+  EXPECT_TRUE(removeUnreachable(Code));
   EXPECT_EQ(Code[1].Op, O::Nop);
   EXPECT_EQ(Code[2].Op, O::Nop);
   EXPECT_EQ(Code[3].Op, O::Return);
 }
 
 TEST(RemoveNops, CompactsAndRemapsBranches) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::Nop}, {O::ILoad, 0}, {O::IfEq, 5}, {O::Nop}, {O::Print},
       {O::Return}};
@@ -230,7 +218,7 @@ TEST(RemoveNops, CompactsAndRemapsBranches) {
           {O::Nop},      // 3
           {O::Goto, 5},  // 4 -> 5
           {O::Return}};  // 5
-  EXPECT_TRUE(removeNops(*C.P, Code));
+  EXPECT_TRUE(removeNops(Code));
   ASSERT_EQ(Code.size(), 4u);
   EXPECT_EQ(Code[1].Op, O::IfEq);
   EXPECT_EQ(Code[1].A, 3);
@@ -238,24 +226,22 @@ TEST(RemoveNops, CompactsAndRemapsBranches) {
 }
 
 TEST(FuseWork, MergesAdjacentWork) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::Work, 10}, {O::Work, 20}, {O::Work, 5}, {O::Return}};
-  EXPECT_TRUE(fuseWork(*C.P, Code));
-  removeNops(*C.P, Code);
+  EXPECT_TRUE(fuseWork(Code));
+  removeNops(Code);
   // One fusion pass merges pairs; run to fixpoint.
-  while (fuseWork(*C.P, Code))
-    removeNops(*C.P, Code);
+  while (fuseWork(Code))
+    removeNops(Code);
   ASSERT_EQ(Code.size(), 2u);
   EXPECT_EQ(Code[0].A, 35);
 }
 
 TEST(FuseWork, RespectsBranchTargets) {
-  Ctx C;
   std::vector<Instruction> Code = {
       {O::Work, 10}, {O::Work, 20}, {O::Goto, 1}, {O::Return}};
   // pc1 is a branch target: fusing would change the looped work amount.
-  EXPECT_FALSE(fuseWork(*C.P, Code));
+  EXPECT_FALSE(fuseWork(Code));
 }
 
 //===----------------------------------------------------------------------===//
@@ -271,11 +257,7 @@ std::vector<int64_t> runAtLevel(const Program &P, int Level) {
   // Hook: no inlining, optimizer only.
   Config.CompileHook = [](const Program &Prog, MethodId Id,
                           int L) -> vm::CompiledMethod {
-    vm::CostModel Costs;
-    vm::CompiledMethod CM =
-        vm::CodeCache::compileBaseline(Prog, Id, L, Costs);
-    optimizeCode(Prog, CM.Code, L);
-    return CM;
+    return compileMethod(Prog, Id, L, InlinePlan(), vm::CostModel());
   };
   vm::VirtualMachine VM(P, Config);
   EXPECT_EQ(VM.run(), vm::RunState::Finished) << VM.trapMessage();

@@ -66,8 +66,9 @@ TEST_P(RandomProgramTest, SameSeedSameProgram) {
 TEST_P(RandomProgramTest, BuiltinOraclesHold) {
   Program P = fuzz::generateRandomProgram(GetParam());
   fuzz::OracleRegistry Registry = fuzz::OracleRegistry::builtin();
+  fuzz::ProgramRuns Runs(P, GetParam());
   for (const auto &O : Registry.all())
-    EXPECT_EQ(O->check({P, GetParam()}), "") << "oracle " << O->id();
+    EXPECT_EQ(O->check({P, GetParam(), Runs}), "") << "oracle " << O->id();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomProgramTest,
@@ -81,8 +82,9 @@ TEST_P(ThreadedProgramTest, ThreadedShapesVerifyAndHold) {
   VerifyResult V = verifyProgram(P);
   ASSERT_TRUE(V.ok()) << V.str();
   fuzz::OracleRegistry Registry = fuzz::OracleRegistry::builtin();
+  fuzz::ProgramRuns Runs(P, GetParam());
   for (const auto &O : Registry.all())
-    EXPECT_EQ(O->check({P, GetParam()}), "") << "oracle " << O->id();
+    EXPECT_EQ(O->check({P, GetParam(), Runs}), "") << "oracle " << O->id();
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ThreadedProgramTest,
@@ -103,7 +105,8 @@ TEST_P(LongLoopProgramTest, LongLoopShapesVerifyAndOsrHolds) {
   fuzz::OracleRegistry Registry = fuzz::OracleRegistry::builtin();
   const fuzz::Oracle *Osr = Registry.find("osr-stability");
   ASSERT_NE(Osr, nullptr);
-  EXPECT_EQ(Osr->check({P, GetParam()}), "");
+  fuzz::ProgramRuns Runs(P, GetParam());
+  EXPECT_EQ(Osr->check({P, GetParam(), Runs}), "");
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LongLoopProgramTest,

@@ -9,13 +9,18 @@
 // consumers key on section and field names, so the schema is a
 // contract: this test pins the top-level sections and the keys inside
 // each — including the conditional aos/deopt/osr sections — and fails
-// on any rename, removal, or accidental demotion of a section.
+// on any rename, removal, or accidental demotion of a section. The text
+// views of `cbsvm report` and `cbsvm stats` are json::writeText of
+// their documents, and the TextShows tests hold them to it: every
+// section path titles a text section and every object scalar sits on a
+// "key  lexeme" row, on documents built through the CLI's own wiring.
 //
 //===----------------------------------------------------------------------===//
 
 #include "aos/AdaptiveSystem.h"
 #include "aos/ReportJson.h"
 #include "experiments/Experiments.h"
+#include "experiments/RunDriver.h"
 #include "opt/InlineOracle.h"
 #include "profiling/DynamicCallGraph.h"
 #include "support/Json.h"
@@ -25,10 +30,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cctype>
+#include <filesystem>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace cbs;
+namespace fs = std::filesystem;
 
 namespace {
 
@@ -102,32 +115,110 @@ BuiltReport buildReport(bool WithAOS, bool WithOSR, bool WithWarm = false,
   return Out;
 }
 
-/// Expects \p Text (json::writeText of the whole report) to show \p V
-/// at \p Path: a non-empty container titles its own section, and every
-/// scalar it holds directly or in a table row appears as its lexeme (a
-/// container in a table cell as its element count).
-void expectRendered(const std::string &Text, const std::string &Path,
-                    const json::JsonValue &V) {
-  auto Shown = [&Text](const json::JsonValue &Leaf) {
-    std::string Lexeme = Leaf.Str;
-    if (Leaf.isArray() || Leaf.isObject())
-      Lexeme = std::to_string(Leaf.Elements.size() + Leaf.Members.size());
-    else if (Leaf.K == json::JsonValue::Kind::Bool)
-      Lexeme = Leaf.BoolVal ? "true" : "false";
-    EXPECT_NE(Text.find(Lexeme), std::string::npos) << Lexeme;
-  };
-  if (!Path.empty() && (!V.Members.empty() || !V.Elements.empty())) {
-    EXPECT_NE(Text.find("\n" + Path + ":\n"), std::string::npos) << Path;
+/// The lexeme json::writeText prints for \p V: a scalar as the JSON
+/// document spells it (strings escaped but unquoted), a container as
+/// its element count.
+std::string lexemeOf(const json::JsonValue &V) {
+  switch (V.K) {
+  case json::JsonValue::Kind::Null:
+    return "null";
+  case json::JsonValue::Kind::Bool:
+    return V.BoolVal ? "true" : "false";
+  case json::JsonValue::Kind::Number:
+    return V.Str;
+  case json::JsonValue::Kind::String:
+    return json::escape(V.Str);
+  case json::JsonValue::Kind::Array:
+  case json::JsonValue::Kind::Object:
+    return std::to_string(V.Elements.size() + V.Members.size());
+  }
+  return {};
+}
+
+/// True if some line of \p Lines is a "key  lexeme" row: \p Key, then
+/// whitespace, then \p Lexeme, then nothing but whitespace.
+bool hasRow(const std::vector<std::string> &Lines, const std::string &Key,
+            const std::string &Lexeme) {
+  for (const std::string &Line : Lines) {
+    if (Line.compare(0, Key.size(), Key) != 0 || Line.size() == Key.size() ||
+        !std::isspace(static_cast<unsigned char>(Line[Key.size()])))
+      continue;
+    size_t Start = Line.find_first_not_of(" \t", Key.size());
+    size_t End = Line.find_last_not_of(" \t");
+    std::string Rest =
+        Start == std::string::npos ? "" : Line.substr(Start, End + 1 - Start);
+    if (Rest == Lexeme)
+      return true;
+  }
+  return false;
+}
+
+/// Expects \p Text (json::writeText of a whole document, split into
+/// \p Lines) to show \p V at \p Path: a non-empty container at a
+/// section path titles its own section (a "path:" line), every scalar
+/// member of an object sits on a "key  lexeme" row, and every cell of a
+/// table (an array's elements, or their members) appears as its lexeme.
+void expectRendered(const std::string &Text,
+                    const std::vector<std::string> &Lines,
+                    const std::string &Path, const json::JsonValue &V) {
+  if (V.Members.empty() && V.Elements.empty())
+    return;
+  if (!Path.empty()) {
+    EXPECT_NE(std::find(Lines.begin(), Lines.end(), Path + ":"), Lines.end())
+        << "section " << Path;
   }
   for (const auto &[Name, Member] : V.Members) {
-    if (Member.isObject() || Member.isArray())
-      expectRendered(Text, Path.empty() ? Name : Path + "." + Name, Member);
-    else
-      Shown(Member);
+    std::string MemberPath = Path.empty() ? Name : Path + "." + Name;
+    if (Member.isObject() || Member.isArray()) {
+      expectRendered(Text, Lines, MemberPath, Member);
+      continue;
+    }
+    EXPECT_TRUE(hasRow(Lines, Name, lexemeOf(Member)))
+        << "row " << MemberPath << " = " << lexemeOf(Member);
   }
-  for (const json::JsonValue &Row : V.Elements)
-    for (const auto &[Name, Cell] : Row.Members)
-      Shown(Cell);
+  for (const json::JsonValue &Element : V.Elements) {
+    std::vector<const json::JsonValue *> Cells;
+    if (Element.isObject())
+      for (const auto &[Name, Cell] : Element.Members)
+        Cells.push_back(&Cell);
+    else
+      Cells.push_back(&Element);
+    for (const json::JsonValue *Cell : Cells)
+      EXPECT_NE(Text.find(lexemeOf(*Cell)), std::string::npos)
+          << "cell of " << Path << ": " << lexemeOf(*Cell);
+  }
+}
+
+/// Expects json::writeText of the document \p Json to show every
+/// section and scalar of it (expectRendered).
+void expectTextShowsJson(const std::string &Json) {
+  json::JsonParseResult R = json::parseJson(Json);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  std::string Text = json::writeText(*R.Value);
+  std::vector<std::string> Lines;
+  std::istringstream In(Text);
+  for (std::string Line; std::getline(In, Line);)
+    Lines.push_back(Line);
+  expectRendered(Text, Lines, "", *R.Value);
+}
+
+/// The document `cbsvm <Command> <Args...>` prints, built through the
+/// CLI's own wiring (exp::parseRunSetup, exp::DriverRun): the metrics
+/// for `stats`, the self-observability report for `report`.
+std::string cliDocument(const std::string &Command,
+                           std::vector<std::string> Args) {
+  support::ArgParser Parser(std::move(Args));
+  exp::RunSetup S = exp::parseRunSetup(Parser);
+  std::optional<tel::FlightRecorder> Recorder;
+  if (Command == "report")
+    Recorder.emplace(exp::parseReportOptions(Parser, S));
+  Parser.finish();
+  if (Recorder)
+    S.Config.Recorder = &*Recorder;
+  exp::DriverRun Run(S);
+  EXPECT_EQ(Run.run(), vm::RunState::Finished);
+  return Command == "report" ? aos::buildReportJson(Run.reportInputs())
+                             : Run.vm().metrics().toJson();
 }
 
 } // namespace
@@ -285,5 +376,29 @@ TEST(ReportSchema, TextViewShowsEverySectionAndScalar) {
   for (const char *Section : {"aos", "osr", "repo"})
     ASSERT_NE(R.Doc.find(Section), nullptr) << Section;
   ASSERT_NE(R.Doc.find("aos")->find("warm"), nullptr);
-  expectRendered(json::writeText(R.Doc), "", R.Doc);
+  expectTextShowsJson(json::writeJson(R.Doc));
+}
+
+TEST(ReportSchema, StatsTextShowsEverySectionAndScalar) {
+  expectTextShowsJson(cliDocument("stats", {"jess", "--aos"}));
+}
+
+TEST(ReportSchema, WarmReportTextShowsEverySectionAndScalar) {
+  // A cold run seeds the repository, so the checked run is a warm
+  // start and its report has every section.
+  fs::path Repo = fs::path(testing::TempDir()) /
+                  ("report-text-" + std::to_string(getpid()));
+  fs::remove_all(Repo);
+  std::vector<std::string> Args = {"phased", "--aos", "--osr",
+                                   "--deopt-threshold", "60",
+                                   "--profile-repo", Repo.string()};
+  cliDocument("report", Args);
+  std::string Json = cliDocument("report", Args);
+  fs::remove_all(Repo);
+  json::JsonParseResult R = json::parseJson(Json);
+  ASSERT_TRUE(R.ok()) << R.Error;
+  for (const char *Section : {"aos", "osr", "repo"})
+    ASSERT_NE(R.Value->find(Section), nullptr) << Section;
+  ASSERT_NE(R.Value->find("aos")->find("warm"), nullptr);
+  expectTextShowsJson(Json);
 }

@@ -145,18 +145,18 @@ TEST(CodeCache, InstallRetiresButKeepsOldVersionsAlive) {
   EXPECT_EQ(Cache.active(0), nullptr);
   EXPECT_EQ(Cache.activeLevel(0), -1);
 
-  const vm::CompiledMethod *V0 =
+  vm::InstalledVersion *V0 =
       Cache.install(vm::CodeCache::compileBaseline(P, 0, 0, Costs));
   EXPECT_EQ(Cache.activeLevel(0), 0);
   Cache.pinFrame(V0); // a frame is executing V0
-  const vm::CompiledMethod *V2 =
+  vm::InstalledVersion *V2 =
       Cache.install(vm::CodeCache::compileBaseline(P, 0, 2, Costs));
   EXPECT_EQ(Cache.activeLevel(0), 2);
   EXPECT_NE(V0, V2);
   // The retired version's storage must still be readable: a pinning
   // frame keeps executing it until it returns or OSR-transfers off.
-  EXPECT_EQ(V0->Level, 0);
-  EXPECT_FALSE(V0->Code.empty());
+  EXPECT_EQ(V0->Body.Level, 0);
+  EXPECT_FALSE(V0->Body.Code.empty());
   EXPECT_EQ(Cache.numCompiles(), 2u);
   EXPECT_EQ(Cache.numRecompiles(), 1u);
 }
@@ -308,12 +308,10 @@ TEST(SampleBuffer, AccountingAtTheExactCapacityBoundary) {
 
 namespace {
 
-vm::CompiledMethod madeMethod(bc::MethodId Id,
-                              std::vector<bc::Instruction> Code) {
-  vm::CompiledMethod CM;
-  CM.Id = Id;
-  CM.Code = std::move(Code);
-  return CM;
+vm::InstalledVersion madeMethod(bc::MethodId Id,
+                                std::vector<bc::Instruction> Code) {
+  return vm::InstalledVersion(vm::CompiledMethod::build(
+      {.Id = Id, .Code = std::move(Code)}, vm::CostModel()));
 }
 
 } // namespace
@@ -324,7 +322,7 @@ TEST(StackWalker, EmptyStackHasNoEdgeAndNoPath) {
 }
 
 TEST(StackWalker, EntryFrameAloneYieldsNoEdge) {
-  vm::CompiledMethod Entry =
+  vm::InstalledVersion Entry =
       madeMethod(7, {bc::Instruction(bc::Opcode::Nop)});
   vm::Thread T;
   T.Frames.push_back({&Entry, 0, 0});
@@ -334,9 +332,9 @@ TEST(StackWalker, EntryFrameAloneYieldsNoEdge) {
 }
 
 TEST(StackWalker, TopEdgeReadsTheCallersSuspendedSite) {
-  vm::CompiledMethod Caller = madeMethod(
+  vm::InstalledVersion Caller = madeMethod(
       3, {bc::Instruction(bc::Opcode::InvokeStatic, 4, 0, /*Site=*/11)});
-  vm::CompiledMethod Callee =
+  vm::InstalledVersion Callee =
       madeMethod(4, {bc::Instruction(bc::Opcode::Nop)});
   vm::Thread T;
   T.Frames.push_back({&Caller, 0, 0});
@@ -351,9 +349,9 @@ TEST(StackWalker, TopEdgeReadsTheCallersSuspendedSite) {
 TEST(StackWalker, NonCallSuspensionYieldsNoEdge) {
   // A caller frame suspended at a non-call instruction (e.g. mid-walk
   // during a GC-point sample) must not fabricate an edge.
-  vm::CompiledMethod Caller =
+  vm::InstalledVersion Caller =
       madeMethod(3, {bc::Instruction(bc::Opcode::Nop)});
-  vm::CompiledMethod Callee =
+  vm::InstalledVersion Callee =
       madeMethod(4, {bc::Instruction(bc::Opcode::Nop)});
   vm::Thread T;
   T.Frames.push_back({&Caller, 0, 0});
