@@ -4,11 +4,12 @@
 //
 // Figure 5 companion: how the modelled background-compile latency
 // shifts *when* recompiled code installs without changing what the
-// steady-state measurement window sees. Sweeps CompileLatencyScale
-// over {0, 1, 4, 16, 64} on the Jikes personality with the new inliner
-// driven by chosen-CBS profiles, reporting the steady-state speedup
-// over no-profile inlining, the install count, the first install's
-// virtual cycle, and the mean enqueue-to-install wait.
+// steady-state measurement window sees. Sweeps the AOS's
+// CompileLatencyScale over {0, 1, 4, 16, 64} on the Jikes personality
+// with the new inliner driven by chosen-CBS profiles, reporting the
+// steady-state speedup over no-profile inlining, the install count,
+// the first install's virtual cycle, and the mean enqueue-to-install
+// wait.
 //
 // Expected shape: first-install cycle and mean wait grow monotonically
 // with the scale (the latency model is real), while the speedup at the
@@ -47,7 +48,7 @@ ScaleResult measureAtScale(const bc::Program &P, double Scale) {
   Options.Pers = vm::Personality::JikesRVM;
   Options.Oracle = &exp::newJikesOracle();
   Options.Prof = exp::chosenCBS(vm::Personality::JikesRVM);
-  Options.CompileLatencyScale = Scale;
+  Options.AOS.CompileLatencyScale = Scale;
   Options.Trace = &Sink;
 
   ScaleResult R;

@@ -120,11 +120,11 @@ ArmResult runArm(const bc::Program &P, Arm A, double LatencyScale,
                  uint64_t Seed) {
   exp::RunSpec Spec{.P = &P, .Config = phasedConfig(P, Seed)};
   if (A != Arm::Interp) {
-    Spec.Config.Costs.CompileLatencyScale = LatencyScale;
     Spec.Config.EnableOSR = A == Arm::Osr;
     // Isolate the mechanism under test: with same-level reoptimization
     // off, nothing but the deopt path can replace phase-A code.
     Spec.AOS.emplace();
+    Spec.AOS->CompileLatencyScale = LatencyScale;
     Spec.AOS->MaxReoptsPerMethod = 0;
     Spec.AOS->Deopt.Enabled = A != Arm::Stale;
     Spec.AOS->Deopt.DominanceThresholdPct = 40.0;

@@ -177,7 +177,6 @@ int main(int Argc, char **Argv) {
     Report.beginTable("whole_program_compile_cost",
                       {"Benchmark", "static Mcyc", "dynamic Mcyc",
                        "change %"});
-    vm::CostModel Costs;
     std::vector<double> Deltas;
     std::vector<std::pair<uint64_t, uint64_t>> CostPairs(Suite.size());
     exp::ParallelRunner Runner(Par);
@@ -198,8 +197,7 @@ int main(int Argc, char **Argv) {
           auto totalCompile = [&](const opt::InlinePlan &Plan) {
             uint64_t Total = 0;
             for (bc::MethodId M = 0; M != P.numMethods(); ++M)
-              Total += opt::compileMethod(P, M, 2, Plan, Costs)
-                           .CompileCostCycles;
+              Total += opt::compileMethod(P, M, 2, Plan).CompileCostCycles;
             return Total;
           };
           CostPairs[Ctx.Index] = {totalCompile(StaticPlan),

@@ -6,7 +6,8 @@
 #    the run features' assertions)
 #  - observability smoke: the CLI writes valid trace, metrics and stats
 #  - fuzz smoke: jobs 1 vs 8 (all oracles, then osr-stability over long
-#    loops), broken-oracle artifact replay
+#    loops), broken-oracle artifact replay, missing and unwritable
+#    artifacts exit 2
 #  - CLI determinism: warm start at baseline vs compile-jobs 4
 #  - bench text/JSON agreement (the fast bench binaries; the report
 #    and stats text views are checked in-process by ReportSchemaTest);
@@ -101,6 +102,18 @@ if [[ $STATUS -ne 2 ]] || grep -q "usage:" "$WORK/missing.err"; then
   exit 1
 fi
 echo "a missing artifact exits 2 with no usage line"
+
+# An artifact that cannot be written is a failed write, not a finding:
+# exit 2 naming the path, not the violation status 1.
+STATUS=0
+"$CBSVM" fuzz --runs 1 --seed 1 --broken-oracle --oracle broken \
+  --artifact-dir "$WORK/no-such-dir" >"$WORK/noart.out" 2>&1 || STATUS=$?
+if [[ $STATUS -ne 2 ]] || ! grep -q "cannot write" "$WORK/noart.out"; then
+  echo "unwritable artifact: exit $STATUS, output:" >&2
+  cat "$WORK/noart.out" >&2
+  exit 1
+fi
+echo "an unwritable artifact exits 2 and names the path"
 
 echo "== CLI determinism =="
 # DeterminismMatrixTest checks every row and axis in-process; this pair

@@ -8,6 +8,7 @@
 
 #include "telemetry/MetricRegistry.h"
 #include "telemetry/TraceSink.h"
+#include "vm/CostModel.h"
 
 #include <algorithm>
 #include <utility>
@@ -170,15 +171,19 @@ void AdaptiveSystem::onStartup(vm::VirtualMachine &VM) {
   std::sort(Hot.begin(), Hot.end(), [](const auto &L, const auto &R) {
     return L.first != R.first ? L.first > R.first : L.second < R.second;
   });
-  if (Hot.size() > Config.WarmStart.MaxMethods)
-    Hot.resize(Config.WarmStart.MaxMethods);
+  // At most this many hot methods are pre-enqueued, each at the top
+  // optimization level.
+  constexpr size_t MaxWarmMethods = 8;
+  constexpr int WarmLevel = 2;
+  if (Hot.size() > MaxWarmMethods)
+    Hot.resize(MaxWarmMethods);
 
   for (const auto &[Weight, Method] : Hot) {
     // Priority is the persisted weight: heavier history compiles first
     // when the queue has to choose.
     submitRequest(VM,
                   {.Method = Method,
-                   .Level = Config.WarmStart.Level,
+                   .Level = WarmLevel,
                    .Priority = static_cast<double>(Weight),
                    .Warm = true},
                   Plan);
@@ -192,8 +197,7 @@ uint64_t AdaptiveSystem::compileLatency(vm::VirtualMachine &VM,
                                         int Level) const {
   // Latency is modelled on the pre-inlining size known at enqueue time
   // (the decision point cannot see the post-inlining expansion).
-  const vm::CostModel &Costs = VM.config().Costs;
-  double L = Costs.CompileLatencyScale * Costs.CompileCostPerByte[Level] *
+  double L = Config.CompileLatencyScale * vm::cost::CompileCostPerByte[Level] *
              static_cast<double>(VM.program().method(Method).sizeBytes());
   return L <= 0 ? 0 : static_cast<uint64_t>(L);
 }
@@ -208,7 +212,7 @@ static double benefitRatio(vm::VirtualMachine &VM, bc::MethodId Method,
       static_cast<double>(VM.methodTickSamples()[Method]) *
       static_cast<double>(VM.config().TimerPeriodCycles);
   double CompileCost =
-      VM.config().Costs.CompileCostPerByte[Level] *
+      vm::cost::CompileCostPerByte[Level] *
       static_cast<double>(VM.program().method(Method).sizeBytes());
   return EstimatedRemaining / CompileCost;
 }
@@ -227,8 +231,8 @@ void AdaptiveSystem::submitRequest(
   // The job reads only the program and its own copies, never VM or AOS
   // state, so it may run on a worker.
   auto Compile = [&P = VM.program(), Method = R.Method, Level = R.Level,
-                  Plan = R.Plan, Costs = VM.config().Costs] {
-    return opt::compileMethod(P, Method, Level, *Plan, Costs);
+                  Plan = R.Plan] {
+    return opt::compileMethod(P, Method, Level, *Plan);
   };
   R.Pending = Pool.submit(std::move(Compile));
   if (tel::TraceSink *Sink = VM.traceSink())
@@ -461,16 +465,20 @@ void AdaptiveSystem::onTimerTick(vm::VirtualMachine &VM, bc::MethodId Top) {
   publishMetrics(VM);
 }
 
-void AOSOptionGroup::parse(support::ArgParser &Args) {
-  UseAOS = Args.flag("--aos");
+void AOSOptionGroup::parse(support::ArgParser &Args,
+                           const vm::VMConfig &VMC) {
+  // --osr only does anything when versions actually get replaced, so
+  // it implies --aos too.
+  UseAOS = Args.flag("--aos") || VMC.EnableOSR;
   uint64_t CompileJobs = Args.optionUInt("--compile-jobs", 0, 0, 64);
   if (CompileJobs > 0) {
     Config.CompileJobs = static_cast<uint32_t>(CompileJobs);
     UseAOS = true;
   }
-  LatencyScale = Args.optionDouble("--compile-latency-scale", -1.0, 0.0, 1e9);
-  if (LatencyScale >= 0.0)
+  if (Args.present("--compile-latency-scale"))
     UseAOS = true;
+  Config.CompileLatencyScale = Args.optionDouble(
+      "--compile-latency-scale", Config.CompileLatencyScale, 0.0, 1e9);
   // Deoptimization: either option switches guard policing on (and
   // implies --aos). Plain --aos keeps deopt off, so pre-deopt runs stay
   // byte-identical.
@@ -489,11 +497,3 @@ void AOSOptionGroup::parse(support::ArgParser &Args) {
   }
 }
 
-void AOSOptionGroup::finalize(vm::VMConfig &VMC) {
-  if (LatencyScale >= 0.0)
-    VMC.Costs.CompileLatencyScale = LatencyScale;
-  // --osr was consumed by VMConfig::fromArgs; it only does anything
-  // when versions actually get replaced, so it implies --aos too.
-  if (VMC.EnableOSR)
-    UseAOS = true;
-}

@@ -72,6 +72,13 @@ struct AOSConfig {
   /// with the first compiles. Either way installs happen at the same
   /// virtual-time points and runs are byte-identical.
   uint32_t CompileJobs = 0;
+  /// Scales the modelled *latency* of a background compilation: a
+  /// request enqueued at cycle E may install no earlier than
+  /// E + Scale × cost::CompileCostPerByte[level] × sizeBytes. 0 means
+  /// compiles install at the first taken yieldpoint after the
+  /// decision; larger values model a slower (or more contended)
+  /// compile thread consuming an ever-staler plan.
+  double CompileLatencyScale = 1.0;
   /// Speculation-guard policing (off by default — enabling it changes
   /// when plans are snapshotted, so it is a distinct configuration).
   DeoptConfig Deopt;
@@ -83,10 +90,6 @@ struct AOSConfig {
     /// this after the repository verified the program hash and
     /// personality.
     std::shared_ptr<const prof::DCGSnapshot> Profile;
-    /// At most this many hot methods are pre-enqueued at startup.
-    uint32_t MaxMethods = 8;
-    /// Optimization level the warm compiles target.
-    int Level = 2;
   };
   WarmStartConfig WarmStart;
 };
@@ -210,27 +213,15 @@ private:
 /// The cbsvm AOS option group: --aos, --compile-jobs,
 /// --compile-latency-scale, --deopt-threshold, --max-deopts. Options
 /// that only make sense with the adaptive system imply it, so
-/// "--compile-jobs 4" alone does the expected thing; finalize() applies
-/// the cross-cutting implications onto the VM config once
-/// VMConfig::fromArgs has parsed it.
+/// "--compile-jobs 4" alone does the expected thing.
 class AOSOptionGroup {
 public:
-  /// --aos, or any option above that implies it (or EnableOSR, applied
-  /// in finalize()).
+  /// --aos, or any option above that implies it, or \p VMC's
+  /// EnableOSR (--osr, parsed by VMConfig::fromArgs).
   bool UseAOS = false;
   AOSConfig Config;
 
-  void parse(support::ArgParser &Args);
-
-  /// Applies --compile-latency-scale onto \p VMC's cost model and lets
-  /// VMConfig::EnableOSR (parsed by VMConfig::fromArgs) imply --aos.
-  void finalize(vm::VMConfig &VMC);
-
-private:
-  /// Sentinel default: the option is range-checked only when present,
-  /// so -1 distinguishes "absent" from an explicit 0 (install at the
-  /// first taken yieldpoint).
-  double LatencyScale = -1.0;
+  void parse(support::ArgParser &Args, const vm::VMConfig &VMC);
 };
 
 } // namespace cbs::aos

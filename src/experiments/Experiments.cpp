@@ -37,7 +37,7 @@ void exp::applyJitOnly(const bc::Program &P, vm::VMConfig &Config) {
   // remain").
   auto Plan = std::make_shared<opt::InlinePlan>(
       opt::TrivialOracle().plan(P, prof::DCGSnapshot()));
-  Config.CompileHook = opt::makeCompileHook(std::move(Plan), Config.Costs);
+  Config.CompileHook = opt::makeCompileHook(std::move(Plan));
 }
 
 vm::VMConfig exp::jitOnlyConfig(const bc::Program &P, vm::Personality Pers,
@@ -238,7 +238,6 @@ ThroughputResult exp::measureThroughput(const bc::Program &P,
   Spec.Config.Profiler = Options.Prof;
   Spec.Config.MaxCycles = UINT64_MAX;
   Spec.Config.Trace = Options.Trace;
-  Spec.Config.Costs.CompileLatencyScale = Options.CompileLatencyScale;
   Run R(std::move(Spec));
   vm::VirtualMachine &VM = R.vm();
 

@@ -123,10 +123,6 @@ struct SpeedupOptions {
   /// only (no profile-directed inlining).
   const opt::InlineOracle *Oracle = nullptr;
   aos::AOSConfig AOS;
-  /// Scales the modelled background-compile latency (CostModel::
-  /// CompileLatencyScale): 0 installs at the first taken yieldpoint
-  /// after the promotion decision.
-  double CompileLatencyScale = 1.0;
   uint64_t WarmupCycles = 24'000'000;
   uint64_t MeasureCycles = 24'000'000;
   uint64_t Seed = 1;

@@ -42,14 +42,13 @@ RunSetup parseRunSetup(support::ArgParser &Args) {
   // is declared here once for every subcommand.
   S.Config = vm::VMConfig::fromArgs(Args);
   aos::AOSOptionGroup AOSOpts;
-  AOSOpts.parse(Args);
+  AOSOpts.parse(Args, S.Config);
   S.RepoDir = Args.option("--profile-repo", "");
 
   S.P = W ? W->Build(S.Size, S.Config.Seed)
           : wl::buildPhased(S.Size, S.Config.Seed);
   applyJitOnly(S.P, S.Config);
 
-  AOSOpts.finalize(S.Config);
   // Warm start is an AOS feature, so the repository implies --aos.
   if (AOSOpts.UseAOS || !S.RepoDir.empty())
     S.AOS = AOSOpts.Config;
@@ -88,25 +87,6 @@ DriverRun::DriverRun(RunSetup &S) : S(S) {
     else if (Load.Rejected)
       std::fprintf(stderr, "cbsvm: profile-repo: %s\n",
                    Load.Diagnostic.c_str());
-    S.Config.OnShutdown = [this](vm::VirtualMachine &VM) {
-      // Commit only a cleanly finished run: a trapped/halted/limited
-      // run's profile is partial evidence of a program that didn't
-      // complete, and persisting it would poison later warm starts.
-      if (VM.state() == vm::RunState::Finished) {
-        Commit = Repo->commit(Key, VM.profile(), VM.cycles());
-        if (!Commit.Error.empty())
-          std::fprintf(stderr, "cbsvm: profile-repo: %s\n",
-                       Commit.Error.c_str());
-      }
-      // Registered at shutdown so every metrics surface (--metrics-json,
-      // stats --json) reports the repository interaction.
-      aos::RepoReport R = repoReport();
-      tel::MetricRegistry &Metrics = VM.metricsRegistry();
-      Metrics.gauge("repo.loaded") = R.Loaded;
-      Metrics.gauge("repo.rejected") = R.Rejected;
-      Metrics.gauge("repo.runs") = R.Runs;
-      Metrics.gauge("repo.committed") = R.Committed;
-    };
   }
   R.emplace(RunSpec{.P = &S.P, .Config = S.Config, .AOS = S.AOS});
 }
@@ -124,7 +104,30 @@ aos::RepoReport DriverRun::repoReport() const {
 }
 
 vm::RunState DriverRun::run() {
+  // Unbounded, so the run has ended: the VM and its profile are still
+  // fully alive for the repository commit.
   State = R->run();
+  if (Repo) {
+    vm::VirtualMachine &VM = R->vm();
+    // Commit only a cleanly finished run: a trapped/halted/limited
+    // run's profile is partial evidence of a program that didn't
+    // complete, and persisting it would poison later warm starts.
+    if (State == vm::RunState::Finished) {
+      Commit = Repo->commit(Key, VM.profile(), VM.cycles());
+      if (!Commit.Error.empty())
+        std::fprintf(stderr, "cbsvm: profile-repo: %s\n",
+                     Commit.Error.c_str());
+    }
+    // Registered before the recorder's dump so every metrics surface
+    // (--metrics-json, stats --json) reports the repository
+    // interaction.
+    aos::RepoReport Report = repoReport();
+    tel::MetricRegistry &Metrics = VM.metricsRegistry();
+    Metrics.gauge("repo.loaded") = Report.Loaded;
+    Metrics.gauge("repo.rejected") = Report.Rejected;
+    Metrics.gauge("repo.runs") = Report.Runs;
+    Metrics.gauge("repo.committed") = Report.Committed;
+  }
   if (S.Config.Recorder)
     S.Config.Recorder->requestDump("end_of_run", R->vm().cycles());
   return State;

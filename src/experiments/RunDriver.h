@@ -62,11 +62,10 @@ tel::FlightRecorderConfig parseReportOptions(support::ArgParser &Args,
 
 /// One run of \p S wired as the driver wires it. Construction loads the
 /// repository entry (warm-starting the AOS on a hit, printing the
-/// diagnostic on a rejection), plants the shutdown hook that commits a
-/// finished run's profile and publishes the repo.* gauges, and builds
-/// the exp::Run. \p S must outlive the run. A flight recorder set in
-/// S.Config.Recorder before construction is dumped at the end of run()
-/// and feeds the report.
+/// diagnostic on a rejection) and builds the exp::Run; run() commits a
+/// finished run's profile and publishes the repo.* gauges. \p S must
+/// outlive the run. A flight recorder set in S.Config.Recorder before
+/// construction is dumped at the end of run() and feeds the report.
 class DriverRun {
 public:
   explicit DriverRun(RunSetup &S);

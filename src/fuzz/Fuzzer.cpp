@@ -148,8 +148,10 @@ FuzzReport fuzz::runFuzz(const FuzzOptions &Options,
           V.ArtifactPath = Path;
           if (Metrics)
             Metrics->counter("fuzz.artifacts_written") += 1;
-        } else if (Log) {
-          *Log << "fuzz: cannot write artifact " << Path << "\n";
+        } else {
+          if (Log)
+            *Log << "fuzz: cannot write artifact " << Path << "\n";
+          Report.UnwrittenArtifacts.push_back(Path);
         }
       }
       if (Log) {

@@ -61,7 +61,7 @@ struct Violation {
   /// The replayable artifact document.
   std::string ArtifactJson;
   /// Where the artifact was written ("" when ArtifactDir is unset or
-  /// the write failed — see Report::Log).
+  /// the write failed — see FuzzReport::UnwrittenArtifacts).
   std::string ArtifactPath;
   /// Reduction statistics (Original == Reduced when reduction is off
   /// or nothing could be removed).
@@ -74,6 +74,8 @@ struct FuzzReport {
   unsigned Runs = 0;
   unsigned OracleChecks = 0;
   std::vector<Violation> Violations;
+  /// Artifact files that could not be written, in commit order.
+  std::vector<std::string> UnwrittenArtifacts;
 
   bool clean() const { return Violations.empty(); }
 };

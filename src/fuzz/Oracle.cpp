@@ -102,8 +102,9 @@ vm::VMConfig cbsConfig(uint64_t Seed) {
   return Config;
 }
 
-/// The VM side of every AosStabilityOracle row.
-vm::VMConfig adaptiveConfig(uint64_t Seed, double LatencyScale, bool OSR) {
+/// The VM side of every AosStabilityOracle row (the row's latency is
+/// its AOSConfig's).
+vm::VMConfig adaptiveConfig(uint64_t Seed, bool OSR) {
   vm::VMConfig Config = plainConfig(Seed);
   Config.Profiler.Kind = vm::ProfilerKind::CBS;
   Config.Profiler.CBS.Stride = 2;
@@ -111,7 +112,6 @@ vm::VMConfig adaptiveConfig(uint64_t Seed, double LatencyScale, bool OSR) {
   // Generated programs are small: tick fast enough that promotions
   // (and thus installs) actually happen.
   Config.TimerPeriodCycles = 2'000;
-  Config.Costs.CompileLatencyScale = LatencyScale;
   Config.EnableOSR = OSR;
   return Config;
 }
@@ -158,11 +158,11 @@ const RunResult &ProgramRuns::cbs(unsigned Offset) {
 const RunResult &ProgramRuns::adaptive(double LatencyScale, bool OSR) {
   std::pair Key(LatencyScale, OSR);
   auto It = Adaptive.find(Key);
-  if (It == Adaptive.end())
-    It = Adaptive
-             .emplace(Key, run(adaptiveConfig(Seed, LatencyScale, OSR),
-                               aos::AOSConfig()))
-             .first;
+  if (It == Adaptive.end()) {
+    aos::AOSConfig AC;
+    AC.CompileLatencyScale = LatencyScale;
+    It = Adaptive.emplace(Key, run(adaptiveConfig(Seed, OSR), AC)).first;
+  }
   return It->second;
 }
 
@@ -218,7 +218,7 @@ public:
         exp::newJikesOracle().plan(In.P, Runs.exhaustive().Profile));
     vm::VMConfig Pgo = plainConfig(In.Seed);
     Pgo.Profiler.Kind = vm::ProfilerKind::CBS;
-    Pgo.CompileHook = opt::makeCompileHook(std::move(Plan), Pgo.Costs);
+    Pgo.CompileHook = opt::makeCompileHook(std::move(Plan));
     if (std::string D = compareRuns("unoptimized", Base, "profile-inlined",
                                     Runs.run(Pgo));
         !D.empty())
@@ -432,7 +432,7 @@ struct AosRow {
   /// Forced invalidation storm: every version the AOS installs is
   /// invalidated at the very next taken yieldpoint, forever.
   bool Storm = false;
-  /// Warm start from the profile of one cold AOSConfig() run.
+  /// Warm start from the profile of one cold run at the row's latency.
   bool Warm = false;
   /// Also run at compile-jobs 2 and require a byte-identical run.
   bool CheckJobs = false;
@@ -464,9 +464,9 @@ public:
       return "";
 
     for (const AosRow &Row : Rows) {
-      vm::VMConfig Config =
-          adaptiveConfig(In.Seed, Row.LatencyScale, Row.OSR);
+      vm::VMConfig Config = adaptiveConfig(In.Seed, Row.OSR);
       aos::AOSConfig AC;
+      AC.CompileLatencyScale = Row.LatencyScale;
       if (Row.Storm) {
         AC.Deopt.Enabled = true;
         AC.Deopt.ForceStormForTesting = true;

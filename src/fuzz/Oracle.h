@@ -52,11 +52,12 @@
 ///  - async-compile-stability, deopt-storm-stability, osr-stability,
 ///    warm-start-stability: one table-driven AOS stability oracle each.
 ///    Every row of an oracle's table is one adaptive configuration
-///    (compile latency scale, OSR on/off, forced invalidation storm,
-///    warm start from a cold run's profile), run at --compile-jobs 0
-///    and compared against the no-AOS baseline's output and heap; rows
-///    marked for it also run at --compile-jobs 2 and must be
-///    byte-identical down to the sample count and serialized profile.
+///    (the AOSConfig's compile latency scale, OSR on/off, forced
+///    invalidation storm, warm start from a cold run's profile), run at
+///    --compile-jobs 0 and compared against the no-AOS baseline's
+///    output and heap; rows marked for it also run at --compile-jobs 2
+///    and must be byte-identical down to the sample count and
+///    serialized profile.
 ///    Each reads baseline(); a row with neither storm nor warm start
 ///    reads adaptive() as its compile-jobs-0 run, and a warm row's cold
 ///    run is adaptive() at the row's latency and OSR setting.
@@ -121,9 +122,9 @@ public:
   /// CBS at 64 samples per tick and a 2000-cycle timer, seeded with
   /// Seed + \p Offset.
   const RunResult &cbs(unsigned Offset);
-  /// The AOS with a default AOSConfig (compile-jobs 0) over CBS at
-  /// stride 2, 4 samples per tick and a 2000-cycle timer, at
-  /// \p LatencyScale and with OSR on or off.
+  /// The AOS with a default AOSConfig (compile-jobs 0) whose
+  /// CompileLatencyScale is \p LatencyScale, over CBS at stride 2, 4
+  /// samples per tick and a 2000-cycle timer, with OSR on or off.
   const RunResult &adaptive(double LatencyScale, bool OSR);
 
   /// An unshared run of \p Config, with the AOS attached when \p AOS

@@ -15,8 +15,7 @@ using namespace cbs;
 using namespace cbs::opt;
 
 vm::CompiledMethod opt::compileMethod(const bc::Program &P, bc::MethodId Id,
-                                      int Level, const InlinePlan &Plan,
-                                      const vm::CostModel &Costs) {
+                                      int Level, const InlinePlan &Plan) {
   InlineResult Inlined = inlineMethod(P, Id, Plan);
 
   // Compile cost is charged on the *post-inlining, pre-optimization*
@@ -69,15 +68,13 @@ vm::CompiledMethod opt::compileMethod(const bc::Program &P, bc::MethodId Id,
                                     .Guards = std::move(Inlined.Speculations),
                                     .InlinedBodies = Inlined.InlinedBodies,
                                     .PlanGeneration = Plan.Generation,
-                                    .ProfileEpoch = Plan.ProfileEpoch},
-                                   Costs);
+                                    .ProfileEpoch = Plan.ProfileEpoch});
 }
 
 std::function<vm::CompiledMethod(const bc::Program &, bc::MethodId, int)>
-opt::makeCompileHook(std::shared_ptr<const InlinePlan> Plan,
-                     vm::CostModel Costs) {
-  return [Plan = std::move(Plan), Costs](const bc::Program &P, bc::MethodId Id,
-                                         int Level) -> vm::CompiledMethod {
-    return compileMethod(P, Id, Level, *Plan, Costs);
+opt::makeCompileHook(std::shared_ptr<const InlinePlan> Plan) {
+  return [Plan = std::move(Plan)](const bc::Program &P, bc::MethodId Id,
+                                  int Level) -> vm::CompiledMethod {
+    return compileMethod(P, Id, Level, *Plan);
   };
 }

@@ -20,7 +20,6 @@
 #include "opt/InlinePlan.h"
 #include "opt/Inliner.h"
 #include "vm/CompiledMethod.h"
-#include "vm/CostModel.h"
 
 #include <functional>
 #include <memory>
@@ -29,15 +28,14 @@ namespace cbs::opt {
 
 /// Compiles \p Id at \p Level under \p Plan.
 vm::CompiledMethod compileMethod(const bc::Program &P, bc::MethodId Id,
-                                 int Level, const InlinePlan &Plan,
-                                 const vm::CostModel &Costs);
+                                 int Level, const InlinePlan &Plan);
 
 /// Builds a VMConfig::CompileHook that compiles every method through
 /// this pipeline with a fixed (shared) plan — the "JIT only" setup of
 /// the accuracy experiments, where \p Plan is typically the
 /// TrivialOracle's.
 std::function<vm::CompiledMethod(const bc::Program &, bc::MethodId, int)>
-makeCompileHook(std::shared_ptr<const InlinePlan> Plan, vm::CostModel Costs);
+makeCompileHook(std::shared_ptr<const InlinePlan> Plan);
 
 } // namespace cbs::opt
 

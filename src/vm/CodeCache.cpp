@@ -8,6 +8,7 @@
 
 #include "bytecode/Program.h"
 #include "support/ErrorHandling.h"
+#include "vm/CostModel.h"
 
 #include <cassert>
 #include <cmath>
@@ -79,8 +80,7 @@ bool CodeCache::reclaimIfUnpinned(const InstalledVersion *V) {
 }
 
 CompiledMethod CodeCache::compileBaseline(const bc::Program &P,
-                                          bc::MethodId Id, int Level,
-                                          const CostModel &Costs) {
+                                          bc::MethodId Id, int Level) {
   const bc::Method &M = P.method(Id);
   // The identity translation keeps every loop header where it was, so
   // its OSR table is the identity map over the method's headers.
@@ -92,21 +92,20 @@ CompiledMethod CodeCache::compileBaseline(const bc::Program &P,
                                 .NumLocals = M.NumLocals,
                                 .Code = M.Code,
                                 .ChargedBytes = M.sizeBytes(),
-                                .OsrPoints = std::move(Osr)},
-                               Costs);
+                                .OsrPoints = std::move(Osr)});
 }
 
-CompiledMethod CompiledMethod::build(Parts In, const CostModel &Costs) {
+CompiledMethod CompiledMethod::build(Parts In) {
   assert(In.Level >= 0 && In.Level <= 2 && "optimization level out of range");
   CompiledMethod CM;
   CM.Id = In.Id;
   CM.Level = static_cast<uint8_t>(In.Level);
   CM.ScaleQ8 =
-      static_cast<uint16_t>(std::lround(Costs.LevelScale[In.Level] * 256.0));
+      static_cast<uint16_t>(std::lround(cost::LevelScale[In.Level] * 256.0));
   CM.NumLocals = In.NumLocals;
   CM.Code = std::move(In.Code);
   CM.CompileCostCycles = static_cast<uint64_t>(
-      std::llround(Costs.CompileCostPerByte[In.Level] *
+      std::llround(cost::CompileCostPerByte[In.Level] *
                    static_cast<double>(In.ChargedBytes)));
   CM.InlinedBodies = In.InlinedBodies;
   CM.Guards = std::move(In.Guards);

@@ -43,7 +43,6 @@
 #define CBSVM_VM_CODECACHE_H
 
 #include "vm/CompiledMethod.h"
-#include "vm/CostModel.h"
 
 #include <cassert>
 #include <memory>
@@ -109,7 +108,7 @@ public:
   /// Straight level-\p Level translation of the original bytecode with
   /// no inlining: the default compile path when no compile hook is set.
   static CompiledMethod compileBaseline(const bc::Program &P, bc::MethodId Id,
-                                        int Level, const CostModel &Costs);
+                                        int Level);
 
   uint64_t totalCompileCycles() const { return CompileCycles; }
   uint64_t numCompiles() const { return Compiles; }

@@ -28,7 +28,6 @@
 #define CBSVM_VM_COMPILEDMETHOD_H
 
 #include "bytecode/Instruction.h"
-#include "vm/CostModel.h"
 
 #include <algorithm>
 #include <cstdint>
@@ -73,7 +72,7 @@ struct PcCost {
 
 struct CompiledMethod {
   /// What a compile path decides about a body; build() derives the
-  /// rest from the level and the cost model.
+  /// rest from the level and the cost table (vm/CostModel.h).
   struct Parts {
     bc::MethodId Id = bc::InvalidMethodId;
     int Level = 0;
@@ -91,8 +90,9 @@ struct CompiledMethod {
   };
 
   /// Makes the body of \p In: sets the level's ScaleQ8 and compile
-  /// cost from \p Costs and bakes both per-PC cost tables.
-  static CompiledMethod build(Parts In, const CostModel &Costs);
+  /// cost from cost::LevelScale and cost::CompileCostPerByte and bakes
+  /// both per-PC cost tables.
+  static CompiledMethod build(Parts In);
 
   bc::MethodId Id = bc::InvalidMethodId;
   /// Optimization level 0..2.

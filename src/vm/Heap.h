@@ -8,7 +8,7 @@
 /// A bump-allocated object heap. References are 1-based indices (0 is
 /// null). Fields hold 64-bit integers; the verifier enforces that only
 /// int values flow through Get/PutField. Collection is modelled as a
-/// pause cost only (the runtime services charge CostModel::GCPause when
+/// pause cost only (the runtime services charge cost::GCPause when
 /// the allocation threshold trips); storage is reclaimed wholesale via
 /// reset() between benchmark iterations where workloads opt in.
 ///

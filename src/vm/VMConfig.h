@@ -8,19 +8,18 @@
 /// All knobs of a VM run. A run is a pure function of
 /// (program, VMConfig): the config carries the personality (which of
 /// the paper's two implementations is being modelled), the profiler and
-/// its parameters, the cost model, and the seed.
+/// its parameters, and the seed. What each modelled event costs is the
+/// fixed table in vm/CostModel.h, not a setting.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CBSVM_VM_VMCONFIG_H
 #define CBSVM_VM_VMCONFIG_H
 
-#include "profiling/CodePatchingProfiler.h"
 #include "profiling/CounterBasedSampler.h"
 #include "profiling/QualityMonitor.h"
 #include "support/ArgParser.h"
 #include "vm/CompiledMethod.h"
-#include "vm/CostModel.h"
 
 #include <cstdint>
 #include <functional>
@@ -35,8 +34,6 @@ class TraceSink;
 }
 
 namespace cbs::vm {
-
-class VirtualMachine;
 
 /// Which of the paper's two VM implementations to model (§5).
 enum class Personality : uint8_t {
@@ -60,12 +57,11 @@ enum class ProfilerKind : uint8_t {
 struct ProfilerOptions {
   ProfilerKind Kind = ProfilerKind::None;
   prof::CBSParams CBS;
-  prof::CodePatchingParams Patching;
   /// Code-patching promotion trigger: a method is "optimized" (and thus
   /// instrumented) after this many invocations, standing in for the IBM
   /// DK's recompilation threshold in JIT-only accuracy runs.
   uint64_t PromoteAfterInvocations = 1000;
-  /// Charge CostModel::ExhaustiveCounter per call in Exhaustive mode.
+  /// Charge cost::ExhaustiveCounter per call in Exhaustive mode.
   bool ChargeExhaustiveCounters = true;
 
   /// §8 generalization: also run a CounterBasedSampler over
@@ -98,7 +94,6 @@ struct ProfilerOptions {
 struct VMConfig {
   Personality Pers = Personality::JikesRVM;
   ProfilerOptions Profiler;
-  CostModel Costs;
 
   /// Virtual timer period. The default of 200k cycles is the calibrated
   /// analogue of the 10 ms tick on the paper's 2.8 GHz hardware (see
@@ -125,7 +120,7 @@ struct VMConfig {
   int JITLevel = 0;
 
   /// Ablation (§4): model a VM without an overloadable prologue check by
-  /// charging CostModel::ExplicitEntryCheck on every method entry.
+  /// charging cost::ExplicitEntryCheck on every method entry.
   bool ExplicitEntryCheck = false;
 
   /// On-stack replacement at taken backedge yieldpoints: a frame whose
@@ -133,7 +128,7 @@ struct VMConfig {
   /// loop header both versions kept (promotion OSR), and a
   /// Frame::Deopted frame transfers to a fresh baseline instead of
   /// limping on its pinned invalidated code (deopt OSR). Each transfer
-  /// charges CostModel::OsrCost. Off by default: the no-OSR trajectory
+  /// charges cost::OsrCost. Off by default: the no-OSR trajectory
   /// is byte-identical to previous releases, matching the paper's VMs,
   /// which never replace already-active frames. All OSR decisions
   /// happen on the VM thread in virtual time, so runs stay
@@ -162,14 +157,6 @@ struct VMConfig {
   /// translations. Receives (program, method, level).
   std::function<CompiledMethod(const bc::Program &, bc::MethodId, int)>
       CompileHook;
-
-  /// Called once, from inside run(), when the run first reaches a
-  /// terminal state (Finished / Halted / Trapped / CycleLimit) — the
-  /// profile-persistence hook: the VM and its profile are still fully
-  /// alive, so a driver can snapshot and commit to a ProfileRepository
-  /// here without keeping the VM around. Not called when a bounded
-  /// run() merely exhausts its cycle budget (the run is resumable).
-  std::function<void(VirtualMachine &)> OnShutdown;
 
   /// The validated builder every command-line surface shares: parses
   /// the common VM options (--personality, --seed, --profiler and its

@@ -8,6 +8,7 @@
 
 #include "telemetry/FlightRecorder.h"
 #include "telemetry/TraceSink.h"
+#include "vm/CostModel.h"
 
 #include <cassert>
 #include <sstream>
@@ -66,8 +67,7 @@ VirtualMachine::VirtualMachine(const bc::Program &P, VMConfig Config)
       Cache(P), RNG(this->Config.Seed),
       InvocationCounts(P.numMethods(), 0), TickSamples(P.numMethods(), 0) {
   if (this->Config.Profiler.Kind == ProfilerKind::CodePatching)
-    Patching = std::make_unique<prof::CodePatchingProfiler>(
-        P.numMethods(), this->Config.Profiler.Patching);
+    Patching = std::make_unique<prof::CodePatchingProfiler>(P.numMethods());
   // A recorder with no separate trace sink doubles as the sink, so it
   // retains the regular event stream around each anomaly.
   if (Recorder && !Trace)
@@ -111,21 +111,11 @@ Thread &VirtualMachine::spawnThread(bc::MethodId Entry) {
 InstalledVersion *VirtualMachine::ensureCompiled(bc::MethodId Id) {
   if (InstalledVersion *V = Cache.activeVersion(Id))
     return V;
-  uint32_t Thr = Threads.empty() ? 0 : Threads[Current]->Id;
-  if (Trace)
-    Trace->event(tel::TraceEvent::compileStart(
-        Stats.Cycles, Thr, Id, static_cast<uint32_t>(Config.JITLevel)));
-  CompiledMethod CM =
-      Config.CompileHook
-          ? Config.CompileHook(P, Id, Config.JITLevel)
-          : CodeCache::compileBaseline(P, Id, Config.JITLevel, Config.Costs);
+  CompiledMethod CM = Config.CompileHook
+                          ? Config.CompileHook(P, Id, Config.JITLevel)
+                          : CodeCache::compileBaseline(P, Id, Config.JITLevel);
   assert(CM.Id == Id && "compile hook returned code for the wrong method");
-  Stats.CompileCycles += CM.CompileCostCycles;
-  CompileCostCycles.record(CM.CompileCostCycles);
-  if (Trace)
-    Trace->event(tel::TraceEvent::compileFinish(
-        Stats.Cycles, Thr, Id, CM.Level, CM.CompileCostCycles));
-  return Cache.install(std::move(CM));
+  return installCompiled(std::move(CM));
 }
 
 bool VirtualMachine::deoptimize(bc::MethodId Id) {
@@ -159,7 +149,7 @@ void VirtualMachine::reconcileDeoptFrames(Thread &T) {
     ++Stats.FramesDeopted;
     // Frame-state reconstruction for the baseline fallback: a base
     // runtime service, not profiling work.
-    Stats.Cycles += Config.Costs.DeoptCost;
+    Stats.Cycles += cost::DeoptCost;
   }
 }
 
@@ -209,7 +199,7 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
   F.Costs = To->Body.CostTable.data();
 
   // Frame-state extraction + rebuild for the other version's code.
-  Stats.Cycles += Config.Costs.OsrCost;
+  Stats.Cycles += cost::OsrCost;
   if (DeoptExit)
     ++Stats.OsrExits;
   else
@@ -220,9 +210,11 @@ void VirtualMachine::maybeOSR(Thread &T, uint32_t BackedgeTarget) {
                                       DeoptExit ? 2 : 1));
 }
 
-void VirtualMachine::installCompiled(CompiledMethod CM) {
+InstalledVersion *VirtualMachine::installCompiled(CompiledMethod CM) {
   Stats.CompileCycles += CM.CompileCostCycles;
   CompileCostCycles.record(CM.CompileCostCycles);
+  // No virtual time passes during a compile, so the start and finish
+  // events share the install's cycle.
   if (Trace) {
     uint32_t Thr = Threads.empty() ? 0 : Threads[Current]->Id;
     Trace->event(tel::TraceEvent::compileStart(Stats.Cycles, Thr, CM.Id,
@@ -231,7 +223,7 @@ void VirtualMachine::installCompiled(CompiledMethod CM) {
                                                 CM.Level,
                                                 CM.CompileCostCycles));
   }
-  Cache.install(std::move(CM));
+  return Cache.install(std::move(CM));
 }
 
 size_t VirtualMachine::countRunnable() const {
@@ -291,7 +283,7 @@ void VirtualMachine::fireTimer() {
     }
   }
   ++Stats.TimerTicks;
-  Stats.Cycles += Config.Costs.TimerInterrupt;
+  Stats.Cycles += cost::TimerInterrupt;
 
   // Organizer activation: drain every listener buffer into the shared
   // repository (one batch per thread per activation, not per sample).
@@ -335,8 +327,7 @@ void VirtualMachine::closeQualityWindow() {
   flushAllBuffers();
   prof::DCGSnapshot Snap = DCG.snapshot();
   if (ChargedProfiling)
-    chargeProf(static_cast<uint32_t>(Config.Costs.SnapshotPerEdge *
-                                     Snap.numEdges()),
+    chargeProf(static_cast<uint32_t>(cost::SnapshotPerEdge * Snap.numEdges()),
                Stats.OvSnapshot);
   const prof::QualityWindow &W =
       Quality->onWindow(Snap, Stats.TimerTicks, Stats.Cycles);
@@ -383,7 +374,7 @@ void VirtualMachine::maybeSwitch() {
       flushThreadBuffer(*Threads[Current]);
       Current = Next;
       ++Stats.ThreadSwitches;
-      Stats.Cycles += Config.Costs.ThreadSwitch;
+      Stats.Cycles += cost::ThreadSwitch;
       if (Trace)
         Trace->event(tel::TraceEvent::threadSwitch(Stats.Cycles, From,
                                                    Threads[Next]->Id));
@@ -395,7 +386,7 @@ void VirtualMachine::maybeSwitch() {
 void VirtualMachine::recordEdgeSample(Thread &T) {
   ++Stats.SamplesTaken;
   SampleStackDepth.record(T.Frames.size());
-  chargeProf(Config.Costs.StackSampleBase, Stats.OvStackWalk);
+  chargeProf(cost::StackSampleBase, Stats.OvStackWalk);
   std::optional<prof::CallEdge> Edge = T.topEdge();
   if (Trace)
     Trace->event(tel::TraceEvent::sample(
@@ -439,7 +430,7 @@ void VirtualMachine::processTaken(Thread &T, Where W,
   if (GCRequested) {
     GCRequested = false;
     ++Stats.GCCount;
-    Stats.Cycles += Config.Costs.GCPause;
+    Stats.Cycles += cost::GCPause;
     NextGCAt = TheHeap.bytesAllocated() + Config.GCThresholdBytes;
     if (Trace)
       Trace->event(tel::TraceEvent::gc(Stats.Cycles, T.Id,
@@ -452,8 +443,8 @@ void VirtualMachine::processTaken(Thread &T, Where W,
     TickPending = false;
     // Attributed but not in ProfilingCycles: servicing a tick at a
     // yieldpoint is a base runtime service every configuration pays.
-    Stats.Cycles += Config.Costs.TickService;
-    Stats.OvYieldpoint += Config.Costs.TickService;
+    Stats.Cycles += cost::TickService;
+    Stats.OvYieldpoint += cost::TickService;
     if (Kind == ProfilerKind::CBS) {
       // §5.1: a yieldpoint taken for a timer interrupt arms CBS by
       // setting the control word to -1; the thread switch is deferred
@@ -486,7 +477,7 @@ void VirtualMachine::processTaken(Thread &T, Where W,
 
   // Not a tick: a CBS invocation event, or a service-only request (GC).
   if (Kind == ProfilerKind::CBS && T.CBS.armed() && W != Where::Backedge) {
-    chargeProf(Config.Costs.ArmedEventCost, Stats.OvEntryCheck);
+    chargeProf(cost::ArmedEventCost, Stats.OvEntryCheck);
     if (T.CBS.onInvocationEvent()) {
       recordEdgeSample(T);
       if (!T.CBS.armed()) {
@@ -521,7 +512,7 @@ void VirtualMachine::invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
     if (T.Buffer.append({Site, Callee}))
       flushThreadBuffer(T);
     if (Config.Profiler.ChargeExhaustiveCounters)
-      chargeProf(Config.Costs.ExhaustiveCounter, Stats.OvCounterUpdate);
+      chargeProf(cost::ExhaustiveCounter, Stats.OvCounterUpdate);
   }
 
   InstalledVersion *V = ensureCompiled(Callee);
@@ -529,7 +520,7 @@ void VirtualMachine::invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
 
   if (Patching) {
     if (Patching->isListening(Callee)) {
-      chargeProf(Config.Costs.ListenerCost, Stats.OvListener);
+      chargeProf(cost::ListenerCost, Stats.OvListener);
       Patching->onListenedEntry(Callee, {Site, Callee}, Stats.Cycles, DCG);
     } else if (Count == Config.Profiler.PromoteAfterInvocations) {
       Patching->onMethodPromoted(Callee, Stats.Cycles);
@@ -551,7 +542,7 @@ void VirtualMachine::invoke(Thread &T, bc::MethodId Callee, uint32_t ArgCount,
 
   // Prologue yieldpoint (Jikes) / overloaded entry check (J9).
   if (Config.ExplicitEntryCheck)
-    chargeProf(Config.Costs.ExplicitEntryCheck, Stats.OvEntryCheck);
+    chargeProf(cost::ExplicitEntryCheck, Stats.OvEntryCheck);
   if (T.Word != YieldWord::Clear)
     processTaken(T, Where::Prologue);
 }
@@ -578,9 +569,8 @@ void VirtualMachine::flushThreadBuffer(Thread &T) {
   // Organizer cost: modelled only while the program runs (post-run
   // flushes are measurement) and only for charged profilers.
   if (ChargedProfiling && State == RunState::Running)
-    chargeProf(Config.Costs.BufferFlushBase +
-                   Config.Costs.BufferFlushPerSample *
-                       static_cast<uint32_t>(Pending),
+    chargeProf(cost::BufferFlushBase +
+                   cost::BufferFlushPerSample * static_cast<uint32_t>(Pending),
                Stats.OvBufferFlush);
   T.Buffer.flushInto(DCG);
   ++Stats.DCGFlushes;
@@ -599,8 +589,7 @@ prof::DCGSnapshot VirtualMachine::profile() {
   // Mid-run materialization is the organizer/AOS read path and is
   // modelled work; post-run reads are measurement and stay free.
   if (ChargedProfiling && State == RunState::Running)
-    chargeProf(static_cast<uint32_t>(Config.Costs.SnapshotPerEdge *
-                                     Snap.numEdges()),
+    chargeProf(static_cast<uint32_t>(cost::SnapshotPerEdge * Snap.numEdges()),
                Stats.OvSnapshot);
   return Snap;
 }
@@ -614,10 +603,10 @@ Ref VirtualMachine::newObject(Thread &T, bc::ClassId Class) {
   // §8 generalization: the allocation sampler's armed check overloads
   // the allocator's heap-frontier test.
   if (Config.Profiler.ProfileAllocations && T.Alloc.armed()) {
-    chargeProf(Config.Costs.ArmedEventCost, Stats.OvEntryCheck);
+    chargeProf(cost::ArmedEventCost, Stats.OvEntryCheck);
     if (T.Alloc.onInvocationEvent()) {
       // A histogram bump, no walk: counter-update work.
-      chargeProf(Config.Costs.AllocSampleCost, Stats.OvCounterUpdate);
+      chargeProf(cost::AllocSampleCost, Stats.OvCounterUpdate);
       AllocProfile.addSample(Class);
       ++Stats.SamplesTaken;
       // Allocation samples have no walked call edge; the invariant
@@ -661,19 +650,6 @@ void VirtualMachine::returnFrom(Thread &T, bool HasResult) {
   if (HasResult)
     T.push(Result);
   ++T.top().PC;
-}
-
-RunState VirtualMachine::leaveRun() {
-  // Shutdown notification: once, when the run first reaches a terminal
-  // state (a budget break leaves State == Running and does not fire).
-  // The VM is still fully alive here, so the hook can snapshot the
-  // profile for persistence.
-  if (State != RunState::Running && !ShutdownNotified) {
-    ShutdownNotified = true;
-    if (Config.OnShutdown)
-      Config.OnShutdown(*this);
-  }
-  return State;
 }
 
 RunState VirtualMachine::run(uint64_t CycleBudget) {
@@ -812,12 +788,12 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       // The three checks behind the threshold, in their fixed order.
       if (Cycles >= Limit) {
         sync();
-        return leaveRun();
+        return State;
       }
       if (Cycles >= Config.MaxCycles) {
         sync();
         State = RunState::CycleLimit;
-        return leaveRun();
+        return State;
       }
       if (Cycles >= NextTimerAt) {
         sync();
@@ -869,14 +845,14 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       if (!binop(Opcode::IDiv)) {
         sync();
         trap("division by zero");
-        return leaveRun();
+        return State;
       }
       break;
     case Opcode::IRem:
       if (!binop(Opcode::IRem)) {
         sync();
         trap("remainder by zero");
-        return leaveRun();
+        return State;
       }
       break;
     case Opcode::IAnd:
@@ -955,13 +931,13 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
         --Sp;
         sync();
         trap("getfield on null or invalid reference");
-        return leaveRun();
+        return State;
       }
       if (static_cast<uint32_t>(I.A) >= TheHeap.numFields(R)) {
         --Sp;
         sync();
         trap("getfield index out of range");
-        return leaveRun();
+        return State;
       }
       Sp[-1] = Tos = TheHeap.getField(R, static_cast<uint32_t>(I.A));
       break;
@@ -974,12 +950,12 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       if (!TheHeap.validRef(R)) {
         sync();
         trap("putfield on null or invalid reference");
-        return leaveRun();
+        return State;
       }
       if (static_cast<uint32_t>(I.A) >= TheHeap.numFields(R)) {
         sync();
         trap("putfield index out of range");
-        return leaveRun();
+        return State;
       }
       TheHeap.putField(R, static_cast<uint32_t>(I.A), V);
       break;
@@ -1007,7 +983,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       Ref Receiver = static_cast<Ref>(T->Sp[-static_cast<ptrdiff_t>(ArgCount)]);
       if (!TheHeap.validRef(Receiver)) {
         trap("virtual call on null receiver");
-        return leaveRun();
+        return State;
       }
       bc::MethodId Target = P.hierarchy().lookup(
           TheHeap.classOf(Receiver), static_cast<bc::SelectorId>(I.A));
@@ -1015,7 +991,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
         trap("receiver does not understand selector '" +
              P.hierarchy().selectorName(static_cast<bc::SelectorId>(I.A)) +
              "'");
-        return leaveRun();
+        return State;
       }
       ++Stats.VirtualCallsExecuted;
       invoke(*T, Target, ArgCount, I.Site);
@@ -1029,7 +1005,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
       sync();
       returnFrom(*T, I.Op != Opcode::Return);
       if (State != RunState::Running)
-        return leaveRun();
+        return State;
       reload();
       continue;
 
@@ -1041,7 +1017,7 @@ RunState VirtualMachine::run(uint64_t CycleBudget) {
     case Opcode::Halt:
       sync();
       State = RunState::Halted;
-      return leaveRun();
+      return State;
     case Opcode::Spawn:
       sync();
       spawnThread(static_cast<bc::MethodId>(I.A));

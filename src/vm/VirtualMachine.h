@@ -28,6 +28,7 @@
 
 #include "bytecode/Program.h"
 #include "profiling/AllocationProfile.h"
+#include "profiling/CodePatchingProfiler.h"
 #include "profiling/DynamicCallGraph.h"
 #include "profiling/SampleBuffer.h"
 #include "telemetry/MetricRegistry.h"
@@ -156,15 +157,18 @@ public:
   /// The installed trace sink (null when tracing is off).
   tel::TraceSink *traceSink() const { return Trace; }
 
-  /// Installs a recompiled version (AOS path). Compile cycles are
-  /// tracked in stats().CompileCycles, not charged to execution time
-  /// (compilation runs on a background thread in the modelled VMs).
-  void installCompiled(CompiledMethod CM);
+  /// Installs a compiled version: the AOS path, and the lazy
+  /// first-touch compile's. Compile cycles are tracked in
+  /// stats().CompileCycles and vm.compile_cost_cycles, not charged to
+  /// execution time (compilation runs on a background thread in the
+  /// modelled VMs), and the trace gets a compile_start/compile_finish
+  /// pair at the current cycle.
+  InstalledVersion *installCompiled(CompiledMethod CM);
 
   /// Deoptimizes \p Id: its active version is invalidated in the code
   /// cache and every frame still pinning it falls back to baseline
   /// execution speed at its thread's next taken yieldpoint (each such
-  /// frame is charged CostModel::DeoptCost once at that transition).
+  /// frame is charged cost::DeoptCost once at that transition).
   /// Future invocations recompile lazily through the normal baseline
   /// path. With VMConfig::EnableOSR a deopted frame additionally
   /// transfers to a fresh baseline version at its next loop-header
@@ -208,9 +212,11 @@ private:
   /// longer its method's active one and both versions kept the loop
   /// header the backedge jumps to, the frame transfers to the active
   /// version (a Deopted frame with no active version transfers to a
-  /// fresh baseline). Charges CostModel::OsrCost per transfer. Runs on
+  /// fresh baseline). Charges cost::OsrCost per transfer. Runs on
   /// the VM thread in virtual time — determinism-neutral.
   void maybeOSR(Thread &T, uint32_t BackedgeTarget);
+  /// \p Id's active version, compiled at VMConfig::JITLevel and
+  /// installed first if there is none.
   InstalledVersion *ensureCompiled(bc::MethodId Id);
   /// Pushes a frame for \p Callee consuming \p ArgCount values from the
   /// current operand stack; runs entry profiling hooks.
@@ -223,9 +229,6 @@ private:
   /// The `new` instruction's runtime part: GC request, allocation
   /// sampling, and the allocation itself.
   Ref newObject(Thread &T, bc::ClassId Class);
-  /// run()'s one way out: fires VMConfig::OnShutdown on the first
-  /// terminal state and returns State.
-  RunState leaveRun();
   Thread &spawnThread(bc::MethodId Entry);
   void trap(const std::string &Message);
 
@@ -273,9 +276,6 @@ private:
   /// Client->onStartup has fired (it fires once, at the start of the
   /// first run() call).
   bool StartupNotified = false;
-  /// VMConfig::OnShutdown has fired (once, when run() first reaches a
-  /// terminal state).
-  bool ShutdownNotified = false;
   std::string TrapMsg;
   std::vector<int64_t> Output;
 };

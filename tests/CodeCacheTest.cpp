@@ -52,14 +52,13 @@ Program twoMethodProgram() {
 TEST(CodeCache, InstallTracksActiveAccounting) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
 
   EXPECT_EQ(Cache.active(0), nullptr);
   EXPECT_EQ(Cache.activeLevel(0), -1);
   EXPECT_EQ(Cache.activeCodeInstructions(), 0u);
 
   InstalledVersion *L0 =
-      Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
+      Cache.install(CodeCache::compileBaseline(P, 0, 0));
   ASSERT_NE(L0, nullptr);
   EXPECT_EQ(Cache.active(0), &L0->Body);
   EXPECT_EQ(Cache.activeLevel(0), 0);
@@ -72,14 +71,13 @@ TEST(CodeCache, InstallTracksActiveAccounting) {
 TEST(CodeCache, RecompileRetiresOldVersionToGraveyard) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
 
   InstalledVersion *L0 =
-      Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
+      Cache.install(CodeCache::compileBaseline(P, 0, 0));
   size_t L0Size = L0->Body.Code.size();
   Cache.pinFrame(L0); // a live frame keeps the retiree in the graveyard
   InstalledVersion *L1 =
-      Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
+      Cache.install(CodeCache::compileBaseline(P, 0, 1));
 
   EXPECT_EQ(Cache.active(0), &L1->Body);
   EXPECT_EQ(Cache.activeLevel(0), 1);
@@ -97,10 +95,9 @@ TEST(CodeCache, RecompileRetiresOldVersionToGraveyard) {
 TEST(CodeCache, InvalidateRetiresWithNoReplacement) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
 
   InstalledVersion *L1 =
-      Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
+      Cache.install(CodeCache::compileBaseline(P, 0, 1));
   size_t L1Size = L1->Body.Code.size();
 
   const InstalledVersion *Retired = Cache.invalidate(0);
@@ -127,16 +124,15 @@ TEST(CodeCache, InvalidateWithNothingActiveIsANoOp) {
 TEST(CodeCache, ReinstallAfterInvalidateStartsAFreshChain) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
 
-  Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
+  Cache.install(CodeCache::compileBaseline(P, 0, 1));
   Cache.invalidate(0);
 
   // Same (level, plan generation) as the invalidated version: legal,
   // because the active slot is empty — this is exactly the recompile a
   // deoptimization enqueues.
   InstalledVersion *Again =
-      Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
+      Cache.install(CodeCache::compileBaseline(P, 0, 1));
   EXPECT_EQ(Cache.active(0), &Again->Body);
   EXPECT_FALSE(Again->Invalidated);
   EXPECT_EQ(Cache.invalidationEpoch(0), 1u);
@@ -155,10 +151,9 @@ TEST(CodeCache, ReinstallAfterInvalidateStartsAFreshChain) {
 TEST(CodeCache, EpochsAreTrackedPerMethod) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
 
-  Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
-  Cache.install(CodeCache::compileBaseline(P, 1, 0, Costs));
+  Cache.install(CodeCache::compileBaseline(P, 0, 0));
+  Cache.install(CodeCache::compileBaseline(P, 1, 0));
   Cache.invalidate(0);
   EXPECT_EQ(Cache.invalidationEpoch(0), 1u);
   EXPECT_EQ(Cache.invalidationEpoch(1), 0u)
@@ -168,30 +163,27 @@ TEST(CodeCache, EpochsAreTrackedPerMethod) {
 TEST(CodeCache, DoubleInstallOfIdenticalVersionIsFatal) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
-  Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
-  EXPECT_DEATH(Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs)),
+  Cache.install(CodeCache::compileBaseline(P, 0, 1));
+  EXPECT_DEATH(Cache.install(CodeCache::compileBaseline(P, 0, 1)),
                "double-install of method 0");
 }
 
 TEST(CodeCache, HigherLevelOrNewerPlanIsNotADoubleInstall) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
-  Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
+  Cache.install(CodeCache::compileBaseline(P, 0, 1));
 
   // Same level, newer plan generation: a legitimate reoptimization.
   Cache.install(CompiledMethod::build({.Id = 0,
                                        .Level = 1,
                                        .NumLocals = P.method(0).NumLocals,
                                        .Code = P.method(0).Code,
-                                       .PlanGeneration = 3},
-                                      Costs));
+                                       .PlanGeneration = 3}));
   EXPECT_EQ(Cache.active(0)->PlanGeneration, 3u);
   EXPECT_EQ(Cache.numRecompiles(), 1u);
 
   // Higher level: also legitimate.
-  Cache.install(CodeCache::compileBaseline(P, 0, 2, Costs));
+  Cache.install(CodeCache::compileBaseline(P, 0, 2));
   EXPECT_EQ(Cache.activeLevel(0), 2);
   EXPECT_EQ(Cache.numRecompiles(), 2u);
 }
@@ -202,10 +194,9 @@ TEST(CodeCache, PinnedRetiredVersionReclaimedAtLastUnpin) {
   // then be reclaimed with exact capacity accounting.
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
 
   InstalledVersion *V1 =
-      Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
+      Cache.install(CodeCache::compileBaseline(P, 0, 0));
   size_t V1Size = V1->Body.Code.size();
   Cache.pinFrame(V1); // a frame enters the version
   Cache.pinFrame(V1); // ...and a second one
@@ -235,12 +226,11 @@ TEST(CodeCache, UnpinnedRetireeReclaimedImmediatelyOnRecompile) {
   // away — no frame will ever report an unpin for it.
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
 
   InstalledVersion *V1 =
-      Cache.install(CodeCache::compileBaseline(P, 0, 0, Costs));
+      Cache.install(CodeCache::compileBaseline(P, 0, 0));
   size_t V1Size = V1->Body.Code.size();
-  Cache.install(CodeCache::compileBaseline(P, 0, 1, Costs));
+  Cache.install(CodeCache::compileBaseline(P, 0, 1));
   EXPECT_EQ(Cache.graveyardCodeInstructions(), 0u);
   EXPECT_EQ(Cache.graveyardSize(), 0u);
   EXPECT_EQ(Cache.reclaimedCodeInstructions(), V1Size);
@@ -299,9 +289,8 @@ void expectInstalledUnchanged(CodeCache &Cache, CompiledMethod CM) {
 TEST(CodeCache, BaselineBodyIsBakedBeforeInstall) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
   for (int Level = 0; Level <= 2; ++Level) {
-    CompiledMethod CM = CodeCache::compileBaseline(P, 0, Level, Costs);
+    CompiledMethod CM = CodeCache::compileBaseline(P, 0, Level);
     ASSERT_NO_FATAL_FAILURE(expectBaked(CM)) << "level " << Level;
     expectInstalledUnchanged(Cache, std::move(CM));
   }
@@ -310,13 +299,12 @@ TEST(CodeCache, BaselineBodyIsBakedBeforeInstall) {
 TEST(CodeCache, OptimizedBodyIsBakedBeforeInstall) {
   Program P = twoMethodProgram();
   CodeCache Cache(P);
-  CostModel Costs;
   // main inlines alpha at level 2: a body the inliner and optimizer
   // both reshaped, at a scale below 1.0.
   opt::InlinePlan Plan;
   Plan.Decisions[0] = {opt::InlineDecision::Kind::Direct, 0, {}};
   Plan.Generation = 1;
-  CompiledMethod CM = opt::compileMethod(P, 1, 2, Plan, Costs);
+  CompiledMethod CM = opt::compileMethod(P, 1, 2, Plan);
   EXPECT_EQ(CM.InlinedBodies, 1u);
   EXPECT_LT(CM.ScaleQ8, 256u);
   ASSERT_NO_FATAL_FAILURE(expectBaked(CM));

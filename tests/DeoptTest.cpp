@@ -94,9 +94,9 @@ DeoptRun runWithDeopt(const Program &P, aos::DeoptConfig Deopt,
   Config.Profiler.DecayEveryTicks = 4;
   Config.Profiler.DecayFactor = 0.5;
   Config.TimerPeriodCycles = 20'000;
-  Config.Costs.CompileLatencyScale = LatencyScale;
 
   aos::AOSConfig AC;
+  AC.CompileLatencyScale = LatencyScale;
   AC.Deopt = Deopt;
   AC.Level1Samples = 2;
   AC.Level2Samples = 3;
@@ -245,8 +245,8 @@ TEST(Deopt, DisabledControllerChangesNothing) {
   Config.Profiler.DecayEveryTicks = 4;
   Config.Profiler.DecayFactor = 0.5;
   Config.TimerPeriodCycles = 20'000;
-  Config.Costs.CompileLatencyScale = 1.0;
   aos::AOSConfig AC;
+  AC.CompileLatencyScale = 1.0;
   AC.Level1Samples = 2;
   AC.Level2Samples = 3;
   opt::NewJikesOracle Oracle;

@@ -205,11 +205,10 @@ TEST(Speedup, DynamicHeuristicsReduceCompileCost) {
   vm::VirtualMachine VM(P, Config);
   ASSERT_EQ(VM.run(), vm::RunState::Finished);
 
-  vm::CostModel Costs;
   auto TotalCompile = [&](const opt::InlinePlan &Plan) {
     uint64_t Total = 0;
     for (bc::MethodId M = 0; M != P.numMethods(); ++M)
-      Total += opt::compileMethod(P, M, 2, Plan, Costs).CompileCostCycles;
+      Total += opt::compileMethod(P, M, 2, Plan).CompileCostCycles;
     return Total;
   };
   uint64_t StaticCost =

@@ -140,6 +140,27 @@ TEST(ProgramGenerator, ShapeJsonRoundTrip) {
 }
 
 //===----------------------------------------------------------------------===//
+// Shared runs
+//===----------------------------------------------------------------------===//
+
+TEST(ProgramRuns, AdaptiveRunsKeepTheirLatency) {
+  // Campaign logs print only violations and campaign digests only count
+  // checks, so adaptive runs that silently lost their latency would
+  // pass both. On this long-loops program the three latencies the AOS
+  // oracles use take three different sample counts.
+  bc::Program P =
+      buildProgram(ProgramGenerator(ShapeConfig::longLoops()).makeSpec(27));
+  ProgramRuns Runs(P, 27);
+  uint64_t Latency0 = Runs.adaptive(0, false).Samples;
+  uint64_t Latency1 = Runs.adaptive(1, false).Samples;
+  uint64_t Latency8 = Runs.adaptive(8, false).Samples;
+  EXPECT_EQ(Latency0, 76u);
+  EXPECT_EQ(Latency1, 84u);
+  EXPECT_EQ(Latency8, 96u);
+  EXPECT_TRUE(Latency0 != Latency1 || Latency1 != Latency8);
+}
+
+//===----------------------------------------------------------------------===//
 // Reducer
 //===----------------------------------------------------------------------===//
 

@@ -37,7 +37,7 @@ std::vector<int64_t> runWithPlan(const Program &P, const InlinePlan &Plan,
   Config.MaxCycles = 500'000'000;
   Config.JITLevel = Level;
   auto Shared = std::make_shared<InlinePlan>(Plan);
-  Config.CompileHook = makeCompileHook(Shared, Config.Costs);
+  Config.CompileHook = makeCompileHook(Shared);
   vm::VirtualMachine VM(P, Config);
   EXPECT_EQ(VM.run(), vm::RunState::Finished) << VM.trapMessage();
   return VM.output();
@@ -323,11 +323,8 @@ TEST(Inliner, SizeBudgetFallsBackToCalls) {
 TEST(Inliner, CompileMethodTracksCostAndScale) {
   Program P = fuzz::generateRandomProgram(3);
   InlinePlan Plan = TrivialOracle().plan(P, prof::DCGSnapshot());
-  vm::CostModel Costs;
-  vm::CompiledMethod L0 =
-      compileMethod(P, P.entryMethod(), 0, Plan, Costs);
-  vm::CompiledMethod L2 =
-      compileMethod(P, P.entryMethod(), 2, Plan, Costs);
+  vm::CompiledMethod L0 = compileMethod(P, P.entryMethod(), 0, Plan);
+  vm::CompiledMethod L2 = compileMethod(P, P.entryMethod(), 2, Plan);
   EXPECT_LT(L2.ScaleQ8, L0.ScaleQ8);
   EXPECT_GT(L2.CompileCostCycles, L0.CompileCostCycles);
 }

@@ -11,6 +11,7 @@
 #include "experiments/RunDriver.h"
 #include "opt/Passes.h"
 #include "support/ArgParser.h"
+#include "vm/CostModel.h"
 #include "vm/VirtualMachine.h"
 
 #include <gtest/gtest.h>
@@ -732,14 +733,13 @@ TEST(Interpreter, DeoptedFrameChargesUnscaledCycles) {
   Config.TimerJitterPct = 0;
   // main's level-2 body, as the VM's lazy compile builds it.
   const vm::CompiledMethod Level2 =
-      vm::CodeCache::compileBaseline(P, Main, 2, Config.Costs);
+      vm::CodeCache::compileBaseline(P, Main, 2);
   ASSERT_LT(Level2.ScaleQ8, 256u);
   const uint64_t Scaled = Level2.scaledCost(1000);
   // The first tick falls just before the call.
   Config.TimerPeriodCycles = 2 * Scaled;
   vm::VirtualMachine VM(P, Config);
   const vm::VMStats &S = VM.stats();
-  const vm::CostModel &Costs = Config.Costs;
 
   // run(1) executes exactly one instruction when nothing else is due.
   EXPECT_EQ(VM.run(1), vm::RunState::Running);
@@ -761,8 +761,8 @@ TEST(Interpreter, DeoptedFrameChargesUnscaledCycles) {
   ASSERT_NE(FCode, nullptr);
   uint64_t InvokeCost =
       Level2.scaledCost(bc::opcodeInfo(Opcode::InvokeStatic).Cycles);
-  EXPECT_EQ(S.Cycles - Before, Costs.TimerInterrupt + InvokeCost +
-                                   Costs.DeoptCost + Costs.TickService);
+  EXPECT_EQ(S.Cycles - Before, vm::cost::TimerInterrupt + InvokeCost +
+                                   vm::cost::DeoptCost + vm::cost::TickService);
 
   // f's return, at f's own (level 2) speed.
   Before = S.Cycles;

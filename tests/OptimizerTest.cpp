@@ -257,7 +257,7 @@ std::vector<int64_t> runAtLevel(const Program &P, int Level) {
   // Hook: no inlining, optimizer only.
   Config.CompileHook = [](const Program &Prog, MethodId Id,
                           int L) -> vm::CompiledMethod {
-    return compileMethod(Prog, Id, L, InlinePlan(), vm::CostModel());
+    return compileMethod(Prog, Id, L, InlinePlan());
   };
   vm::VirtualMachine VM(P, Config);
   EXPECT_EQ(VM.run(), vm::RunState::Finished) << VM.trapMessage();

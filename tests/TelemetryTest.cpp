@@ -358,6 +358,24 @@ TEST(TraceSink, EventCountsMatchVMStats) {
             Sink.countOf(EventKind::CompileFinish));
 }
 
+TEST(TraceSink, AdaptiveRunTracesOnePairPerCompile) {
+  // `cbsvm run jess --aos`: lazy first-touch compiles and AOS installs
+  // go through one install path, which traces one start/finish pair
+  // per compile the code cache counts.
+  RingBufferSink Sink(16);
+  support::ArgParser Args(std::vector<std::string>{"jess", "--aos"});
+  exp::RunSetup S = exp::parseRunSetup(Args);
+  Args.finish();
+  S.Config.Trace = &Sink;
+  exp::DriverRun Run(S);
+  ASSERT_EQ(Run.run(), vm::RunState::Finished);
+  ASSERT_GT(Run.adaptive()->stats().QueueInstalls, 0u);
+  const tel::Gauge *Compiles = Run.vm().metrics().findGauge("code.compiles");
+  ASSERT_NE(Compiles, nullptr);
+  EXPECT_EQ(Sink.countOf(EventKind::CompileStart), Compiles->Value);
+  EXPECT_EQ(Sink.countOf(EventKind::CompileFinish), Compiles->Value);
+}
+
 TEST(TraceSink, ChromeTraceIsWellFormed) {
   ChromeTraceSink Sink;
   vm::VMStats Stats = runWithSink("compress", Sink);

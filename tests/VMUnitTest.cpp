@@ -12,7 +12,6 @@
 #include "bytecode/Builder.h"
 #include "profiling/SampleBuffer.h"
 #include "vm/CodeCache.h"
-#include "vm/CostModel.h"
 #include "vm/Heap.h"
 #include "vm/Thread.h"
 
@@ -118,9 +117,7 @@ TEST(Heap, TracksBytesAndReset) {
 
 TEST(CodeCache, BaselineCompileCopiesOriginal) {
   Program P = tinyProgram();
-  vm::CostModel Costs;
-  vm::CompiledMethod CM =
-      vm::CodeCache::compileBaseline(P, 0, /*Level=*/0, Costs);
+  vm::CompiledMethod CM = vm::CodeCache::compileBaseline(P, 0, /*Level=*/0);
   EXPECT_EQ(CM.Code.size(), P.method(0).Code.size());
   EXPECT_EQ(CM.ScaleQ8, 256u);
   EXPECT_GT(CM.CompileCostCycles, 0u);
@@ -128,10 +125,9 @@ TEST(CodeCache, BaselineCompileCopiesOriginal) {
 
 TEST(CodeCache, LevelsScaleExecutionAndCost) {
   Program P = tinyProgram();
-  vm::CostModel Costs;
-  vm::CompiledMethod L0 = vm::CodeCache::compileBaseline(P, 0, 0, Costs);
-  vm::CompiledMethod L1 = vm::CodeCache::compileBaseline(P, 0, 1, Costs);
-  vm::CompiledMethod L2 = vm::CodeCache::compileBaseline(P, 0, 2, Costs);
+  vm::CompiledMethod L0 = vm::CodeCache::compileBaseline(P, 0, 0);
+  vm::CompiledMethod L1 = vm::CodeCache::compileBaseline(P, 0, 1);
+  vm::CompiledMethod L2 = vm::CodeCache::compileBaseline(P, 0, 2);
   EXPECT_GT(L0.ScaleQ8, L1.ScaleQ8);
   EXPECT_GT(L1.ScaleQ8, L2.ScaleQ8);
   EXPECT_LT(L0.CompileCostCycles, L1.CompileCostCycles);
@@ -140,17 +136,16 @@ TEST(CodeCache, LevelsScaleExecutionAndCost) {
 
 TEST(CodeCache, InstallRetiresButKeepsOldVersionsAlive) {
   Program P = tinyProgram();
-  vm::CostModel Costs;
   vm::CodeCache Cache(P);
   EXPECT_EQ(Cache.active(0), nullptr);
   EXPECT_EQ(Cache.activeLevel(0), -1);
 
   vm::InstalledVersion *V0 =
-      Cache.install(vm::CodeCache::compileBaseline(P, 0, 0, Costs));
+      Cache.install(vm::CodeCache::compileBaseline(P, 0, 0));
   EXPECT_EQ(Cache.activeLevel(0), 0);
   Cache.pinFrame(V0); // a frame is executing V0
   vm::InstalledVersion *V2 =
-      Cache.install(vm::CodeCache::compileBaseline(P, 0, 2, Costs));
+      Cache.install(vm::CodeCache::compileBaseline(P, 0, 2));
   EXPECT_EQ(Cache.activeLevel(0), 2);
   EXPECT_NE(V0, V2);
   // The retired version's storage must still be readable: a pinning
@@ -311,7 +306,7 @@ namespace {
 vm::InstalledVersion madeMethod(bc::MethodId Id,
                                 std::vector<bc::Instruction> Code) {
   return vm::InstalledVersion(vm::CompiledMethod::build(
-      {.Id = Id, .Code = std::move(Code)}, vm::CostModel()));
+      {.Id = Id, .Code = std::move(Code)}));
 }
 
 } // namespace

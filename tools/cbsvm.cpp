@@ -140,12 +140,13 @@
 // Unknown or unconsumed arguments are an error: every subcommand calls
 // ArgParser::finish() once it has pulled everything it understands. A
 // file that cannot be written (FILE of --json, --save, --trace,
-// --metrics-json) is an error too: exit 2 with "cannot write 'FILE'",
-// and so is a failed write to standard output (checked once the command
-// returns: exit 2 with "cannot write standard output"). A command-line
-// mistake prints its diagnostic and the usage line; a file that cannot
-// be read or written, or does not decode (compare's profiles, a
-// --replay artifact), prints its diagnostic alone. Both exit 2.
+// --metrics-json, a fuzz artifact) is an error too: exit 2 with
+// "cannot write 'FILE'", and so is a failed write to standard output
+// (checked once the command returns: exit 2 with "cannot write
+// standard output"). A command-line mistake prints its diagnostic and
+// the usage line; a file that cannot be read or written, or does not
+// decode (compare's profiles, a --replay artifact), prints its
+// diagnostic alone. Both exit 2.
 //
 // The run wiring behind `run`, `stats` and `report` (workload and VM
 // options, profile repository, adaptive system, report inputs) lives in
@@ -488,6 +489,10 @@ int cmdFuzz(ArgParser &Args) {
     writeFileOrDie(MetricsPath, Metrics.toJson());
     std::printf("metrics written to %s\n", MetricsPath.c_str());
   }
+  // A violation whose artifact is lost cannot be replayed: that is a
+  // failed write, not a finding.
+  if (!Report.UnwrittenArtifacts.empty())
+    dataError("cannot write '" + Report.UnwrittenArtifacts.front() + "'");
   return Report.clean() ? 0 : 1;
 }
 
